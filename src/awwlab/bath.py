@@ -172,12 +172,13 @@ def _osc_quad(f, a, b, rate, tol=1e-9):
     zero, and the roundoff floor (as in QUADPACK) keeps it positive.
     ``tol`` and ``QuadratureError.achieved`` cover the discretisation and
     roundoff error on ``[a, b]`` only; the truncation of an integral at
-    ``b`` is not part of the estimate.
+    ``b`` is not part of the estimate. A value or estimate that is not
+    finite (an integrand that yields NaN or inf) raises as well.
     """
     coarse, _ = _panel_quad(f, a, b, rate)
     fine, resabs = _panel_quad(f, a, b, 2.0 * max(abs(rate), 0.25))
     err = max(abs(fine - coarse), 50.0 * np.finfo(float).eps * resabs)
-    if err > tol:
+    if not (np.isfinite(fine) and err <= tol):
         raise QuadratureError(
             f"oscillatory quadrature did not converge (error {err:.2e} > {tol:.0e})",
             achieved=err,

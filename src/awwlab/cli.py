@@ -27,10 +27,11 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="key=value config file")
         cmd.add_argument("--out", default="out", help="output directory")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="worker processes for sweep points")
         cmd.add_argument("--override-smallness", action="store_true",
                          help="run even when the coupling-smallness bound fails")
+        if name == "sweep":
+            cmd.add_argument("--threads", type=int, default=1,
+                             help="worker processes for sweep points")
     return parser
 
 
@@ -45,8 +46,8 @@ def main(argv=None) -> int:
             "regimes": harness.run_regimes,
             "validate": harness.run_validate,
         }[args.command]
-        result = runner(cfg, args.out, override=args.override_smallness,
-                        threads=args.threads)
+        extra = {"threads": args.threads} if args.command == "sweep" else {}
+        result = runner(cfg, args.out, override=args.override_smallness, **extra)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .errors import ConfigError
 
 __all__ = ["KNOWN_KEYS", "parse_config", "load_config", "get_float", "get_str",
-           "get_float_list", "get_bool"]
+           "get_float_list"]
 
 KNOWN_KEYS = {
     "atom.name": "builtin atom path: ww-ref-2level | ww-const-2level | tabulated",
@@ -95,13 +95,3 @@ def get_float_list(cfg: dict, key: str, default=None) -> list:
     except ValueError:
         raise ConfigError(f"key {key!r}: not a number list: {cfg[key]!r}", key=key)
 
-
-def get_bool(cfg: dict, key: str, default=False) -> bool:
-    if key not in cfg:
-        return default
-    val = cfg[key].lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"key {key!r}: not a boolean: {cfg[key]!r}", key=key)

@@ -189,8 +189,7 @@ def point_metrics(scen: Scenario, eps: float, lam: float, **kw) -> dict:
             "p_down_pred": report.p_down, "regime": report.regime}
 
 
-def run_simulate(cfg: dict, out_dir: str, override: bool = False,
-                 threads: int = 1) -> list:
+def run_simulate(cfg: dict, out_dir: str, override: bool = False) -> list:
     """One (eps, lambda) point; writes four trajectory CSVs plus a comparison."""
     scen = scenario_from_config(cfg)
     eps = config_mod.get_float(cfg, "sim.eps")
@@ -211,9 +210,10 @@ def run_simulate(cfg: dict, out_dir: str, override: bool = False,
         written.append(path)
 
     ts = tr_exact.times
+    z_volt, z_eff = tr_volt.z_at(ts), tr_eff.z_at(ts)
     rows = [[t,
-             np.linalg.norm(tr_volt.z_at(t) - tr_exact.z[k]),
-             np.linalg.norm(tr_eff.z_at(t) - tr_exact.z[k]),
+             np.linalg.norm(z_volt[k] - tr_exact.z[k]),
+             np.linalg.norm(z_eff[k] - tr_exact.z[k]),
              np.linalg.norm(tr_lead.z[k] - tr_exact.z[k])]
             for k, t in enumerate(ts)]
     path = os.path.join(out_dir, "comparison.csv")
@@ -233,8 +233,11 @@ def _lambda_for(rule: str, eps: float, index: int) -> float:
         except ValueError:
             pass
     if rule.startswith("list:"):
-        vals = [float(tok) for tok in rule[5:].split(",")]
-        return vals[index]
+        try:
+            return [float(tok) for tok in rule[5:].split(",")][index]
+        except (ValueError, IndexError):
+            raise ConfigError(f"cannot read sweep point {index + 1} from "
+                              f"sweep.lambda_rule {rule!r}", key="sweep.lambda_rule")
     raise ConfigError(f"cannot parse sweep.lambda_rule {rule!r}",
                       key="sweep.lambda_rule")
 
@@ -243,10 +246,11 @@ def _sweep_worker(args):
     cfg, eps, lam, override = args
     scen = scenario_from_config(cfg)
     rtol = config_mod.get_float(cfg, "solver.rtol", 1e-10)
+    dt_out = config_mod.get_float(cfg, "solver.dt_out", 1.0 / 200)
     tol_corr = config_mod.get_float(cfg, "solver.tol_corr", 1e-4)
     try:
-        return point_metrics(scen, eps, lam, rtol=rtol, tol_corr=tol_corr,
-                             override=override)
+        return point_metrics(scen, eps, lam, rtol=rtol, dt_out=dt_out,
+                             tol_corr=tol_corr, override=override)
     except AwwlabError as exc:
         return {"eps": eps, "lam": lam, "error": f"{type(exc).__name__}: {exc}"}
 
@@ -320,8 +324,7 @@ def _observable_from_config(cfg: dict) -> bath_mod.TestObservable:
     raise ConfigError(f"unknown observable {name!r}", key="emission.observable")
 
 
-def run_emission(cfg: dict, out_dir: str, override: bool = False,
-                 threads: int = 1) -> dict:
+def run_emission(cfg: dict, out_dir: str, override: bool = False) -> dict:
     """Emitted-spectrum CSV plus mode-sum average vs the applicable limit law."""
     scen = scenario_from_config(cfg)
     r = config_mod.get_float(cfg, "emission.r", 1.0)
@@ -348,8 +351,7 @@ def run_emission(cfg: dict, out_dir: str, override: bool = False,
     return {"average": avg, "limit": limit, "r": r, "eps": eps}
 
 
-def run_regimes(cfg: dict, out_dir: str, override: bool = False,
-                threads: int = 1) -> list:
+def run_regimes(cfg: dict, out_dir: str, override: bool = False) -> list:
     """Regime classification table over the configured sweep points."""
     scen = scenario_from_config(cfg)
     epsilons = config_mod.get_float_list(cfg, "sweep.epsilons")
@@ -370,7 +372,7 @@ def run_regimes(cfg: dict, out_dir: str, override: bool = False,
 
 
 def run_validate(cfg: dict, out_dir: Optional[str] = None,
-                 override: bool = False, threads: int = 1) -> dict:
+                 override: bool = False) -> dict:
     """Coupling-smallness and well-coupledness report for the configured point."""
     scen = scenario_from_config(cfg)
     eps = config_mod.get_float(cfg, "sim.eps", 0.05)

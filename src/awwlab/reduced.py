@@ -12,10 +12,10 @@ from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import expm
 
 from . import bath as bath_mod
-from .atom import AtomPath, EigenFrame, coupling_in_working_basis
+from .atom import (PHASE_PER_STEP, AtomPath, EigenFrame, coupling_in_working_basis,
+                   magnus_grid, magnus_propagate)
 from .errors import IntegratorError, ResolutionError
 from .exact import Trajectory
 
@@ -28,47 +28,22 @@ __all__ = [
     "effective_solve",
 ]
 
-_PHASE_PER_STEP = 0.1      # target rad of fast phase per Magnus step
-_GAUSS_OFFSET = np.sqrt(3.0) / 6.0
-
-
-def _magnus_step(matfun, t, h, scale):
-    """One 4th-order Magnus step for U' = scale * M(t) U over [t, t+h]."""
-    t1 = t + h * (0.5 - _GAUSS_OFFSET)
-    t2 = t + h * (0.5 + _GAUSS_OFFSET)
-    b1 = scale * matfun(t1)
-    b2 = scale * matfun(t2)
-    omega = 0.5 * h * (b1 + b2) + (np.sqrt(3.0) / 12.0) * h * h * (b2 @ b1 - b1 @ b2)
-    return expm(omega)
-
-
 class PropagatorTable:
     """Free atomic propagator U_eps(t, 0) cached on a uniform grid.
 
-    Grid values come from accumulated Magnus steps with the fast phase per
-    step held at _PHASE_PER_STEP; off-grid queries take one extra substep
-    from the nearest lower node so every returned matrix is a product of
-    exact exponentials and stays unitary.
+    Grid values are the magnus_propagate products on the magnus_grid of
+    [0, t_end]; off-grid queries take one extra Magnus step from the nearest
+    lower node so every returned matrix is a product of exact exponentials
+    and stays unitary.
     """
 
-    def __init__(self, atom: AtomPath, eps: float, t_end: float,
-                 step: Optional[float] = None):
-        if step is None:
-            a_norm = max(np.linalg.norm(atom.matrix(t), 2)
-                         for t in np.linspace(0.0, t_end, 33))
-            step = _PHASE_PER_STEP * eps / max(a_norm, 1e-12)
-        n = max(int(np.ceil(t_end / step)), 2)
-        self.times = np.linspace(0.0, t_end, n + 1)
+    def __init__(self, atom: AtomPath, eps: float, t_end: float):
+        self.times, _ = magnus_grid(atom, eps, t_end)
         self.eps = eps
         self.atom = atom
-        h = self.times[1] - self.times[0]
-        u = np.empty((n + 1, atom.dim, atom.dim), dtype=complex)
-        u[0] = np.eye(atom.dim)
-        scale = -1j / eps
-        for k in range(n):
-            u[k + 1] = _magnus_step(atom.matrix, self.times[k], h, scale) @ u[k]
-        self.table = u
-        defect = np.abs(u[-1] @ u[-1].conj().T - np.eye(atom.dim)).max()
+        self.table = magnus_propagate(atom.matrix, self.times, -1j / eps)
+        u_end = self.table[-1]
+        defect = np.abs(u_end @ u_end.conj().T - np.eye(atom.dim)).max()
         if defect > 1e-8:
             raise IntegratorError(f"propagator unitarity drift {defect:.2e}")
 
@@ -78,7 +53,8 @@ class PropagatorTable:
         t0 = self.times[k]
         if abs(t - t0) < 1e-13:
             return self.table[k]
-        return _magnus_step(self.atom.matrix, t0, t - t0, -1j / self.eps) @ self.table[k]
+        step = magnus_propagate(self.atom.matrix, [t0, t], -1j / self.eps)[-1]
+        return step @ self.table[k]
 
 
 def atomic_propagator(atom: AtomPath, eps: float, t: float, s: float = 0.0,
@@ -112,18 +88,16 @@ def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
     ts = np.linspace(0.0, t_end, n + 1)
     h = ts[1] - ts[0]
 
-    prop = PropagatorTable(atom, eps, t_end)
-    # beta on the solution grid plus midpoint-free Heun nodes
-    beta = np.empty((n + 1, d), dtype=complex)
-    u_all = np.empty((n + 1, d, d), dtype=complex)
-    for k, t in enumerate(ts):
-        u_all[k] = prop.at(t)
-        beta[k] = u_all[k].conj().T @ coupling_in_working_basis(atom, frame, t)
-
-    a_norm = max(np.linalg.norm(atom.matrix(t), 2) for t in ts[:: max(n // 32, 1)])
-    if a_norm * h / eps > 0.5:
+    # U_eps at the solution nodes from Magnus steps on a refinement of them
+    fine, sub = magnus_grid(atom, eps, t_end, n)
+    if sub * PHASE_PER_STEP > 0.5:
         raise ResolutionError(
-            f"history grid too coarse: phase {a_norm * h / eps:.2f} rad per node")
+            f"history grid too coarse: over 0.5 rad of fast phase per node "
+            f"({sub} Magnus steps)")
+    u_all = magnus_propagate(atom.matrix, fine, -1j / eps)[::sub]
+    beta = np.empty((n + 1, d), dtype=complex)
+    for k, t in enumerate(ts):
+        beta[k] = u_all[k].conj().T @ coupling_in_working_basis(atom, frame, t)
 
     kernel = bath_mod.correlation(bath, ts / eps)   # gamma(x) at x = k*h/eps
     live = np.abs(kernel) >= kernel_floor           # kernel cutoff window
@@ -216,26 +190,17 @@ def effective_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
                     eps: float, lam: float, z0: np.ndarray, t_end: float = 1.0,
                     dt_out: float = 1.0 / 200,
                     gen: Optional[EffectiveGenerator] = None) -> Trajectory:
-    """Integrate i eps dz/dt = G_{eps,lam}(t) z by stepped Magnus exponentials."""
+    """Integrate i eps dz/dt = G_{eps,lam}(t) z by stepped Magnus exponentials.
+
+    magnus_propagate of the non-Hermitian generator on the magnus_grid that
+    refines the output grid of spacing dt_out.
+    """
     z0 = np.asarray(z0, dtype=complex)
     if gen is None:
         gen = EffectiveGenerator(atom, frame, bath, eps, lam, t_end)
-    a_norm = max(np.linalg.norm(atom.matrix(t), 2)
-                 for t in np.linspace(0.0, t_end, 33))
-    h_target = _PHASE_PER_STEP * eps / max(a_norm, 1e-12)
-
     n_out = int(round(t_end / dt_out)) + 1
     t_out = np.linspace(0.0, t_end, n_out)
-    sub = max(int(np.ceil((t_out[1] - t_out[0]) / h_target)), 1)
-    scale = -1j / eps
-
-    z = np.empty((n_out, atom.dim), dtype=complex)
-    z[0] = z0
-    cur = z0.copy()
-    for k in range(n_out - 1):
-        h = (t_out[k + 1] - t_out[k]) / sub
-        for m in range(sub):
-            cur = _magnus_step(gen, t_out[k] + m * h, h, scale) @ cur
-        z[k + 1] = cur
+    fine, sub = magnus_grid(atom, eps, t_end, n_out - 1)
+    z = magnus_propagate(gen, fine, -1j / eps)[::sub] @ z0
     return Trajectory(times=t_out, z=z,
                       meta={"eps": eps, "lam": lam, "scheme": "effective-magnus"})

@@ -13,9 +13,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import bath as bath_mod
-from .atom import AtomPath, EigenFrame
+from .atom import AtomPath, EigenFrame, magnus_propagate
 from .errors import ContourError, FrameSmoothnessError, MatchingError
-from .reduced import EffectiveGenerator, _magnus_step
+from .reduced import EffectiveGenerator
 
 __all__ = [
     "PerturbedSpectrum",
@@ -176,16 +176,14 @@ def adiabatic_evolution_diagnostic(atom: AtomPath, frame: EigenFrame,
     from scipy.interpolate import CubicSpline
     k_spline = CubicSpline(ts, k_tab, axis=0)
 
-    w = np.eye(d, dtype=complex)
-    for k in range(n_grid - 1):
-        w = _magnus_step(k_spline, ts[k], h, 1.0) @ w
+    w = magnus_propagate(k_spline, ts)[-1]
 
     # dynamical phases: cumulative Simpson of alpha_j + lam^2 alpha'_j
     exponents = np.empty((n_grid, d), dtype=complex)
     for k, u in enumerate(ts):
         alphas = frame.energies_at(u)
         corr = np.array([
-            first_order_correction(bath, frame_v_component(frame, atom, u, j),
+            first_order_correction(bath, complex(atom.coupling(u)[j]),
                                    float(alphas[j]), eps, u)
             for j in range(d)])
         exponents[k] = alphas + lam**2 * corr
@@ -195,8 +193,3 @@ def adiabatic_evolution_diagnostic(atom: AtomPath, frame: EigenFrame,
     for j in range(d):
         psi += np.exp(-1j * phases[j] / eps) * p_tab[0, j]
     return w @ psi
-
-
-def frame_v_component(frame: EigenFrame, atom: AtomPath, t: float, j: int) -> complex:
-    """Coupling amplitude of level j: <phi_j(t), v(t)> in the eigenbasis."""
-    return complex(np.asarray(atom.coupling(t), dtype=complex)[j])

@@ -157,3 +157,16 @@ def test_quadrature_error_estimate_never_zero(quad_bath, call):
     with pytest.raises(QuadratureError) as err:
         call(quad_bath)
     assert 0.0 < err.value.achieved < np.inf
+
+
+def test_quadrature_rejects_nan_density(ref_bath):
+    # a user density that is NaN above omega = 3 must not yield a silent NaN
+    nan_bath = B.BathSpec(
+        density=lambda w: np.where(w > 3.0, np.nan, w**2 * np.exp(-w)),
+        support_max=np.inf,
+        quad_cutoff=ref_bath.quad_cutoff,
+        decay_amplitude=ref_bath.decay_amplitude,
+        decay_power=ref_bath.decay_power,
+    )
+    with pytest.raises(QuadratureError):
+        B.correlation(nan_bath, 1.0)

@@ -58,6 +58,34 @@ def test_lambda_rules():
         H._lambda_for("lambda2=半", 0.1, 0)
 
 
+@pytest.mark.parametrize("rule", ["list:0.3,0.2", "list:0.3,x,0.1"])
+def test_lambda_list_errors_are_config_errors(tmp_path, rule):
+    text = BASE_CFG.replace("lambda2=eps", rule)
+    with pytest.raises(ConfigError) as err:
+        H._lambda_for(rule, 0.05, 2)
+    assert err.value.key == "sweep.lambda_rule"
+    for command in ("sweep", "regimes"):
+        assert cli.main([command, "--config", write_cfg(tmp_path, text),
+                         "--out", str(tmp_path / command)]) == 2
+
+
+def test_sweep_worker_passes_dt_out(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_metrics(scen, eps, lam, **kw):
+        seen.append(kw["dt_out"])
+        return {"eps": eps, "lam": lam, "E_lead": eps, "E_volt": eps, "E_eff": eps,
+                "p_down": 0.5, "p_down_pred": 0.5, "regime": "B"}
+
+    monkeypatch.setattr(H, "point_metrics", fake_metrics)
+    cfg = C.parse_config(BASE_CFG + "solver.dt_out = 0.01\n")
+    H.run_sweep(cfg, str(tmp_path / "s"), override=True)
+    assert seen == [0.01] * 3
+    seen.clear()
+    H.run_sweep(C.parse_config(BASE_CFG), str(tmp_path / "d"), override=True)
+    assert seen == [1.0 / 200] * 3
+
+
 def test_loglog_slope_recovers_power_law():
     xs = np.array([0.2, 0.1, 0.05, 0.025])
     slope, stderr = H.loglog_slope(xs, 3.0 * xs**1.7)

@@ -1,0 +1,97 @@
+"""The shared Magnus kernel, on two- and three-level generators."""
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+
+from awwlab import atom as A, reduced as R
+from awwlab.errors import ResolutionError
+
+
+def three_level_atom(path, seed=3, rows=401):
+    """Seeded smooth path A(t) = U(t) diag(alpha(t)) U(t)^H via tabulated_atom.
+
+    Levels 1.0, 1.8, 2.6 drift by at most 0.08, so the gap stays >= 0.64;
+    U(t) = exp(-i t H) with a seeded Hermitian H of norm pi/4 turns the
+    eigenvectors through complex directions.
+    """
+    rng = np.random.default_rng(seed)
+    d = 3
+    ts = np.linspace(0.0, 1.0, rows)
+    alphas = np.array([1.0, 1.8, 2.6]) + 0.08 * np.sin(
+        np.pi * ts[:, None] + rng.uniform(0.0, 2.0 * np.pi, d))
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    herm = 0.5 * (x + x.conj().T)
+    herm *= (np.pi / 4.0) / np.linalg.norm(herm, 2)
+    lam_h, vec_h = np.linalg.eigh(herm)
+    rot = np.einsum("ij,kj,lj->kil", vec_h, np.exp(-1j * np.outer(ts, lam_h)),
+                    vec_h.conj())
+    mats = np.einsum("kij,kj,klj->kil", rot, alphas, rot.conj())
+    coup = 0.5 * np.exp(1j * (0.3 * ts[:, None] + rng.uniform(0.0, 2.0 * np.pi, d)))
+    cols = [ts]
+    cols += [f(mats[:, i, j]) for i in range(d) for j in range(d) for f in (np.real, np.imag)]
+    cols += [f(coup[:, j]) for j in range(d) for f in (np.real, np.imag)]
+    np.savetxt(path, np.column_stack(cols), delimiter=",", header="t,...", comments="")
+    return A.tabulated_atom(path)
+
+
+def test_constant_non_hermitian_generator_is_exact():
+    # the effective_solve case: G = H - i Gamma, stepped on an uneven grid
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    v = rng.normal(size=3) + 1j * rng.normal(size=3)
+    g = 0.5 * (x + x.conj().T) - 0.3j * np.outer(v, v.conj())
+    eps = 0.1
+    grid = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 60)]))
+    u = A.magnus_propagate(lambda t: g, grid, -1j / eps)
+    assert u.shape == (len(grid), 3, 3)
+    for k in (0, 17, len(grid) - 1):
+        want = sla.expm(-1j / eps * grid[k] * g)
+        assert np.linalg.norm(u[k] - want) < 1e-10 * max(1.0, np.linalg.norm(want))
+
+
+def test_products_compose_across_a_split_grid(ref_scenario):
+    matfun = ref_scenario.atom.matrix
+    grid = np.linspace(0.0, 1.0, 201)
+    scale = -1j / 0.05
+    full = A.magnus_propagate(matfun, grid, scale)
+    m = 73
+    rest = A.magnus_propagate(matfun, grid[m:], scale)
+    assert np.linalg.norm(rest[-1] @ full[m] - full[-1]) < 1e-12
+
+
+def test_magnus_grid_refines_the_coarse_grid(ref_scenario):
+    eps = 0.05
+    grid, sub = A.magnus_grid(ref_scenario.atom, eps, 1.0, 40)
+    assert len(grid) == 40 * sub + 1
+    assert np.allclose(grid[::sub], np.linspace(0.0, 1.0, 41), rtol=0.0, atol=1e-15)
+    a_norm = max(np.linalg.norm(ref_scenario.atom.matrix(t), 2) for t in grid)
+    assert a_norm * (grid[1] - grid[0]) / eps <= A.PHASE_PER_STEP * (1.0 + 1e-9)
+
+
+def test_three_level_propagator_table_stays_unitary(tmp_path):
+    atom = three_level_atom(tmp_path / "atom.csv")
+    tab = R.PropagatorTable(atom, 0.05, 1.0)
+    defect = np.einsum("kij,klj->kil", tab.table, tab.table.conj()) - np.eye(3)
+    assert np.max(np.abs(defect)) < 1e-10
+    u = tab.at(0.4321)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(3))) < 1e-10
+
+
+def test_three_level_kato_transport_matches_berry_gauge(tmp_path):
+    atom = three_level_atom(tmp_path / "atom.csv")
+    frame = A.eigenframe(atom, np.linspace(0.0, 1.0, 801))
+    for t in (0.3, 0.75, 1.0):
+        moved = A.kato_intertwiner(frame, t) @ frame.vectors_at(0.0)
+        phases = np.array([A.berry_phase(frame, j, t) for j in range(3)])
+        want = frame.vectors_at(t) * np.exp(1j * phases)[None, :]
+        assert np.max(np.linalg.norm(moved - want, axis=0)) < 1e-6
+    # the transport is far from the identity on this path
+    assert np.min(np.linalg.norm(moved - frame.vectors_at(0.0), axis=0)) > 0.1
+
+
+def test_volterra_rejects_a_history_grid_over_half_a_radian(ref_scenario, ref_frame):
+    # x_step = 1 at eps = 0.1: about 2.3 rad of fast phase per history node
+    with pytest.raises(ResolutionError):
+        R.volterra_solve(ref_scenario.atom, ref_frame, ref_scenario.bath, 0.1,
+                         np.sqrt(0.1), ref_scenario.z0, x_step=1.0)
