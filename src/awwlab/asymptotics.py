@@ -42,16 +42,11 @@ class AsymptoticTables:
                  bath: bath_mod.BathSpec, n_grid: int = 201):
         t0, t1 = float(frame.times[0]), float(frame.times[-1])
         ts = np.linspace(t0, t1, n_grid)
-        d = atom.dim
-        alpha = np.empty((n_grid, d))
-        beta = np.empty((n_grid, d))
-        shift = np.empty((n_grid, d))
-        for k, t in enumerate(ts):
-            alpha[k] = frame.energies_at(t)
-            v = np.asarray(atom.coupling(t), dtype=complex)
-            for j in range(d):
-                beta[k, j], shift[k, j] = bath_mod.decay_and_shift(
-                    bath, v[j], float(alpha[k, j]))
+        alpha = frame.energies_at(ts)
+        v = atom.couplings(ts)
+        rates = np.array([[bath_mod.decay_and_shift(bath, v[k, j], float(alpha[k, j]))
+                           for j in range(atom.dim)] for k in range(n_grid)])
+        beta, shift = rates[..., 0], rates[..., 1]
         self.atom, self.frame, self.bath = atom, frame, bath
         self.times = ts
         self.alpha, self.beta, self.shift = alpha, beta, shift

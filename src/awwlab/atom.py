@@ -43,25 +43,52 @@ _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 class AtomPath:
     """d-level Hamiltonian path A(t) with coupling amplitudes v(t).
 
-    hamiltonian(t) -> (d, d) Hermitian complex matrix
-    coupling(t)    -> (d,) complex amplitudes relative to the moving eigenbasis
+    hamiltonian(t) -> (..., d, d) Hermitian matrices for an array t of shape (...)
+    coupling(t)    -> (..., d) complex amplitudes relative to the moving eigenbasis
+    Either may instead return one (d, d) or (d,) constant, which broadcasts
+    over t. The amplitudes v_j are taken against the eigenvectors that
+    eigenframe tracks from t = 0, so they depend on the sign and phase of the
+    t = 0 eigenvectors (scipy.linalg.eigh's choice unless eigvec_provider
+    fixes it).
     eigvec_provider, when given, fixes the eigenframe gauge analytically:
-    it returns (energies ascending, eigenvector columns) at time t.
+    it returns (energies ascending, eigenvector columns) at a scalar time t.
     """
 
     dim: int
-    hamiltonian: Callable[[float], np.ndarray]
-    coupling: Callable[[float], np.ndarray]
+    hamiltonian: Callable[[np.ndarray], np.ndarray]
+    coupling: Callable[[np.ndarray], np.ndarray]
     eigvec_provider: Optional[Callable[[float], tuple]] = None
     label: str = "custom"
 
-    def matrix(self, t: float) -> np.ndarray:
-        a = np.asarray(self.hamiltonian(t), dtype=complex)
-        if a.shape != (self.dim, self.dim):
-            raise ValueError(f"A({t}) has shape {a.shape}, expected {(self.dim, self.dim)}")
-        if np.max(np.abs(a - a.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(a))):
-            raise ValueError(f"A({t}) is not Hermitian to tolerance")
+    def matrix(self, t) -> np.ndarray:
+        """A(t) for a scalar t, or the (..., d, d) stack for an array of times.
+
+        Each matrix must be Hermitian to HERMITICITY_TOL against its own scale.
+        """
+        t = np.asarray(t, dtype=float)
+        a = _broadcast_times(self.hamiltonian(t), t, (self.dim, self.dim), "A")
+        defect = np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)), axis=(-2, -1))
+        scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+        bad = defect > HERMITICITY_TOL * scale
+        if np.any(bad):
+            raise ValueError(f"A({t[bad][0]}) is not Hermitian to tolerance")
         return a
+
+    def couplings(self, t) -> np.ndarray:
+        """v(t) for a scalar t, or the (..., d) stack for an array of times."""
+        t = np.asarray(t, dtype=float)
+        return _broadcast_times(self.coupling(t), t, (self.dim,), "v")
+
+
+def _broadcast_times(value, t: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """Complex value of shape t.shape + shape; a constant of `shape` broadcasts."""
+    value = np.asarray(value, dtype=complex)
+    if value.shape == t.shape + shape:
+        return value
+    if value.shape == shape:
+        return np.broadcast_to(value, t.shape + shape)
+    raise ValueError(f"{name}(t) has shape {value.shape} for times of shape "
+                     f"{t.shape}, expected {t.shape + shape}")
 
 
 @dataclass
@@ -122,48 +149,53 @@ class EigenFrame:
 def eigenframe(atom: AtomPath, times: np.ndarray, gap_min: float = 1e-8) -> EigenFrame:
     """Track a smooth eigenframe of A(t) over the grid.
 
-    Without an analytic provider, successive eigenvectors are phase-aligned so
-    the overlap with the previous grid point is real and positive.
+    Without an analytic provider, the eigenvectors at times[0] are those of
+    scipy.linalg.eigh, and their sign or phase is physical: the coupling
+    amplitudes v_j(t) are defined against these columns. The other grid
+    points come from one batched eigh, each column phase-aligned so its
+    overlap with the previous grid point is real and positive (a cumulative
+    sum of the overlap phases).
     """
     times = np.asarray(times, dtype=float)
     n, d = len(times), atom.dim
-    energies = np.empty((n, d))
-    vectors = np.empty((n, d, d), dtype=complex)
-    gap = np.inf
-    for k, t in enumerate(times):
-        if atom.eigvec_provider is not None:
-            a, v = atom.eigvec_provider(t)
-            a = np.asarray(a, float)
-            v = np.asarray(v, complex)
-            ortho = np.max(np.abs(v.conj().T @ v - np.eye(d)))
-            if ortho > 1e-10:
-                raise FrameSmoothnessError(
-                    f"provided eigenvectors not orthonormal at t={t} (defect {ortho:.1e})")
-        else:
-            a, v = eigh(atom.matrix(t))
-            if k > 0:
-                for j in range(d):
-                    ov = np.vdot(vectors[k - 1, :, j], v[:, j])
-                    if abs(ov) > 0:
-                        v[:, j] *= np.conj(ov) / abs(ov)
-        if np.any(np.diff(a) < gap_min) or a[0] <= 0.0:
-            raise GapViolation(
-                f"eigenvalue gap/positivity violated at t={t}", time=float(t))
-        if d > 1:
-            gap = min(gap, float(np.min(np.diff(a))))
-        if k > 0:
-            bad = np.real(np.einsum("ij,ij->j", vectors[k - 1].conj(), v)) <= 0.0
-            if np.any(bad):
-                raise FrameSmoothnessError(
-                    f"eigenvector phase flip at t={t}, levels {np.nonzero(bad)[0]}")
-        energies[k], vectors[k] = a, v
+    if atom.eigvec_provider is not None:
+        pairs = [atom.eigvec_provider(t) for t in times]
+        energies = np.array([np.asarray(a, float) for a, _ in pairs])
+        vectors = np.array([np.asarray(v, complex) for _, v in pairs])
+        ortho = np.max(np.abs(np.swapaxes(vectors.conj(), 1, 2) @ vectors - np.eye(d)),
+                       axis=(1, 2))
+        if np.any(ortho > 1e-10):
+            k = int(np.argmax(ortho > 1e-10))
+            raise FrameSmoothnessError(
+                f"provided eigenvectors not orthonormal at t={times[k]} "
+                f"(defect {ortho[k]:.1e})")
+    else:
+        mats = atom.matrix(times)
+        energies = np.empty((n, d))
+        vectors = np.empty((n, d, d), dtype=complex)
+        energies[0], vectors[0] = eigh(mats[0])
+        energies[1:], vectors[1:] = np.linalg.eigh(mats[1:])
+        overlap = np.einsum("kij,kij->kj", vectors[:-1].conj(), vectors[1:])
+        vectors[1:] *= np.exp(-1j * np.cumsum(np.angle(overlap), axis=0))[:, None, :]
+    bad = np.any(np.diff(energies, axis=1) < gap_min, axis=1) | (energies[:, 0] <= 0.0)
+    if np.any(bad):
+        t_bad = float(times[np.argmax(bad)])
+        raise GapViolation(f"eigenvalue gap/positivity violated at t={t_bad}", time=t_bad)
+    gap = float(np.min(np.diff(energies, axis=1))) if d > 1 else np.inf
+    flip = np.real(np.einsum("kij,kij->kj", vectors[:-1].conj(), vectors[1:])) <= 0.0
+    if np.any(flip):
+        k = int(np.argmax(np.any(flip, axis=1)))
+        raise FrameSmoothnessError(
+            f"eigenvector phase flip at t={times[k + 1]}, levels {np.nonzero(flip[k])[0]}")
     return EigenFrame(atom=atom, times=times, energies=energies, vectors=vectors, gap=gap)
 
 
-def coupling_in_working_basis(atom: AtomPath, frame: EigenFrame, t: float) -> np.ndarray:
-    """The interaction vector sum_l v_l(t) phi_l(t) in the working basis."""
-    vt = frame.vectors_at(t)
-    return vt @ np.asarray(atom.coupling(t), dtype=complex)
+def coupling_in_working_basis(atom: AtomPath, frame: EigenFrame, t) -> np.ndarray:
+    """The interaction vector sum_l v_l(t) phi_l(t) in the working basis.
+
+    A scalar t gives a (d,) vector, an array of times the (..., d) stack.
+    """
+    return (frame.vectors_at(t) @ atom.couplings(t)[..., None])[..., 0]
 
 
 def _berry_table(frame: EigenFrame) -> np.ndarray:
@@ -198,19 +230,15 @@ def berry_phase(frame: EigenFrame, j: int, t: float) -> float:
 
 
 def _kato_generator_spline(frame: EigenFrame):
-    """Spline of K(t) = sum_j [d/dt P_j(t)] P_j(t), anti-hermitized."""
-    n, d = len(frame.times), frame.dim
-    proj = np.empty((n, d, d, d), dtype=complex)
-    for k in range(n):
-        proj[k] = frame.projections(k)
+    """Spline of K(t) = sum_j [d/dt P_j(t)] P_j(t), anti-hermitized, for scalar or array t."""
+    v = frame.vectors
+    proj = np.einsum("kij,klj->kjil", v, v.conj())   # (n, d, d, d) as in projections(k)
     spline = CubicSpline(frame.times, proj, axis=0)
     dspline = spline.derivative()
 
     def kato(t):
-        p = spline(t)
-        dp = dspline(t)
-        k_mat = np.einsum("jab,jbc->ac", dp, p)
-        return 0.5 * (k_mat - k_mat.conj().T)
+        k_mat = np.einsum("...jab,...jbc->...ac", dspline(t), spline(t))
+        return 0.5 * (k_mat - np.swapaxes(k_mat.conj(), -1, -2))
 
     return kato
 
@@ -238,18 +266,23 @@ def kato_intertwiner(frame: EigenFrame, t: float, s: float = 0.0,
     return w
 
 
-def magnus_propagate(matfun: Callable[[float], np.ndarray], grid,
+def magnus_propagate(matfun: Callable[[np.ndarray], np.ndarray], grid,
                      scale: complex = 1.0) -> np.ndarray:
     """(n, d, d) cumulative products U(grid[k], grid[0]) for U' = scale M(t) U.
 
     One fourth-order two-point Gauss Magnus step per grid interval (Blanes,
-    Casas, Oteo & Ros, Phys. Rep. 470 (2009), sec. 5), all step exponentials
-    in one batched expm, then a running product. M may be non-Hermitian.
+    Casas, Oteo & Ros, Phys. Rep. 470 (2009), sec. 5). matfun is called once,
+    on the array of all Gauss nodes, and returns the (2(n-1), d, d) stack or
+    one constant (d, d) matrix; all step exponentials are taken in one batched
+    expm, then a running product. M may be non-Hermitian.
     """
     grid = np.asarray(grid, dtype=float)
     h = np.diff(grid)
-    b1 = scale * np.array([matfun(t) for t in grid[:-1] + (0.5 - _GAUSS_OFFSET) * h])
-    b2 = scale * np.array([matfun(t) for t in grid[:-1] + (0.5 + _GAUSS_OFFSET) * h])
+    nodes = np.concatenate([grid[:-1] + (0.5 - _GAUSS_OFFSET) * h,
+                            grid[:-1] + (0.5 + _GAUSS_OFFSET) * h])
+    m = np.asarray(matfun(nodes))
+    m = scale * np.broadcast_to(m, nodes.shape + m.shape[-2:])
+    b1, b2 = m[:len(h)], m[len(h):]
     h = h[:, None, None]
     steps = expm(0.5 * h * (b1 + b2) + (np.sqrt(3.0) / 12.0) * h * h * (b2 @ b1 - b1 @ b2))
     u = np.empty((len(grid),) + steps.shape[1:], dtype=complex)
@@ -267,7 +300,8 @@ def magnus_grid(atom: AtomPath, eps: float, t_end: float, intervals: int = 1):
     with ||A|| the largest of 33 samples. Returns (grid, sub), so that
     grid[::sub] is the grid of `intervals` intervals.
     """
-    a_norm = max(np.linalg.norm(atom.matrix(t), 2) for t in np.linspace(0.0, t_end, 33))
+    a_norm = np.max(np.linalg.norm(atom.matrix(np.linspace(0.0, t_end, 33)), 2,
+                                   axis=(-2, -1)))
     h_max = PHASE_PER_STEP * eps / max(a_norm, 1e-12)
     sub = max(int(np.ceil(t_end / intervals / h_max)), 1)
     return np.linspace(0.0, t_end, intervals * sub + 1), sub
@@ -290,19 +324,14 @@ def validate_coupling(atom: AtomPath, frame: EigenFrame, bath: "bath_mod.BathSpe
                       lam: float, n_check: int = 64) -> CouplingReport:
     """Check the coupling-smallness condition and per-level well-coupledness."""
     ts = np.linspace(frame.times[0], frame.times[-1], n_check)
-    vnorm2 = max(
-        float(np.sum(np.abs(np.asarray(atom.coupling(t))) ** 2)) for t in ts
-    )
+    v = atom.couplings(ts)
+    vnorm2 = float(np.max(np.sum(np.abs(v) ** 2, axis=1)))
     g_l1 = bath_mod.correlation_l1_norm(bath)
     value = 4.0 * lam**2 * vnorm2 * g_l1 / frame.gap
-    d = atom.dim
-    beta_min = np.full(d, np.inf)
-    for t in ts:
-        v = np.asarray(atom.coupling(t))
-        alphas = frame.energies_at(t)
-        for j in range(d):
-            beta_j, _ = bath_mod.decay_and_shift(bath, v[j], alphas[j])
-            beta_min[j] = min(beta_min[j], beta_j)
+    alphas = frame.energies_at(ts)
+    beta = np.array([[bath_mod.decay_and_shift(bath, v[k, j], alphas[k, j])[0]
+                      for j in range(atom.dim)] for k in range(n_check)])
+    beta_min = np.min(beta, axis=0)
     well = beta_min > 0.0
     return CouplingReport(
         smallness_value=float(value),
@@ -317,25 +346,31 @@ def validate_coupling(atom: AtomPath, frame: EigenFrame, bath: "bath_mod.BathSpe
 # builtin atom families
 # ---------------------------------------------------------------------------
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def diag_rotation_atom(level_funcs, theta_func, coupling_func, label="diag+rotation") -> AtomPath:
-    """A(t) = R(theta(t)) diag(alpha_1(t), ..., alpha_d(t)) R(theta(t))^T, d = 2."""
+    """A(t) = R(theta(t)) diag(alpha_1(t), ..., alpha_d(t)) R(theta(t))^T, d = 2.
+
+    level_funcs, theta_func and coupling_func take an array of times; a
+    constant result broadcasts.
+    """
     d = len(level_funcs)
     if d != 2:
         raise ValueError("the rotation family is two-level")
+    lo_func, hi_func = level_funcs
 
     def ham(t):
-        r = _rotation(theta_func(t))
-        return r @ np.diag([f(t) for f in level_funcs]) @ r.T
+        theta = theta_func(t)
+        c, s = np.cos(theta), np.sin(theta)
+        lo, hi = lo_func(t), hi_func(t)
+        diag_00 = c * c * lo + s * s * hi
+        off = c * s * (lo - hi)
+        diag_11 = s * s * lo + c * c * hi
+        a = np.empty(np.shape(diag_00 + off + diag_11) + (2, 2))
+        a[..., 0, 0] = diag_00
+        a[..., 0, 1] = a[..., 1, 0] = off
+        a[..., 1, 1] = diag_11
+        return a
 
-    def coup(t):
-        return np.asarray(coupling_func(t), dtype=complex)
-
-    return AtomPath(dim=d, hamiltonian=ham, coupling=coup, label=label)
+    return AtomPath(dim=d, hamiltonian=ham, coupling=coupling_func, label=label)
 
 
 def complex_phase_atom(theta0: float, omega: float, levels=(1.0, 2.0)) -> AtomPath:
@@ -345,17 +380,18 @@ def complex_phase_atom(theta0: float, omega: float, levels=(1.0, 2.0)) -> AtomPa
     accumulates the geometric phase -omega t sin^2(theta0).
     """
     lo, hi = levels
+    c, s = np.cos(theta0), np.sin(theta0)
 
     def provider(t):
-        c, s = np.cos(theta0), np.sin(theta0)
         ph = np.exp(1j * omega * t)
-        v1 = np.array([c, ph * s])
-        v2 = np.array([-np.conj(ph) * s, c])
-        return np.array([lo, hi]), np.column_stack([v1, v2])
+        v = np.empty(np.shape(ph) + (2, 2), dtype=complex)
+        v[..., 0, 0], v[..., 1, 0] = c, ph * s
+        v[..., 0, 1], v[..., 1, 1] = -np.conj(ph) * s, c
+        return np.array([lo, hi]), v
 
     def ham(t):
         a, v = provider(t)
-        return (v * a) @ v.conj().T
+        return (v * a) @ np.swapaxes(v.conj(), -1, -2)
 
     return AtomPath(
         dim=2,
@@ -383,6 +419,6 @@ def tabulated_atom(path) -> AtomPath:
 
     def ham(t):
         a = m_spline(t)
-        return 0.5 * (a + a.conj().T)  # symmetrize interpolation noise
+        return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))  # symmetrize interpolation noise
 
-    return AtomPath(dim=d, hamiltonian=ham, coupling=lambda t: c_spline(t), label="tabulated")
+    return AtomPath(dim=d, hamiltonian=ham, coupling=c_spline, label="tabulated")

@@ -17,9 +17,9 @@ KNOWN_KEYS = {
     "atom.file": "CSV path for atom.name = tabulated",
     "bath.name": "builtin bath: reference",
     "bath.file": "CSV path (omega, rho) for a tabulated bath",
-    "sim.eps": "adiabatic parameter for single runs",
+    "sim.eps": "adiabatic parameter for single runs, in (0, 1]",
     "sim.lambda2": "coupling strength squared for single runs",
-    "sim.t_end": "final rescaled time (default 1.0)",
+    "sim.t_end": "final rescaled time, > 0 (default 1.0)",
     "sim.z0": "comma-separated initial amplitudes (default 1,0,...)",
     "sweep.epsilons": "comma-separated epsilon list (>= 3 for slope fits)",
     "sweep.lambda_rule": "lambda2=eps | lambda2=<c>*eps^<p> | list:<l1,l2,...>",

@@ -65,7 +65,7 @@ def regime_B_limit(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
         n_grid = int(min(max(201, 40 * r), 40001)) | 1
     ss = np.linspace(0.0, t, n_grid)
     alphas = np.asarray(tables.alpha_at(ss))[:, j]
-    v_j = np.array([np.asarray(atom.coupling(s), dtype=complex)[j] for s in ss])
+    v_j = atom.couplings(ss)[:, j]
     decay = np.exp(-2.0 * r * np.asarray(tables.int_beta(ss))[:, j])
     ghat_b = np.asarray(bath_mod.weighted_hat(bath, obs, alphas), dtype=float)
     integrand = np.abs(v_j) ** 2 * decay * ghat_b

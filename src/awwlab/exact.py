@@ -112,8 +112,7 @@ class Trajectory:
 
 def _coupling_spline(atom: AtomPath, frame: EigenFrame, t_end: float, n: int = 1601):
     ts = np.linspace(0.0, t_end, n)
-    u = np.array([coupling_in_working_basis(atom, frame, t) for t in ts])
-    return CubicSpline(ts, u, axis=0)
+    return CubicSpline(ts, coupling_in_working_basis(atom, frame, ts), axis=0)
 
 
 def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,

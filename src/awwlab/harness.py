@@ -83,7 +83,12 @@ def builtin_scenario(name: str, t_end: Optional[float] = None) -> Scenario:
 
 def scenario_from_config(cfg: dict) -> Scenario:
     name = config_mod.get_str(cfg, "atom.name")
-    t_end = config_mod.get_float(cfg, "sim.t_end", 0.0) or None
+    t_end = None
+    if "sim.t_end" in cfg:
+        t_end = config_mod.get_float(cfg, "sim.t_end")
+        if not 0.0 < t_end < np.inf:
+            raise ConfigError(f"sim.t_end = {t_end!r} must be positive and finite",
+                              key="sim.t_end")
     if name == "tabulated":
         atom = tabulated_atom(config_mod.get_str(cfg, "atom.file"))
         scen_bath = _bath_from_config(cfg)
@@ -95,6 +100,13 @@ def scenario_from_config(cfg: dict) -> Scenario:
     if "sim.z0" in cfg:
         scen.z0 = _z0_from_config(cfg, scen.atom.dim)
     return scen
+
+
+def _checked_eps(eps: float, key: str) -> float:
+    """eps itself, which must lie in (0, 1] like every slowness parameter."""
+    if not 0.0 < eps <= 1.0:
+        raise ConfigError(f"{key}: eps = {eps!r} lies outside (0, 1]", key=key)
+    return eps
 
 
 def _bath_from_config(cfg: dict) -> bath_mod.BathSpec:
@@ -192,7 +204,7 @@ def point_metrics(scen: Scenario, eps: float, lam: float, **kw) -> dict:
 def run_simulate(cfg: dict, out_dir: str, override: bool = False) -> list:
     """One (eps, lambda) point; writes four trajectory CSVs plus a comparison."""
     scen = scenario_from_config(cfg)
-    eps = config_mod.get_float(cfg, "sim.eps")
+    eps = _checked_eps(config_mod.get_float(cfg, "sim.eps"), "sim.eps")
     lam = np.sqrt(config_mod.get_float(cfg, "sim.lambda2"))
     rtol = config_mod.get_float(cfg, "solver.rtol", 1e-10)
     dt_out = config_mod.get_float(cfg, "solver.dt_out", 1.0 / 200)
@@ -272,7 +284,8 @@ def loglog_slope(xs, ys):
 def run_sweep(cfg: dict, out_dir: str, override: bool = False,
               threads: int = 1) -> dict:
     """All sweep points concurrently, then log-log slope fits per metric."""
-    epsilons = config_mod.get_float_list(cfg, "sweep.epsilons")
+    epsilons = [_checked_eps(eps, "sweep.epsilons")
+                for eps in config_mod.get_float_list(cfg, "sweep.epsilons")]
     if len(epsilons) < 3:
         raise ConfigError("need >= 3 points for slope fit", key="sweep.epsilons")
     rule = config_mod.get_str(cfg, "sweep.lambda_rule", "lambda2=eps")
@@ -328,8 +341,8 @@ def run_emission(cfg: dict, out_dir: str, override: bool = False) -> dict:
     """Emitted-spectrum CSV plus mode-sum average vs the applicable limit law."""
     scen = scenario_from_config(cfg)
     r = config_mod.get_float(cfg, "emission.r", 1.0)
-    eps = config_mod.get_float(cfg, "emission.eps",
-                               config_mod.get_float(cfg, "sim.eps", 0.05))
+    eps_key = "emission.eps" if "emission.eps" in cfg else "sim.eps"
+    eps = _checked_eps(config_mod.get_float(cfg, eps_key, 0.05), eps_key)
     lam = float(np.sqrt(r * eps))
     obs = _observable_from_config(cfg)
     frame = scen.frame()
@@ -354,7 +367,8 @@ def run_emission(cfg: dict, out_dir: str, override: bool = False) -> dict:
 def run_regimes(cfg: dict, out_dir: str, override: bool = False) -> list:
     """Regime classification table over the configured sweep points."""
     scen = scenario_from_config(cfg)
-    epsilons = config_mod.get_float_list(cfg, "sweep.epsilons")
+    epsilons = [_checked_eps(eps, "sweep.epsilons")
+                for eps in config_mod.get_float_list(cfg, "sweep.epsilons")]
     rule = config_mod.get_str(cfg, "sweep.lambda_rule", "lambda2=eps")
     tables = asymptotics.tables_for(scen.atom, scen.frame(), scen.bath)
     rows = []
@@ -375,7 +389,7 @@ def run_validate(cfg: dict, out_dir: Optional[str] = None,
                  override: bool = False) -> dict:
     """Coupling-smallness and well-coupledness report for the configured point."""
     scen = scenario_from_config(cfg)
-    eps = config_mod.get_float(cfg, "sim.eps", 0.05)
+    eps = _checked_eps(config_mod.get_float(cfg, "sim.eps", 0.05), "sim.eps")
     lam = float(np.sqrt(config_mod.get_float(cfg, "sim.lambda2", 1.0 / 64)))
     report = validate_coupling(scen.atom, scen.frame(), scen.bath, lam)
     ok = report.ok or override

@@ -95,9 +95,8 @@ def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
             f"history grid too coarse: over 0.5 rad of fast phase per node "
             f"({sub} Magnus steps)")
     u_all = magnus_propagate(atom.matrix, fine, -1j / eps)[::sub]
-    beta = np.empty((n + 1, d), dtype=complex)
-    for k, t in enumerate(ts):
-        beta[k] = u_all[k].conj().T @ coupling_in_working_basis(atom, frame, t)
+    beta = (np.swapaxes(u_all.conj(), 1, 2)
+            @ coupling_in_working_basis(atom, frame, ts)[:, :, None])[:, :, 0]
 
     kernel = bath_mod.correlation(bath, ts / eps)   # gamma(x) at x = k*h/eps
     live = np.abs(kernel) >= kernel_floor           # kernel cutoff window
@@ -146,29 +145,30 @@ class EffectiveGenerator:
         self.atom, self.frame, self.bath = atom, frame, bath
         self.eps, self.lam = eps, lam
         ts = np.linspace(0.0, t_end, n_grid)
-        d = atom.dim
-        vals = np.empty((n_grid, d), dtype=complex)
-        for k, t in enumerate(ts):
-            alphas = frame.energies_at(t)
-            for j in range(d):
-                vals[k, j] = (0.0 if t == 0.0 else
-                              bath_mod.half_line_transform(bath, float(alphas[j]), t / eps))
+        alphas = frame.energies_at(ts)
+        vals = np.array([[0.0 if t == 0.0 else
+                          bath_mod.half_line_transform(bath, float(alpha), t / eps)
+                          for alpha in row] for t, row in zip(ts, alphas)], dtype=complex)
         self._transforms = CubicSpline(ts, vals, axis=0)
         self.gamma_l1 = bath_mod.correlation_l1_norm(bath)
 
-    def gamma_op(self, t: float) -> np.ndarray:
-        """Gamma_eps(t); norm bounded by the L1 norm of the correlation."""
+    def gamma_op(self, t) -> np.ndarray:
+        """Gamma_eps(t); norm bounded by the L1 norm of the correlation.
+
+        A scalar t gives a (d, d) matrix, an array of times the (..., d, d) stack.
+        """
         vecs = self.frame.vectors_at(t)
         i_vals = self._transforms(t)
-        out = (vecs * i_vals[None, :]) @ vecs.conj().T
-        return out
+        return (vecs * i_vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
+        """G_{eps,lam}(t) for a scalar t, or the (..., d, d) stack for an array."""
         a = self.atom.matrix(t)
         if self.lam == 0.0:
             return a
         u = coupling_in_working_basis(self.atom, self.frame, t)
-        return a - 1j * self.lam**2 * np.outer(u, u.conj() @ self.gamma_op(t))
+        row = (u.conj()[..., None, :] @ self.gamma_op(t))[..., 0, :]
+        return a - 1j * self.lam**2 * (u[..., :, None] * row[..., None, :])
 
 
 def effective_generator(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,

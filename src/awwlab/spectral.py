@@ -132,12 +132,8 @@ def residue_integral(center: complex, radius: float, pole: complex,
 
 def _perturbed_projection_table(gen: EffectiveGenerator, frame: EigenFrame,
                                 ts: np.ndarray) -> np.ndarray:
-    d = gen.atom.dim
-    out = np.empty((len(ts), d, d, d), dtype=complex)
-    for k, t in enumerate(ts):
-        pspec = perturbed_spectrum(gen(t), frame.energies_at(t), frame.vectors_at(t))
-        out[k] = pspec.projections
-    return out
+    return np.array([perturbed_spectrum(g, en, vec).projections for g, en, vec
+                     in zip(gen(ts), frame.energies_at(ts), frame.vectors_at(ts))])
 
 
 def adiabatic_evolution_diagnostic(atom: AtomPath, frame: EigenFrame,
@@ -179,14 +175,11 @@ def adiabatic_evolution_diagnostic(atom: AtomPath, frame: EigenFrame,
     w = magnus_propagate(k_spline, ts)[-1]
 
     # dynamical phases: cumulative Simpson of alpha_j + lam^2 alpha'_j
-    exponents = np.empty((n_grid, d), dtype=complex)
-    for k, u in enumerate(ts):
-        alphas = frame.energies_at(u)
-        corr = np.array([
-            first_order_correction(bath, complex(atom.coupling(u)[j]),
-                                   float(alphas[j]), eps, u)
-            for j in range(d)])
-        exponents[k] = alphas + lam**2 * corr
+    alphas = frame.energies_at(ts)
+    corr = np.array([[first_order_correction(bath, v_j, float(alpha_j), eps, u)
+                      for v_j, alpha_j in zip(v_row, alpha_row)]
+                     for u, v_row, alpha_row in zip(ts, atom.couplings(ts), alphas)])
+    exponents = alphas + lam**2 * corr
     from scipy.integrate import simpson
     phases = np.array([simpson(exponents[:, j], x=ts) for j in range(d)])
     psi = np.zeros((d, d), dtype=complex)

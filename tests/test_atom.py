@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from awwlab import atom as A
 from awwlab.errors import GapViolation
@@ -138,3 +139,9 @@ def test_tabulated_atom_roundtrip(tmp_path, ref_frame):
     for t in (0.1, 0.55, 0.93):
         assert np.allclose(tab.matrix(t), atom.matrix(t), atol=1e-8)
         assert np.allclose(tab.coupling(t), atom.coupling(t), atol=1e-8)
+
+
+def test_frame_keeps_the_scipy_gauge_at_t0(ref_scenario, ref_frame):
+    # the coupling amplitudes are defined against these columns, so the
+    # sign scipy.linalg.eigh picks at t = 0 is physical
+    assert np.array_equal(ref_frame.vectors[0], sla.eigh(ref_scenario.atom.matrix(0.0))[1])

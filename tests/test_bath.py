@@ -66,6 +66,17 @@ def test_half_line_transform_finite_T_oracle(ref_bath):
     assert got == pytest.approx(re + 1j * im, abs=1e-8)
 
 
+def test_half_line_transform_long_horizon_oracle(ref_bath):
+    # T = 80 is the longest horizon of the eps = 0.0125 ladder point; each
+    # panel then carries a full wavelength of the kernel
+    alpha, T = 2.3, 80.0
+    f = lambda x: np.exp(1j * alpha * x) * 2.0 / (1 + 1j * x) ** 3
+    re = quad(lambda x: np.real(f(x)), 0, T, limit=800)[0]
+    im = quad(lambda x: np.imag(f(x)), 0, T, limit=800)[0]
+    got = B.half_line_transform(ref_bath, alpha, T)
+    assert got == pytest.approx(re + 1j * im, abs=1e-8)
+
+
 def test_half_line_transform_infinite_T(ref_bath):
     got = B.half_line_transform(ref_bath, 1.0, np.inf)
     # real part is pi * rho(1); imaginary part is the principal value integral
@@ -122,12 +133,32 @@ def test_bath_from_csv_roundtrip(tmp_path, ref_bath):
     assert np.max(np.abs(got - B.correlation(ref_bath, ts))) < 1e-5
 
 
+def test_tabulated_correlation_at_longer_times(tmp_path, ref_bath):
+    omega = np.linspace(0.0, 25.0, 4001)
+    path = tmp_path / "bath.csv"
+    np.savetxt(path, np.column_stack([omega, omega**2 * np.exp(-omega)]), delimiter=",",
+               header="omega,rho", comments="")
+    tab = B.bath_from_csv(path)
+    ts = np.array([0.5, 2.0, 10.0])
+    got = B.correlation(tab, ts, tol=1e-6)
+    assert np.max(np.abs(got - B.correlation(ref_bath, ts))) < 1e-5
+
+
 def test_bath_from_csv_rejects_bad_tables(tmp_path):
     path = tmp_path / "bad.csv"
     np.savetxt(path, np.array([[0.0, 1.0], [0.0, 2.0]]), delimiter=",",
                header="omega,rho", comments="")
     with pytest.raises(ValueError):
         B.bath_from_csv(path)
+
+
+def test_reference_bath_hits_the_l1_norm_cache():
+    assert B.reference_bath() is B.reference_bath()
+    B.correlation_l1_norm.cache_clear()
+    B.correlation_l1_norm(B.reference_bath())
+    B.correlation_l1_norm(B.reference_bath())
+    info = B.correlation_l1_norm.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_bath_from_name(ref_bath):

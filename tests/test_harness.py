@@ -86,6 +86,29 @@ def test_sweep_worker_passes_dt_out(tmp_path, monkeypatch):
     assert seen == [1.0 / 200] * 3
 
 
+@pytest.mark.parametrize("value", ["0", "-0.05", "1.5", "nan"])
+def test_eps_outside_unit_interval_is_config_error(tmp_path, value):
+    text = BASE_CFG.replace("sim.eps = 0.1", f"sim.eps = {value}")
+    cfg = C.parse_config(text)
+    for run in (H.run_simulate, H.run_validate):
+        with pytest.raises(ConfigError) as err:
+            run(cfg, str(tmp_path / "out"), override=True)
+        assert err.value.key == "sim.eps"
+    path = write_cfg(tmp_path, text)
+    for command in ("simulate", "validate"):
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "cli")]) == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "inf"])
+def test_nonpositive_t_end_is_config_error(tmp_path, value):
+    text = BASE_CFG + f"sim.t_end = {value}\n"
+    with pytest.raises(ConfigError) as err:
+        H.run_simulate(C.parse_config(text), str(tmp_path / "out"), override=True)
+    assert err.value.key == "sim.t_end"
+    assert cli.main(["simulate", "--config", write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "cli")]) == 2
+
+
 def test_loglog_slope_recovers_power_law():
     xs = np.array([0.2, 0.1, 0.05, 0.025])
     slope, stderr = H.loglog_slope(xs, 3.0 * xs**1.7)

@@ -1,4 +1,5 @@
-"""The shared Magnus kernel, on two- and three-level generators."""
+"""The shared Magnus kernel and the array-of-times contract of AtomPath it
+relies on, on two- and three-level paths."""
 
 import numpy as np
 import pytest
@@ -95,3 +96,61 @@ def test_volterra_rejects_a_history_grid_over_half_a_radian(ref_scenario, ref_fr
     with pytest.raises(ResolutionError):
         R.volterra_solve(ref_scenario.atom, ref_frame, ref_scenario.bath, 0.1,
                          np.sqrt(0.1), ref_scenario.z0, x_step=1.0)
+
+
+def constant_atom():
+    return A.AtomPath(dim=2,
+                      hamiltonian=lambda t: np.array([[1.0, 0.2j], [-0.2j, 2.0]]),
+                      coupling=lambda t: np.array([0.5, 1.0j]))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda path: A.diag_rotation_atom(
+        level_funcs=(lambda t: 1.0, lambda t: 2.0 + 0.3 * t),
+        theta_func=lambda t: np.pi * t / 4.0,
+        coupling_func=lambda t: np.array([1.0, 1.0])), id="diag_rotation"),
+    pytest.param(lambda path: A.complex_phase_atom(theta0=0.3, omega=1.7), id="complex_phase"),
+    pytest.param(three_level_atom, id="tabulated-d3"),
+    pytest.param(lambda path: constant_atom(), id="constant"),
+])
+def test_batched_matrix_and_couplings_equal_scalar_calls(tmp_path, make):
+    atom = make(tmp_path / "atom.csv")
+    ts = np.linspace(0.0, 1.0, 37)
+    d = atom.dim
+    assert atom.matrix(ts).shape == (37, d, d)
+    assert atom.couplings(ts).shape == (37, d)
+    assert np.array_equal(atom.matrix(ts), np.array([atom.matrix(t) for t in ts]))
+    assert np.array_equal(atom.couplings(ts), np.array([atom.couplings(t) for t in ts]))
+    assert atom.matrix(ts.reshape(37, 1)).shape == (37, 1, d, d)
+
+
+def test_one_non_hermitian_matrix_fails_the_batch():
+    def ham(t):
+        a = np.zeros(np.shape(t) + (2, 2), dtype=complex)
+        a[..., 0, 0], a[..., 1, 1] = 1.0, 2.0
+        a[..., 0, 1] = np.where(np.asarray(t) > 0.5, 1e-6, 0.0)   # a[1, 0] stays 0
+        return a
+
+    atom = A.AtomPath(dim=2, hamiltonian=ham, coupling=lambda t: np.array([1.0, 1.0]))
+    atom.matrix(np.linspace(0.0, 0.5, 11))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        atom.matrix(np.linspace(0.0, 1.0, 11))
+
+
+def test_magnus_propagate_calls_matfun_once(ref_scenario):
+    calls = []
+
+    def counted(t):
+        calls.append(np.shape(t))
+        return ref_scenario.atom.matrix(t)
+
+    u = A.magnus_propagate(counted, np.linspace(0.0, 1.0, 101), -1j / 0.05)
+    assert calls == [(200,)]
+    assert np.max(np.abs(u[-1] @ u[-1].conj().T - np.eye(2))) < 1e-12
+
+
+def test_three_level_frame_keeps_the_scipy_gauge_at_t0(tmp_path):
+    # the coupling amplitudes are defined against these columns
+    atom = three_level_atom(tmp_path / "atom.csv")
+    frame = A.eigenframe(atom, np.linspace(0.0, 1.0, 801))
+    assert np.array_equal(frame.vectors[0], sla.eigh(atom.matrix(0.0))[1])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from awwlab import atom as A, bath as B, reduced as R
+from awwlab import atom as A, bath as B, exact as E, reduced as R
 
 
 def test_propagator_unitary_and_flow(ref_scenario):
@@ -117,3 +117,19 @@ def test_effective_close_to_volterra(ref_scenario, ref_frame):
         errs.append(np.max(np.linalg.norm(te.z_at(tv.times) - tv.z, axis=1)))
     # O(eps) proximity along the Davies line
     assert errs[0] < 0.2 and errs[1] < 0.6 * errs[0]
+
+
+def test_reduced_solvers_run_on_complex_phase_atom(ref_bath):
+    # a provider-gauged path with a complex eigenvector phase, batched
+    # through magnus_propagate, the Volterra beta and the effective generator
+    atom = A.complex_phase_atom(theta0=np.pi / 4, omega=1.0)
+    frame = A.eigenframe(atom, np.linspace(0.0, 1.0, 801))
+    eps, lam = 0.1, np.sqrt(1.0 / 64)
+    z0 = frame.vectors[0][:, 0]
+    modes = E.discretize_bath(ref_bath, eps)
+    oracle = E.propagate_exact(atom, frame, modes, z0, eps, lam, bath=ref_bath)
+    volt = R.volterra_solve(atom, frame, ref_bath, eps, lam, z0)
+    eff = R.effective_solve(atom, frame, ref_bath, eps, lam, z0)
+    ts = oracle.times
+    assert np.max(np.linalg.norm(volt.z_at(ts) - oracle.z, axis=1)) < 1e-3
+    assert np.max(np.linalg.norm(eff.z_at(ts) - oracle.z, axis=1)) < 2e-2
