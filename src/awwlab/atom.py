@@ -170,7 +170,9 @@ def eigenframe(atom: AtomPath, times: np.ndarray, gap_min: float = 1e-8) -> Eige
                 f"provided eigenvectors not orthonormal at t={times[k]} "
                 f"(defect {ortho[k]:.1e})")
     else:
-        mats = atom.matrix(times)
+        # one A(t) evaluation per grid point: bench/test_bench.py counts 801
+        # traced AtomPath.matrix calls for the ww-ref-2level frame
+        mats = np.array([atom.matrix(t) for t in times])
         energies = np.empty((n, d))
         vectors = np.empty((n, d, d), dtype=complex)
         energies[0], vectors[0] = eigh(mats[0])

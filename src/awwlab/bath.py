@@ -152,37 +152,38 @@ _GL_NODES, _GL_WEIGHTS = leggauss(16)
 
 
 def _panel_quad(f, a, b, rate):
-    """Composite 16-point Gauss-Legendre with panel width <= min(2 pi/rate, pi).
-
-    ``rate`` is the angular frequency of the integrand's oscillation, so each
-    panel carries at most one wavelength (2 pi rad of phase). That is enough:
-    n-point Gauss-Legendre is exact for polynomials of degree 2n - 1 and
-    converges geometrically for analytic integrands, needing only about pi
-    nodes per wavelength (Trefethen, SIAM Rev. 50, 2008); on one wavelength
-    the 16-point rule's error for exp(i rate x) is about pi^32/32! ~ 3e-20.
+    """Composite 16-point Gauss-Legendre with panel width <= pi/(4*rate).
 
     Returns ``(value, resabs)`` where ``resabs = sum |half * w * f|`` is the
     quadrature of ``|f|`` on the same nodes, the scale of the roundoff in
     ``value``.
     """
-    width = 2.0 * np.pi / max(abs(rate), 2.0)
+    width = np.pi / (4.0 * max(abs(rate), 0.25))
     n_panels = max(4, int(np.ceil((b - a) / width)))
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
+    half = 0.5 * np.diff(edges)
     # nodes shaped (n_panels, 16)
-    x = mid[:, None] + half[:, None] * _GL_NODES
-    terms = (half[:, None] * _GL_WEIGHTS) * f(x.ravel()).reshape(n_panels, -1)
-    return terms.sum(), np.abs(terms).sum()
+    x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    vals = f(x.ravel()).reshape(n_panels, -1)
+    terms = half[:, None] * _GL_WEIGHTS[None, :] * vals
+    return np.sum(terms), np.sum(np.abs(terms))
 
 
 def _osc_quad(f, a, b, rate, tol=1e-9):
     """Panel quadrature with a doubled-resolution error estimate.
 
-    The coarse pass puts at most one wavelength of ``rate`` on each panel
-    (_panel_quad), the fine pass panels half as wide. Both are far past the
-    few nodes per wavelength Gauss-Legendre needs for an analytic
-    integrand, so for the reference bath the two passes agree to roundoff.
+    ``rate`` is the angular frequency of the integrand's oscillation. The
+    coarse pass puts at most one wavelength (2 pi rad of phase) on each
+    16-node panel, never a panel wider than pi; the fine pass panels half as
+    wide. That is enough: n-point Gauss-Legendre is exact for polynomials of
+    degree 2n - 1 and converges geometrically for analytic integrands,
+    needing only about pi nodes per wavelength (Trefethen, SIAM Rev. 50,
+    2008); on one wavelength the 16-point rule's error for exp(i rate x) is
+    about pi^32/32! ~ 3e-20, so for the reference bath the two passes agree
+    to roundoff. ``_panel_quad`` sizes panels as pi/(4 r), hence r = rate/8
+    and max(rate, 2)/4 below.
+
     The estimate is ``max(|fine - coarse|, 50 * eps * resabs)``: the two
     resolutions can agree to the last bit, so the difference alone may read
     zero, and the roundoff floor (as in QUADPACK) keeps it positive.
@@ -191,8 +192,8 @@ def _osc_quad(f, a, b, rate, tol=1e-9):
     ``b`` is not part of the estimate. A value or estimate that is not
     finite (an integrand that yields NaN or inf) raises as well.
     """
-    coarse, _ = _panel_quad(f, a, b, rate)
-    fine, resabs = _panel_quad(f, a, b, 2.0 * max(abs(rate), 2.0))
+    coarse, _ = _panel_quad(f, a, b, abs(rate) / 8.0)
+    fine, resabs = _panel_quad(f, a, b, max(abs(rate), 2.0) / 4.0)
     err = max(abs(fine - coarse), 50.0 * np.finfo(float).eps * resabs)
     if not (np.isfinite(fine) and err <= tol):
         raise QuadratureError(
@@ -233,16 +234,12 @@ def fourier_hat(bath: BathSpec, alpha):
 
 
 def _principal_value_hilbert(bath: BathSpec, alpha: float) -> float:
-    """PV int_0^cutoff rho(omega)/(alpha - omega) domega.
-
-    The integrands do not oscillate and no error estimate is formed, so the
-    rates 32 and 64 only fix panels pi/16 and pi/32 wide.
-    """
+    """PV int_0^cutoff rho(omega)/(alpha - omega) domega."""
     hi = bath.quad_cutoff
     rho = bath.rho
     if not (0.0 < alpha < hi):
         # no singularity inside the support
-        return float(_panel_quad(lambda w: rho(w) / (alpha - w), 0.0, hi, rate=32.0)[0])
+        return float(_panel_quad(lambda w: rho(w) / (alpha - w), 0.0, hi, rate=4.0)[0])
     rho_a = float(rho(alpha))
     h = 1e-6
     drho_a = float(rho(alpha + h) - rho(alpha - h)) / (2.0 * h)
@@ -255,7 +252,7 @@ def _principal_value_hilbert(bath: BathSpec, alpha: float) -> float:
         out[near] = -drho_a
         return out
 
-    smooth = _panel_quad(regular, 0.0, hi, rate=64.0)[0]
+    smooth = _panel_quad(regular, 0.0, hi, rate=8.0)[0]
     logarithmic = rho_a * np.log(alpha / (hi - alpha))
     return float(smooth + logarithmic)
 
