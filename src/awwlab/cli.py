@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import harness
+from . import config, harness
 from .errors import AwwlabError, ConfigError
 
 
@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = harness.config_mod.load_config(args.config)
+        cfg = config.load_config(args.config)
         runner = {
             "simulate": harness.run_simulate,
             "sweep": harness.run_sweep,

@@ -8,6 +8,7 @@ All floats are written with a fixed format to keep outputs byte-stable.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -15,8 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import asymptotics, bath as bath_mod, config as config_mod, emission, exact, reduced
+from . import asymptotics, bath as bath_mod, emission, exact, reduced
 from .atom import AtomPath, diag_rotation_atom, eigenframe, tabulated_atom, validate_coupling
+from .config import RunConfig
 from .errors import AwwlabError, ConfigError
 
 __all__ = [
@@ -61,76 +63,57 @@ def builtin_scenario(name: str, t_end: Optional[float] = None) -> Scenario:
     long-time semigroup comparisons.
     """
     if name == "ww-ref-2level":
-        atom = diag_rotation_atom(
-            level_funcs=(lambda t: 1.0, lambda t: 2.0 + 0.3 * t),
-            theta_func=lambda t: np.pi * t / 4.0,
-            coupling_func=lambda t: np.array([1.0, 1.0]),
-        )
-        return Scenario(name=name, atom=atom, bath=bath_mod.reference_bath(),
-                        z0=np.array([1.0, 0.0], dtype=complex),
-                        t_end=1.0 if t_end is None else t_end)
-    if name == "ww-const-2level":
-        atom = diag_rotation_atom(
-            level_funcs=(lambda t: 1.0, lambda t: 2.0),
-            theta_func=lambda t: 0.0,
-            coupling_func=lambda t: np.array([1.0, 1.0]),
-        )
-        return Scenario(name=name, atom=atom, bath=bath_mod.reference_bath(),
-                        z0=np.array([1.0, 0.0], dtype=complex),
-                        t_end=20.0 if t_end is None else t_end)
-    raise ConfigError(f"unknown builtin scenario {name!r}", key="atom.name")
+        levels = (lambda t: 1.0, lambda t: 2.0 + 0.3 * t)
+        theta, t_default = (lambda t: np.pi * t / 4.0), 1.0
+    elif name == "ww-const-2level":
+        levels, theta, t_default = (lambda t: 1.0, lambda t: 2.0), (lambda t: 0.0), 20.0
+    else:
+        raise ConfigError(f"unknown builtin scenario {name!r}", key="atom.name")
+    atom = diag_rotation_atom(level_funcs=levels, theta_func=theta,
+                              coupling_func=lambda t: np.array([1.0, 1.0]))
+    return Scenario(name=name, atom=atom, bath=bath_mod.reference_bath(),
+                    z0=np.array([1.0, 0.0], dtype=complex),
+                    t_end=t_default if t_end is None else t_end)
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
-    name = config_mod.get_str(cfg, "atom.name")
-    t_end = None
-    if "sim.t_end" in cfg:
-        t_end = config_mod.get_float(cfg, "sim.t_end")
-        if not 0.0 < t_end < np.inf:
-            raise ConfigError(f"sim.t_end = {t_end!r} must be positive and finite",
-                              key="sim.t_end")
-    if name == "tabulated":
-        atom = tabulated_atom(config_mod.get_str(cfg, "atom.file"))
-        scen_bath = _bath_from_config(cfg)
-        z0 = _z0_from_config(cfg, atom.dim)
-        return Scenario(name="tabulated", atom=atom, bath=scen_bath, z0=z0,
-                        t_end=t_end or 1.0)
-    scen = builtin_scenario(name, t_end=t_end)
-    scen.bath = _bath_from_config(cfg)
-    if "sim.z0" in cfg:
-        scen.z0 = _z0_from_config(cfg, scen.atom.dim)
+    return _scenario(RunConfig.from_dict(cfg))
+
+
+def _scenario(rc: RunConfig) -> Scenario:
+    if rc.atom_name == "tabulated":
+        atom = _read_table(tabulated_atom, rc.atom_file, "atom.file")
+        scen = Scenario(name="tabulated", atom=atom, bath=_bath(rc),
+                        z0=np.eye(atom.dim, dtype=complex)[0], t_end=rc.sim_t_end or 1.0)
+    else:
+        scen = builtin_scenario(rc.atom_name, t_end=rc.sim_t_end)
+        scen.bath = _bath(rc)
+    if rc.sim_z0 is not None:
+        z0 = np.asarray(rc.sim_z0, dtype=complex)
+        if len(z0) != scen.atom.dim:
+            raise ConfigError(f"sim.z0 has {len(z0)} entries, atom dimension is "
+                              f"{scen.atom.dim}", key="sim.z0")
+        scen.z0 = z0 / np.linalg.norm(z0)
     return scen
 
 
-def _checked_eps(eps: float, key: str) -> float:
-    """eps itself, which must lie in (0, 1] like every slowness parameter."""
-    if not 0.0 < eps <= 1.0:
-        raise ConfigError(f"{key}: eps = {eps!r} lies outside (0, 1]", key=key)
-    return eps
-
-
-def _bath_from_config(cfg: dict) -> bath_mod.BathSpec:
-    if "bath.file" in cfg:
-        return bath_mod.bath_from_csv(cfg["bath.file"])
-    name = config_mod.get_str(cfg, "bath.name")
+def _bath(rc: RunConfig) -> bath_mod.BathSpec:
+    if rc.bath_file is not None:
+        return _read_table(bath_mod.bath_from_csv, rc.bath_file, "bath.file")
     try:
-        return bath_mod.bath_from_name(name)
+        return bath_mod.bath_from_name(rc.bath_name)
     except KeyError:
-        raise ConfigError(f"unknown bath {name!r}", key="bath.name")
+        raise ConfigError(f"unknown bath {rc.bath_name!r}", key="bath.name")
 
 
-def _z0_from_config(cfg: dict, dim: int) -> np.ndarray:
-    vals = config_mod.get_float_list(cfg, "sim.z0", default=None) \
-        if "sim.z0" in cfg else None
-    if vals is None:
-        z0 = np.zeros(dim, dtype=complex)
-        z0[0] = 1.0
-        return z0
-    z0 = np.asarray(vals, dtype=complex)
-    if len(z0) != dim:
-        raise ConfigError(f"sim.z0 has {len(z0)} entries, atom dimension is {dim}",
-                          key="sim.z0")
-    return z0 / np.linalg.norm(z0)
+def _read_table(reader, path: Optional[str], key: str):
+    """reader(path); a missing key or file, or a malformed table, is a ConfigError."""
+    if path is None:
+        raise ConfigError(f"missing required key {key!r}", key=key)
+    try:
+        return reader(path)
+    except (OSError, ValueError, IndexError) as exc:
+        raise ConfigError(f"{key} = {path!r}: {exc}", key=key)
 
 
 def _write_csv(path, header, rows):
@@ -164,9 +147,10 @@ def write_trajectory_csv(path, traj, frame):
     _write_csv(path, header, _trajectory_rows(traj, frame))
 
 
-def _solve_all(scen: Scenario, eps: float, lam: float, rtol: float = 1e-10,
-               dt_out: float = 1.0 / 200, tol_corr: float = 1e-4,
-               override: bool = False):
+def _solve_all(scen: Scenario, eps: float, lam: float,
+               rtol: float = RunConfig.solver_rtol,
+               dt_out: float = RunConfig.solver_dt_out,
+               tol_corr: float = RunConfig.solver_tol_corr, override: bool = False):
     frame = scen.frame()
     modes = exact.discretize_bath(scen.bath, eps, tol_corr=tol_corr,
                                   horizon=scen.t_end / eps)
@@ -201,17 +185,17 @@ def point_metrics(scen: Scenario, eps: float, lam: float, **kw) -> dict:
             "p_down_pred": report.p_down, "regime": report.regime}
 
 
+def _solver_kw(rc: RunConfig) -> dict:
+    return {"rtol": rc.solver_rtol, "dt_out": rc.solver_dt_out,
+            "tol_corr": rc.solver_tol_corr}
+
+
 def run_simulate(cfg: dict, out_dir: str, override: bool = False) -> list:
     """One (eps, lambda) point; writes four trajectory CSVs plus a comparison."""
-    scen = scenario_from_config(cfg)
-    eps = _checked_eps(config_mod.get_float(cfg, "sim.eps"), "sim.eps")
-    lam = np.sqrt(config_mod.get_float(cfg, "sim.lambda2"))
-    rtol = config_mod.get_float(cfg, "solver.rtol", 1e-10)
-    dt_out = config_mod.get_float(cfg, "solver.dt_out", 1.0 / 200)
-    tol_corr = config_mod.get_float(cfg, "solver.tol_corr", 1e-4)
+    rc = RunConfig.from_dict(cfg)
     frame, _, tr_exact, tr_volt, tr_eff, tr_lead, _ = _solve_all(
-        scen, eps, lam, rtol=rtol, dt_out=dt_out, tol_corr=tol_corr,
-        override=override)
+        _scenario(rc), rc.sim_eps, np.sqrt(rc.sim_lambda2), override=override,
+        **_solver_kw(rc))
 
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -235,34 +219,39 @@ def run_simulate(cfg: dict, out_dir: str, override: bool = False) -> list:
 
 
 def _lambda_for(rule: str, eps: float, index: int) -> float:
+    """Coupling lam of sweep point `index` at `eps`; it must lie in (0, 1]."""
     rule = rule.replace(" ", "")
-    if rule == "lambda2=eps":
-        return float(np.sqrt(eps))
-    if rule.startswith("lambda2=") and "*eps^" in rule:
-        c_str, p_str = rule[len("lambda2="):].split("*eps^")
-        try:
-            return float(np.sqrt(float(c_str) * eps ** float(p_str)))
-        except ValueError:
-            pass
-    if rule.startswith("list:"):
-        try:
-            return [float(tok) for tok in rule[5:].split(",")][index]
-        except (ValueError, IndexError):
-            raise ConfigError(f"cannot read sweep point {index + 1} from "
-                              f"sweep.lambda_rule {rule!r}", key="sweep.lambda_rule")
-    raise ConfigError(f"cannot parse sweep.lambda_rule {rule!r}",
-                      key="sweep.lambda_rule")
+    try:
+        if rule.startswith("list:"):
+            lam = [float(tok) for tok in rule[5:].split(",")][index]
+        elif rule.startswith("lambda2="):
+            law = rule[len("lambda2="):]
+            c_str, p_str = ("1", "1") if law == "eps" else law.split("*eps^")
+            lam = math.sqrt(float(c_str) * eps ** float(p_str))
+        else:
+            raise ValueError(rule)
+    except (ValueError, IndexError, OverflowError):
+        raise ConfigError(f"cannot read sweep point {index + 1} from "
+                          f"sweep.lambda_rule {rule!r}", key="sweep.lambda_rule")
+    if not 0.0 < lam <= 1.0:
+        raise ConfigError(f"sweep.lambda_rule {rule!r} gives lam = {lam!r} at sweep "
+                          f"point {index + 1}, outside (0, 1]", key="sweep.lambda_rule")
+    return lam
+
+
+def _sweep_points(rc: RunConfig) -> list:
+    """(eps, lam) of every sweep point."""
+    if rc.sweep_epsilons is None:
+        raise ConfigError("missing required key 'sweep.epsilons'", key="sweep.epsilons")
+    return [(eps, _lambda_for(rc.sweep_lambda_rule, eps, i))
+            for i, eps in enumerate(rc.sweep_epsilons)]
 
 
 def _sweep_worker(args):
-    cfg, eps, lam, override = args
-    scen = scenario_from_config(cfg)
-    rtol = config_mod.get_float(cfg, "solver.rtol", 1e-10)
-    dt_out = config_mod.get_float(cfg, "solver.dt_out", 1.0 / 200)
-    tol_corr = config_mod.get_float(cfg, "solver.tol_corr", 1e-4)
+    rc, eps, lam, override = args
+    scen = _scenario(rc)
     try:
-        return point_metrics(scen, eps, lam, rtol=rtol, dt_out=dt_out,
-                             tol_corr=tol_corr, override=override)
+        return point_metrics(scen, eps, lam, override=override, **_solver_kw(rc))
     except AwwlabError as exc:
         return {"eps": eps, "lam": lam, "error": f"{type(exc).__name__}: {exc}"}
 
@@ -284,14 +273,11 @@ def loglog_slope(xs, ys):
 def run_sweep(cfg: dict, out_dir: str, override: bool = False,
               threads: int = 1) -> dict:
     """All sweep points concurrently, then log-log slope fits per metric."""
-    epsilons = [_checked_eps(eps, "sweep.epsilons")
-                for eps in config_mod.get_float_list(cfg, "sweep.epsilons")]
-    if len(epsilons) < 3:
+    rc = RunConfig.from_dict(cfg)
+    points = _sweep_points(rc)
+    if len(points) < 3:
         raise ConfigError("need >= 3 points for slope fit", key="sweep.epsilons")
-    rule = config_mod.get_str(cfg, "sweep.lambda_rule", "lambda2=eps")
-    direction = config_mod.get_str(cfg, "sweep.direction", "eps")
-    lams = [_lambda_for(rule, eps, i) for i, eps in enumerate(epsilons)]
-    jobs = [(cfg, eps, lam, override) for eps, lam in zip(epsilons, lams)]
+    jobs = [(rc, eps, lam, override) for eps, lam in points]
 
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -316,35 +302,30 @@ def run_sweep(cfg: dict, out_dir: str, override: bool = False,
     good = [res for res in results if "error" not in res]
     slopes = {}
     if len(good) >= 3:
-        xs = [res["eps"] if direction == "eps" else res["lam"] for res in good]
+        xs = [res["eps"] if rc.sweep_direction == "eps" else res["lam"] for res in good]
         for metric in ("E_lead", "E_volt", "E_eff"):
             ys = [res[metric] for res in good]
             if min(ys) > 0.0:
                 slopes[metric] = loglog_slope(xs, ys)
     _write_csv(os.path.join(out_dir, "slopes.csv"),
                ["metric", "axis", "slope", "stderr"],
-               [[m, direction, s, se] for m, (s, se) in slopes.items()])
+               [[m, rc.sweep_direction, s, se] for m, (s, se) in slopes.items()])
     return {"results": results, "slopes": slopes,
             "partial": len(good) < len(results)}
 
 
-def _observable_from_config(cfg: dict) -> bath_mod.TestObservable:
-    name = config_mod.get_str(cfg, "emission.observable", "one")
-    if name == "one":
-        return bath_mod.TestObservable(weight=lambda w: np.ones_like(w))
-    if name == "omega":
-        return bath_mod.TestObservable(weight=lambda w: np.asarray(w, dtype=float))
-    raise ConfigError(f"unknown observable {name!r}", key="emission.observable")
+_OBSERVABLE_WEIGHTS = {"one": lambda w: np.ones_like(w),
+                       "omega": lambda w: np.asarray(w, dtype=float)}
 
 
 def run_emission(cfg: dict, out_dir: str, override: bool = False) -> dict:
     """Emitted-spectrum CSV plus mode-sum average vs the applicable limit law."""
-    scen = scenario_from_config(cfg)
-    r = config_mod.get_float(cfg, "emission.r", 1.0)
-    eps_key = "emission.eps" if "emission.eps" in cfg else "sim.eps"
-    eps = _checked_eps(config_mod.get_float(cfg, eps_key, 0.05), eps_key)
+    rc = RunConfig.from_dict(cfg)
+    scen = _scenario(rc)
+    r = rc.emission_r
+    eps = rc.sim_eps if rc.emission_eps is None else rc.emission_eps
     lam = float(np.sqrt(r * eps))
-    obs = _observable_from_config(cfg)
+    obs = bath_mod.TestObservable(weight=_OBSERVABLE_WEIGHTS[rc.emission_observable])
     frame = scen.frame()
     modes = exact.discretize_bath(scen.bath, eps, horizon=scen.t_end / eps)
     traj = exact.propagate_exact(scen.atom, frame, modes, scen.z0, eps, lam,
@@ -366,15 +347,13 @@ def run_emission(cfg: dict, out_dir: str, override: bool = False) -> dict:
 
 def run_regimes(cfg: dict, out_dir: str, override: bool = False) -> list:
     """Regime classification table over the configured sweep points."""
-    scen = scenario_from_config(cfg)
-    epsilons = [_checked_eps(eps, "sweep.epsilons")
-                for eps in config_mod.get_float_list(cfg, "sweep.epsilons")]
-    rule = config_mod.get_str(cfg, "sweep.lambda_rule", "lambda2=eps")
+    rc = RunConfig.from_dict(cfg)
+    points = _sweep_points(rc)
+    scen = _scenario(rc)
     tables = asymptotics.tables_for(scen.atom, scen.frame(), scen.bath)
     rows = []
     out = []
-    for i, eps in enumerate(epsilons):
-        lam = _lambda_for(rule, eps, i)
+    for eps, lam in points:
         rep = asymptotics.regime_classify(eps, lam, tables=tables, z0=scen.z0,
                                           t=scen.t_end)
         rows.append([eps, lam, rep.ratio, rep.regime, rep.p_down])
@@ -388,9 +367,9 @@ def run_regimes(cfg: dict, out_dir: str, override: bool = False) -> list:
 def run_validate(cfg: dict, out_dir: Optional[str] = None,
                  override: bool = False) -> dict:
     """Coupling-smallness and well-coupledness report for the configured point."""
-    scen = scenario_from_config(cfg)
-    eps = _checked_eps(config_mod.get_float(cfg, "sim.eps", 0.05), "sim.eps")
-    lam = float(np.sqrt(config_mod.get_float(cfg, "sim.lambda2", 1.0 / 64)))
+    rc = RunConfig.from_dict(cfg)
+    scen = _scenario(rc)
+    eps, lam = rc.sim_eps, float(np.sqrt(rc.sim_lambda2))
     report = validate_coupling(scen.atom, scen.frame(), scen.bath, lam)
     ok = report.ok or override
     if not bath_mod.check_decay_bound(scen.bath):

@@ -69,7 +69,7 @@ def atomic_propagator(atom: AtomPath, eps: float, t: float, s: float = 0.0,
 
 def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
                    eps: float, lam: float, z0: np.ndarray, t_end: float = 1.0,
-                   x_step: Optional[float] = None, kernel_floor: float = 1e-12) -> Trajectory:
+                   x_step: Optional[float] = None) -> Trajectory:
     """Memory-kernel dynamics of the atomic amplitudes alone.
 
     In the interaction picture y = U_eps^{-1} z the equation is
@@ -99,7 +99,6 @@ def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
             @ coupling_in_working_basis(atom, frame, ts)[:, :, None])[:, :, 0]
 
     kernel = bath_mod.correlation(bath, ts / eps)   # gamma(x) at x = k*h/eps
-    live = np.abs(kernel) >= kernel_floor           # kernel cutoff window
     rate = (lam / eps) ** 2
 
     y = np.empty((n + 1, d), dtype=complex)
@@ -113,9 +112,7 @@ def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
             return 0.0
         vals = inner[:k] * kernel[k:0:-1]
         last = (inner[k] if extra is None else extra) * kernel[0]
-        mask = live[k:0:-1]
-        s = vals[mask].sum() + 0.5 * last - (0.5 * vals[0] if mask[0] else 0.0)
-        return h * s
+        return h * (vals.sum() + 0.5 * last - 0.5 * vals[0])
 
     for k in range(n):
         f_k = -rate * beta[k] * memory(k)

@@ -27,8 +27,9 @@ def write_cfg(tmp_path, text=BASE_CFG, name="run.cfg"):
 def test_config_parses_and_rejects():
     cfg = C.parse_config(BASE_CFG + "# trailing comment\n")
     assert cfg["atom.name"] == "ww-ref-2level"
-    assert C.get_float(cfg, "sim.eps") == 0.1
-    assert C.get_float_list(cfg, "sweep.epsilons") == [0.2, 0.1, 0.05]
+    rc = C.RunConfig.from_dict(cfg)
+    assert rc.sim_eps == 0.1
+    assert rc.sweep_epsilons == (0.2, 0.1, 0.05)
     with pytest.raises(ConfigError):
         C.parse_config("atom.name = x\nbath.typo = y\n")
     with pytest.raises(ConfigError):
@@ -36,7 +37,7 @@ def test_config_parses_and_rejects():
     with pytest.raises(ConfigError):
         C.parse_config(BASE_CFG + "sim.eps = 0.2\n")    # duplicate
     with pytest.raises(ConfigError):
-        C.get_float({"sim.eps": "abc"}, "sim.eps")
+        C.RunConfig.from_dict({**cfg, "sim.eps": "abc"})
 
 
 def test_builtin_scenarios():
@@ -107,6 +108,81 @@ def test_nonpositive_t_end_is_config_error(tmp_path, value):
     assert err.value.key == "sim.t_end"
     assert cli.main(["simulate", "--config", write_cfg(tmp_path, text),
                      "--out", str(tmp_path / "cli")]) == 2
+
+
+COMMAND_RUNS = {"simulate": H.run_simulate, "sweep": H.run_sweep,
+                "emission": H.run_emission, "regimes": H.run_regimes,
+                "validate": H.run_validate}
+
+
+def assert_config_error(tmp_path, text, key, commands):
+    """Each command rejects `text` with ConfigError(key=key), and the CLI exits 2."""
+    cfg = C.parse_config(text)
+    path = write_cfg(tmp_path, text)
+    for command in commands:
+        with pytest.raises(ConfigError) as err:
+            COMMAND_RUNS[command](cfg, str(tmp_path / "out"), override=True)
+        assert err.value.key == key
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "cli"),
+                         "--override-smallness"]) == 2
+
+
+@pytest.mark.parametrize("key, value, commands", [
+    ("sweep.lambda_rule", "list:0.3,0,0.2", ("sweep", "regimes")),
+    ("sweep.lambda_rule", "list:0.3,1.5,0.2", ("sweep", "regimes")),
+    ("sweep.lambda_rule", "lambda2=-1*eps^1", ("sweep", "regimes")),
+    ("sim.lambda2", "-1", ("simulate", "validate")),
+    ("sim.lambda2", "0", ("simulate", "validate")),
+    ("emission.r", "-1", ("emission",)),
+    ("emission.r", "0", ("emission",)),
+    ("emission.r", "inf", ("emission",)),
+])
+def test_coupling_outside_range_is_config_error(tmp_path, key, value, commands):
+    lines = [line for line in BASE_CFG.splitlines() if not line.startswith(key)]
+    assert_config_error(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n",
+                        key, commands)
+
+
+def test_sweep_direction_is_eps_or_lambda(tmp_path, monkeypatch):
+    assert_config_error(tmp_path, BASE_CFG + "sweep.direction = bogus\n",
+                        "sweep.direction", ("sweep",))
+    monkeypatch.setattr(H, "point_metrics", lambda scen, eps, lam, **kw: {
+        "eps": eps, "lam": lam, "E_lead": lam, "E_volt": lam, "E_eff": lam,
+        "p_down": 0.5, "p_down_pred": 0.5, "regime": "davies"})
+    res = H.run_sweep(C.parse_config(BASE_CFG + "sweep.direction = lambda\n"),
+                      str(tmp_path / "lam"), override=True)
+    assert res["slopes"]["E_lead"][0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("solver.dt_out", "0"), ("solver.dt_out", "-0.01"),
+    ("solver.rtol", "-1"), ("solver.rtol", "1"),
+    ("solver.tol_corr", "0"), ("solver.tol_corr", "2"),
+    ("sim.z0", "0, 0"), ("sim.z0", "1, nan"),
+])
+def test_solver_and_initial_state_outside_range_is_config_error(tmp_path, key, value):
+    assert_config_error(tmp_path, BASE_CFG + f"{key} = {value}\n", key,
+                        ("simulate", "sweep", "emission", "validate"))
+
+
+@pytest.mark.parametrize("key, content", [
+    ("atom.file", None),                        # no such file
+    ("atom.file", "t,a\n0,1\n1,2\n"),          # no square dimension fits
+    ("bath.file", None),
+    ("bath.file", "omega,rho\n0,0\n2,1\n1,1\n"),  # omega not increasing
+    ("bath.file", "omega,rho\n1,2\n"),          # one row reads as a 1-d array
+])
+def test_unreadable_table_is_config_error(tmp_path, key, content):
+    path = tmp_path / "table.csv"
+    if content is not None:
+        path.write_text(content)
+    text = BASE_CFG + f"{key} = {path}\n"
+    if key == "atom.file":
+        text = text.replace("atom.name = ww-ref-2level", "atom.name = tabulated")
+    with pytest.raises(ConfigError) as err:
+        H.scenario_from_config(C.parse_config(text))
+    assert err.value.key == key
+    assert_config_error(tmp_path, text, key, tuple(COMMAND_RUNS))
 
 
 def test_loglog_slope_recovers_power_law():
