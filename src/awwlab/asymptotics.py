@@ -29,6 +29,9 @@ __all__ = [
     "semigroup_time_independent",
 ]
 
+STRONG_RATIO = 10.0   # lam^2/eps where the strong regime begins: a convention
+DAVIES_RATIO = 0.1    # lam^2/eps where the davies regime begins: a convention
+
 
 class AsymptoticTables:
     """Cumulative per-level integrals of frequency, decay rate and shift.
@@ -48,15 +51,12 @@ class AsymptoticTables:
                            for j in range(atom.dim)] for k in range(n_grid)])
         beta, shift = rates[..., 0], rates[..., 1]
         self.atom, self.frame, self.bath = atom, frame, bath
-        self.times = ts
-        self.alpha, self.beta, self.shift = alpha, beta, shift
         self._cum_alpha = CubicSpline(
             ts, cumulative_simpson(alpha, x=ts, axis=0, initial=0.0), axis=0)
         self._cum_beta = CubicSpline(
             ts, cumulative_simpson(beta, x=ts, axis=0, initial=0.0), axis=0)
         self._cum_shift = CubicSpline(
             ts, cumulative_simpson(shift, x=ts, axis=0, initial=0.0), axis=0)
-        self._beta_spline = CubicSpline(ts, beta, axis=0)
         self._alpha_spline = CubicSpline(ts, alpha, axis=0)
 
     def int_alpha(self, t):
@@ -68,21 +68,16 @@ class AsymptoticTables:
     def int_shift(self, t):
         return self._cum_shift(t)
 
-    def beta_at(self, t):
-        return self._beta_spline(t)
-
     def alpha_at(self, t):
         return self._alpha_spline(t)
 
 
 def tables_for(atom: AtomPath, frame: EigenFrame,
                bath: bath_mod.BathSpec) -> AsymptoticTables:
-    """Cached AsymptoticTables attached to the frame."""
-    cached = getattr(frame, "_asym_tables", None)
-    if cached is None or cached.bath is not bath:
-        cached = AsymptoticTables(atom, frame, bath)
-        frame._asym_tables = cached
-    return cached
+    """The AsymptoticTables of `bath`, kept in the frame's slot for them."""
+    if frame._asym_tables is None or frame._asym_tables.bath is not bath:
+        frame._asym_tables = AsymptoticTables(atom, frame, bath)
+    return frame._asym_tables
 
 
 def leading_order_z(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
@@ -131,7 +126,6 @@ class RegimeReport:
     regime: str          # strong | davies | weak_a | weak_b
     ratio: float         # r = lam^2 / eps
     p_down: Optional[float]   # predicted de-excitation at t (when tables given)
-    thresholds: tuple = (10.0, 0.1)   # artifact conventions, not asymptotic facts
 
 
 def regime_classify(eps: float, lam: float,
@@ -146,9 +140,9 @@ def regime_classify(eps: float, lam: float,
     if not (0.0 < eps <= 1.0 and 0.0 < lam <= 1.0):
         raise ValueError("eps and lam must lie in (0, 1]")
     r = lam**2 / eps
-    if r >= 10.0:
+    if r >= STRONG_RATIO:
         regime = "strong"
-    elif r >= 0.1:
+    elif r >= DAVIES_RATIO:
         regime = "davies"
     else:
         regime = "weak_a" if lam**2 / eps**2 >= 1.0 else "weak_b"

@@ -8,6 +8,7 @@ same interaction re-expressed over the frozen t=0 eigenvectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,6 +37,8 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 PHASE_PER_STEP = 0.1       # target rad of fast phase per Magnus step
+KATO_UNITARITY_TOL = 1e-8      # largest entry of |W^H W - 1| for a Kato transport
+COUPLING_CHECK_POINTS = 64     # sample times of validate_coupling
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 
 
@@ -100,8 +103,7 @@ class EigenFrame:
     energies: np.ndarray       # (n, d) ascending in j
     vectors: np.ndarray        # (n, d, d), column j = phi_j(t_k)
     gap: float
-    _vec_spline: object = field(default=None, repr=False)
-    _energy_spline: object = field(default=None, repr=False)
+    _asym_tables: object = field(default=None, init=False, repr=False)  # tables_for's slot
 
     @property
     def dim(self) -> int:
@@ -119,17 +121,12 @@ class EigenFrame:
             raise ValueError(f"t={t} is not a frame grid point")
         return k
 
-    def _splines(self):
-        if self._vec_spline is None:
-            self._vec_spline = CubicSpline(self.times, self.vectors, axis=0)
-            self._energy_spline = CubicSpline(self.times, self.energies, axis=0)
-        return self._vec_spline, self._energy_spline
+    @cached_property
+    def energies_at(self) -> CubicSpline:
+        return CubicSpline(self.times, self.energies, axis=0)
 
-    def energies_at(self, t):
-        _, es = self._splines()
-        return es(t)
-
-    def vectors_at(self, t):
+    @cached_property
+    def vectors_at(self) -> CubicSpline:
         """Eigenvector columns at arbitrary t in the tracked gauge.
 
         Cubic-spline interpolation of the grid columns, with no
@@ -137,8 +134,44 @@ class EigenFrame:
         to interpolation accuracy (a defect of about 5e-14 on the reference
         frame of 801 points).
         """
-        vs, _ = self._splines()
-        return vs(t)
+        return CubicSpline(self.times, self.vectors, axis=0)
+
+    @cached_property
+    def _berry(self) -> np.ndarray:
+        """(n, d) cumulative geometric phases xi_j(t_k) along the tracked gauge."""
+        v = self.vectors
+        h = self.step
+        dv = np.gradient(v, h, axis=0, edge_order=2)
+        # fourth-order central stencil in the interior; the second-order edge
+        # values enter the phase integral only with O(h) weight
+        dv[2:-2] = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
+        conn = np.einsum("kij,kij->kj", v.conj(), dv)  # <phi_j | dphi_j>
+        # <phi|dphi> is purely imaginary for a normalized path; the real residue
+        # measures frame roughness.
+        residue = np.max(np.abs(conn.real))
+        if residue > 1e-4:
+            raise FrameSmoothnessError(
+                f"Berry connection has real residue {residue:.1e}; refine the grid")
+        xi = cumulative_trapezoid(1j * conn, dx=h, axis=0, initial=0.0)
+        imag_residue = np.max(np.abs(xi.imag))
+        if imag_residue > 1e-8:
+            raise FrameSmoothnessError(
+                f"Berry phase accumulated imaginary part {imag_residue:.1e}")
+        return xi.real
+
+    @cached_property
+    def _kato(self) -> Callable[[np.ndarray], np.ndarray]:
+        """K(t) = sum_j [d/dt P_j(t)] P_j(t), anti-hermitized, as a spline in t."""
+        v = self.vectors
+        proj = np.einsum("kij,klj->kjil", v, v.conj())   # (n, d, d, d) as in projections(k)
+        spline = CubicSpline(self.times, proj, axis=0)
+        dspline = spline.derivative()
+
+        def kato(t):
+            k_mat = np.einsum("...jab,...jbc->...ac", dspline(t), spline(t))
+            return 0.5 * (k_mat - np.swapaxes(k_mat.conj(), -1, -2))
+
+        return kato
 
     def projections(self, k: int) -> np.ndarray:
         """(d, d, d) stack of rank-one spectral projections at grid index k."""
@@ -200,53 +233,12 @@ def coupling_in_working_basis(atom: AtomPath, frame: EigenFrame, t) -> np.ndarra
     return (frame.vectors_at(t) @ atom.couplings(t)[..., None])[..., 0]
 
 
-def _berry_table(frame: EigenFrame) -> np.ndarray:
-    """(n, d) cumulative geometric phases xi_j(t_k) along the tracked gauge."""
-    v = frame.vectors
-    h = frame.step
-    dv = np.gradient(v, h, axis=0, edge_order=2)
-    # fourth-order central stencil in the interior; the second-order edge
-    # values enter the phase integral only with O(h) weight
-    dv[2:-2] = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
-    conn = np.einsum("kij,kij->kj", v.conj(), dv)  # <phi_j | dphi_j>
-    # <phi|dphi> is purely imaginary for a normalized path; the real residue
-    # measures frame roughness.
-    residue = np.max(np.abs(conn.real))
-    if residue > 1e-4:
-        raise FrameSmoothnessError(
-            f"Berry connection has real residue {residue:.1e}; refine the grid")
-    xi = cumulative_trapezoid(1j * conn, dx=h, axis=0, initial=0.0)
-    imag_residue = np.max(np.abs(xi.imag))
-    if imag_residue > 1e-8:
-        raise FrameSmoothnessError(
-            f"Berry phase accumulated imaginary part {imag_residue:.1e}")
-    return xi.real
-
-
 def berry_phase(frame: EigenFrame, j: int, t: float) -> float:
     """xi_j(t) = i int_0^t <phi_j(u), d/du phi_j(u)> du in the frame gauge."""
-    if getattr(frame, "_berry", None) is None:
-        frame._berry = _berry_table(frame)
-    xi = frame._berry
-    return float(np.interp(t, frame.times, xi[:, j]))
+    return float(np.interp(t, frame.times, frame._berry[:, j]))
 
 
-def _kato_generator_spline(frame: EigenFrame):
-    """Spline of K(t) = sum_j [d/dt P_j(t)] P_j(t), anti-hermitized, for scalar or array t."""
-    v = frame.vectors
-    proj = np.einsum("kij,klj->kjil", v, v.conj())   # (n, d, d, d) as in projections(k)
-    spline = CubicSpline(frame.times, proj, axis=0)
-    dspline = spline.derivative()
-
-    def kato(t):
-        k_mat = np.einsum("...jab,...jbc->...ac", dspline(t), spline(t))
-        return 0.5 * (k_mat - np.swapaxes(k_mat.conj(), -1, -2))
-
-    return kato
-
-
-def kato_intertwiner(frame: EigenFrame, t: float, s: float = 0.0,
-                     unitarity_tol: float = 1e-8) -> np.ndarray:
+def kato_intertwiner(frame: EigenFrame, t: float, s: float = 0.0) -> np.ndarray:
     """Transport W(t,s) solving dW/dt = K(t) W, W(s,s) = 1.
 
     magnus_propagate with steps no longer than the frame grid spacing; the
@@ -254,15 +246,13 @@ def kato_intertwiner(frame: EigenFrame, t: float, s: float = 0.0,
     """
     if t < s:
         return kato_intertwiner(frame, s, t).conj().T
-    if getattr(frame, "_kato", None) is None:
-        frame._kato = _kato_generator_spline(frame)
     d = frame.dim
     if t == s:
         return np.eye(d, dtype=complex)
     n_steps = max(1, int(np.ceil((t - s) / frame.step)))
     w = magnus_propagate(frame._kato, np.linspace(s, t, n_steps + 1))[-1]
     defect = np.max(np.abs(w.conj().T @ w - np.eye(d)))
-    if defect > unitarity_tol:
+    if defect > KATO_UNITARITY_TOL:
         raise FrameSmoothnessError(
             f"Kato transport lost unitarity (defect {defect:.1e}); refine the grid")
     return w
@@ -315,7 +305,6 @@ class CouplingReport:
     smallness_ok: bool
     beta_min: np.ndarray            # per level inf_t beta_j(t)
     well_coupled: np.ndarray        # per level bool
-    flagged_levels: tuple
 
     @property
     def ok(self) -> bool:
@@ -323,24 +312,22 @@ class CouplingReport:
 
 
 def validate_coupling(atom: AtomPath, frame: EigenFrame, bath: "bath_mod.BathSpec",
-                      lam: float, n_check: int = 64) -> CouplingReport:
+                      lam: float) -> CouplingReport:
     """Check the coupling-smallness condition and per-level well-coupledness."""
-    ts = np.linspace(frame.times[0], frame.times[-1], n_check)
+    ts = np.linspace(frame.times[0], frame.times[-1], COUPLING_CHECK_POINTS)
     v = atom.couplings(ts)
     vnorm2 = float(np.max(np.sum(np.abs(v) ** 2, axis=1)))
     g_l1 = bath_mod.correlation_l1_norm(bath)
     value = 4.0 * lam**2 * vnorm2 * g_l1 / frame.gap
     alphas = frame.energies_at(ts)
-    beta = np.array([[bath_mod.decay_and_shift(bath, v[k, j], alphas[k, j])[0]
-                      for j in range(atom.dim)] for k in range(n_check)])
+    # decay_and_shift's rate, without the shift's principal-value quadratures
+    beta = np.sqrt(np.pi / 2.0) * np.abs(v) ** 2 * bath_mod.fourier_hat(bath, alphas)
     beta_min = np.min(beta, axis=0)
-    well = beta_min > 0.0
     return CouplingReport(
         smallness_value=float(value),
         smallness_ok=bool(value < 1.0),
         beta_min=beta_min,
-        well_coupled=well,
-        flagged_levels=tuple(int(j) for j in np.nonzero(~well)[0]),
+        well_coupled=beta_min > 0.0,
     )
 
 

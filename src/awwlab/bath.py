@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
+DECAY_T_MAX = 1e3     # check_decay_bound's last time
+DECAY_POINTS = 60     # check_decay_bound's log-spaced times after t = 0
 
 
 @dataclass(frozen=True)
@@ -350,9 +352,9 @@ def correlation_l1_norm(bath: BathSpec, tol=1e-8) -> float:
     return 2.0 * (body + tail)
 
 
-def check_decay_bound(bath: BathSpec, t_max=1e3, n=60) -> bool:
-    """Verify |gamma(t)| <= C/(1+t)^m on a log-spaced grid up to t_max."""
-    ts = np.concatenate([[0.0], np.logspace(-2, np.log10(t_max), n)])
+def check_decay_bound(bath: BathSpec) -> bool:
+    """Verify |gamma(t)| <= C/(1+t)^m on a log-spaced grid up to DECAY_T_MAX."""
+    ts = np.concatenate([[0.0], np.logspace(-2, np.log10(DECAY_T_MAX), DECAY_POINTS)])
     vals = np.abs(correlation(bath, ts))
     bound = bath.decay_amplitude / (1.0 + ts) ** bath.decay_power
     return bool(np.all(vals <= bound * (1.0 + 1e-12) + 1e-15))

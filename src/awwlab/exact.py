@@ -32,6 +32,8 @@ __all__ = [
     "field_amplitude_closed_form",
 ]
 
+ODE_METHOD = "DOP853"   # solve_ivp method of the exact oracle
+NORM_TOL = 1e-6         # largest allowed |norm^2 - 1| of the oracle's state
 
 @dataclass(frozen=True)
 class ModeGrid:
@@ -119,9 +121,8 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
                     z0: np.ndarray, eps: float, lam: float,
                     t_end: float = 1.0, dt_out: float = 1.0 / 200,
                     rtol: float = 1e-10, atol: float = 1e-12,
-                    method: str = "DOP853", override_smallness: bool = False,
-                    record_source: bool = False, bath: Optional[bath_mod.BathSpec] = None,
-                    norm_tol: float = 1e-6) -> Trajectory:
+                    override_smallness: bool = False, record_source: bool = False,
+                    bath: Optional[bath_mod.BathSpec] = None) -> Trajectory:
     """Integrate the coupled atom-mode amplitudes from f_0 = 0.
 
     i eps dz/dt = A(t) z + lam u(t) <g, f>
@@ -167,7 +168,7 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
         t_all = t_eval
 
     y0 = np.concatenate([z0, np.zeros(n_modes, dtype=complex)])
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method=method, t_eval=t_all,
+    sol = solve_ivp(rhs, (0.0, t_end), y0, method=ODE_METHOD, t_eval=t_all,
                     rtol=rtol, atol=atol)
     if not sol.success:
         raise StiffnessError(f"integration failed: {sol.message}")
@@ -176,13 +177,13 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
     z_out = sol.y[:d, idx].T
     f_out = (np.exp(-1j * np.outer(t_eval, omegas) * inv_eps) * sol.y[d:, idx].T)
     defect = np.abs(np.sum(np.abs(sol.y[:, idx]) ** 2, axis=0) - 1.0)
-    if np.max(defect) > norm_tol:
+    if np.max(defect) > NORM_TOL:
         raise IntegratorError(
-            f"norm defect {np.max(defect):.2e} exceeds {norm_tol:.0e}")
+            f"norm defect {np.max(defect):.2e} exceeds {NORM_TOL:.0e}")
 
     traj = Trajectory(
         times=t_eval, z=z_out, field=f_out, norm_defect=defect,
-        meta={"eps": eps, "lam": lam, "modes": n_modes, "method": method,
+        meta={"eps": eps, "lam": lam, "modes": n_modes, "method": ODE_METHOD,
               "nfev": sol.nfev},
     )
     if record_source:

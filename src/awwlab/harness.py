@@ -11,7 +11,8 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 FLOAT_FMT = "%.12e"
+FRAME_GRID = 801     # eigenframe grid points on [0, t_end]
 
 
 @dataclass
@@ -45,14 +47,14 @@ class Scenario:
     bath: bath_mod.BathSpec
     z0: np.ndarray
     t_end: float = 1.0
-    frame_grid: int = 801
-    _frame: object = field(default=None, repr=False)
 
     def frame(self):
-        if self._frame is None:
-            self._frame = eigenframe(
-                self.atom, np.linspace(0.0, self.t_end, self.frame_grid))
+        """The eigenframe on [0, t_end], built on the first call."""
         return self._frame
+
+    @cached_property
+    def _frame(self):
+        return eigenframe(self.atom, np.linspace(0.0, self.t_end, FRAME_GRID))
 
 
 def builtin_scenario(name: str, t_end: Optional[float] = None) -> Scenario:
@@ -247,13 +249,23 @@ def _sweep_points(rc: RunConfig) -> list:
             for i, eps in enumerate(rc.sweep_epsilons)]
 
 
-def _sweep_worker(args):
-    rc, eps, lam, override = args
-    scen = _scenario(rc)
+def _sweep_point(scen: Scenario, kw: dict, eps: float, lam: float) -> dict:
     try:
-        return point_metrics(scen, eps, lam, override=override, **_solver_kw(rc))
+        return point_metrics(scen, eps, lam, **kw)
     except AwwlabError as exc:
         return {"eps": eps, "lam": lam, "error": f"{type(exc).__name__}: {exc}"}
+
+
+_pool_state = None   # (Scenario, point_metrics keywords) of a sweep pool worker process
+
+
+def _start_pool_worker(rc: RunConfig, kw: dict) -> None:
+    global _pool_state
+    _pool_state = (_scenario(rc), kw)
+
+
+def _pool_point(point: tuple) -> dict:
+    return _sweep_point(*_pool_state, *point)
 
 
 def loglog_slope(xs, ys):
@@ -272,18 +284,20 @@ def loglog_slope(xs, ys):
 
 def run_sweep(cfg: dict, out_dir: str, override: bool = False,
               threads: int = 1) -> dict:
-    """All sweep points concurrently, then log-log slope fits per metric."""
+    """All sweep points on one scenario per process, then log-log slope fits per metric."""
     rc = RunConfig.from_dict(cfg)
     points = _sweep_points(rc)
     if len(points) < 3:
         raise ConfigError("need >= 3 points for slope fit", key="sweep.epsilons")
-    jobs = [(rc, eps, lam, override) for eps, lam in points]
+    scen = _scenario(rc)     # an unreadable table raises here, before any worker starts
+    kw = {"override": override, **_solver_kw(rc)}
 
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
+        with ProcessPoolExecutor(max_workers=threads, initializer=_start_pool_worker,
+                                 initargs=(rc, kw)) as pool:
+            results = list(pool.map(_pool_point, points))
     else:
-        results = [_sweep_worker(job) for job in jobs]
+        results = [_sweep_point(scen, kw, *point) for point in points]
 
     os.makedirs(out_dir, exist_ok=True)
     header = ["eps", "lambda", "E_lead", "E_volt", "E_eff",
@@ -327,9 +341,11 @@ def run_emission(cfg: dict, out_dir: str, override: bool = False) -> dict:
     lam = float(np.sqrt(r * eps))
     obs = bath_mod.TestObservable(weight=_OBSERVABLE_WEIGHTS[rc.emission_observable])
     frame = scen.frame()
-    modes = exact.discretize_bath(scen.bath, eps, horizon=scen.t_end / eps)
+    modes = exact.discretize_bath(scen.bath, eps, tol_corr=rc.solver_tol_corr,
+                                  horizon=scen.t_end / eps)
     traj = exact.propagate_exact(scen.atom, frame, modes, scen.z0, eps, lam,
-                                 t_end=scen.t_end, bath=scen.bath,
+                                 t_end=scen.t_end, dt_out=rc.solver_dt_out,
+                                 rtol=rc.solver_rtol, bath=scen.bath,
                                  override_smallness=override)
     avg = float(emission.observable_average(traj, modes, obs)[-1])
     limit = emission.regime_B_limit(frame, scen.bath, scen.atom, obs, 0, r,

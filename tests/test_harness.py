@@ -1,9 +1,11 @@
+import dataclasses
+import functools
 import os
 
 import numpy as np
 import pytest
 
-from awwlab import cli, config as C, harness as H
+from awwlab import atom as A, cli, config as C, harness as H
 from awwlab.errors import ConfigError
 
 BASE_CFG = """\
@@ -85,6 +87,84 @@ def test_sweep_worker_passes_dt_out(tmp_path, monkeypatch):
     seen.clear()
     H.run_sweep(C.parse_config(BASE_CFG), str(tmp_path / "d"), override=True)
     assert seen == [1.0 / 200] * 3
+
+
+class _StopEmission(Exception):
+    pass
+
+
+def test_run_emission_passes_solver_keys(tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_discretize(bath, eps, **kw):
+        seen["tol_corr"] = kw.get("tol_corr")
+
+    def fake_propagate(*args, **kw):
+        seen["rtol"], seen["dt_out"] = kw.get("rtol"), kw.get("dt_out")
+        raise _StopEmission
+
+    monkeypatch.setattr(H.exact, "discretize_bath", fake_discretize)
+    monkeypatch.setattr(H.exact, "propagate_exact", fake_propagate)
+    cfg = C.parse_config(BASE_CFG + "solver.rtol = 1e-6\nsolver.dt_out = 0.01\n"
+                                    "solver.tol_corr = 0.01\n")
+    with pytest.raises(_StopEmission):
+        H.run_emission(cfg, str(tmp_path / "e"), override=True)
+    assert seen == {"tol_corr": 0.01, "rtol": 1e-6, "dt_out": 0.01}
+
+
+def test_serial_sweep_builds_frame_and_tables_once(tmp_path, monkeypatch):
+    frames, tables = [], []
+    real_eigenframe, real_tables = H.eigenframe, H.asymptotics.AsymptoticTables.__init__
+
+    def counting_eigenframe(*args, **kw):
+        frames.append(real_eigenframe(*args, **kw))
+        return frames[-1]
+
+    def counting_tables(self, *args, **kw):
+        tables.append(self)
+        real_tables(self, *args, **kw)
+
+    monkeypatch.setattr(H, "eigenframe", counting_eigenframe)
+    monkeypatch.setattr(H.asymptotics.AsymptoticTables, "__init__", counting_tables)
+    res = H.run_sweep(C.parse_config(BASE_CFG), str(tmp_path / "s"), override=True)
+    assert not res["partial"] and len(res["results"]) == 3
+    assert len(frames) == 1
+    assert len(tables) == 1
+
+
+def test_frame_state_is_declared():
+    # what the frame caches is a dataclass field or a cached property of
+    # EigenFrame, never an attribute attached from outside
+    scen = H.builtin_scenario("ww-ref-2level")
+    H.point_metrics(scen, 0.2, float(np.sqrt(0.2)), override=True)
+    frame = scen.frame()
+    A.kato_intertwiner(frame, 0.5)
+    declared = {f.name for f in dataclasses.fields(A.EigenFrame)} | {
+        name for name, member in vars(A.EigenFrame).items()
+        if isinstance(member, functools.cached_property)}
+    assert set(vars(frame)) <= declared
+    assert {"_asym_tables", "_berry", "_kato", "vectors_at"} <= set(vars(frame))
+
+
+def test_sweep_rereads_a_rewritten_atom_table(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_metrics(scen, eps, lam, **kw):
+        seen.append(float(scen.atom.matrix(0.5)[0, 0].real))
+        return {"eps": eps, "lam": lam, "E_lead": eps, "E_volt": eps, "E_eff": eps,
+                "p_down": 0.5, "p_down_pred": 0.5, "regime": "B"}
+
+    monkeypatch.setattr(H, "point_metrics", fake_metrics)
+    path = tmp_path / "atom.csv"
+    text = BASE_CFG.replace("atom.name = ww-ref-2level",
+                            f"atom.name = tabulated\natom.file = {path}")
+    for level in (1.0, 1.5):
+        # A(t) = diag(level, 3), v = (1, 1): columns t, 4 x (re, im), 2 x (re, im)
+        rows = [[t, level, 0, 0, 0, 0, 0, 3, 0, 1, 0, 1, 0] for t in np.linspace(0, 1, 5)]
+        np.savetxt(path, rows, delimiter=",", header="t," + ",".join(["c"] * 12),
+                   comments="")
+        H.run_sweep(C.parse_config(text), str(tmp_path / "s"), override=True)
+    assert seen == [1.0] * 3 + [1.5] * 3
 
 
 @pytest.mark.parametrize("value", ["0", "-0.05", "1.5", "nan"])
