@@ -13,7 +13,7 @@ from awwlab.harness import builtin_scenario
 
 scen = builtin_scenario("ww-ref-2level")
 frame = scen.frame()
-tables = asymptotics.tables_for(scen.atom, frame, scen.bath)
+tables = asymptotics.tables_for(frame, scen.bath)
 
 points = [
     ("strong", 0.01, 0.1),

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from . import bath as bath_mod
@@ -31,93 +30,66 @@ __all__ = [
 
 STRONG_RATIO = 10.0   # lam^2/eps where the strong regime begins: a convention
 DAVIES_RATIO = 0.1    # lam^2/eps where the davies regime begins: a convention
+RATE_POINTS = 201     # times at which AsymptoticTables samples beta_j and shift_j
 
 
 class AsymptoticTables:
-    """Cumulative per-level integrals of frequency, decay rate and shift.
+    """Per-level running integrals int_0^t of frequency, decay rate and shift.
 
-    Everything is precomputed once on a grid covering the frame interval
-    and spline-interpolated; repeated sup-norm comparisons then cost one
-    spline evaluation per sample.
+    int_alpha, int_beta and int_shift are splines in t, each the
+    antiderivative of a cubic spline: int_alpha of the frame's energies,
+    int_beta and int_shift of decay_and_shift at RATE_POINTS times, with the
+    couplings of frame.atom.
     """
 
-    def __init__(self, atom: AtomPath, frame: EigenFrame,
-                 bath: bath_mod.BathSpec, n_grid: int = 201):
-        t0, t1 = float(frame.times[0]), float(frame.times[-1])
-        ts = np.linspace(t0, t1, n_grid)
+    def __init__(self, frame: EigenFrame, bath: bath_mod.BathSpec):
+        ts = np.linspace(frame.times[0], frame.times[-1], RATE_POINTS)
         alpha = frame.energies_at(ts)
-        v = atom.couplings(ts)
+        v = frame.atom.couplings(ts)
         rates = np.array([[bath_mod.decay_and_shift(bath, v[k, j], float(alpha[k, j]))
-                           for j in range(atom.dim)] for k in range(n_grid)])
-        beta, shift = rates[..., 0], rates[..., 1]
-        self.atom, self.frame, self.bath = atom, frame, bath
-        self._cum_alpha = CubicSpline(
-            ts, cumulative_simpson(alpha, x=ts, axis=0, initial=0.0), axis=0)
-        self._cum_beta = CubicSpline(
-            ts, cumulative_simpson(beta, x=ts, axis=0, initial=0.0), axis=0)
-        self._cum_shift = CubicSpline(
-            ts, cumulative_simpson(shift, x=ts, axis=0, initial=0.0), axis=0)
-        self._alpha_spline = CubicSpline(ts, alpha, axis=0)
-
-    def int_alpha(self, t):
-        return self._cum_alpha(t)
-
-    def int_beta(self, t):
-        return self._cum_beta(t)
-
-    def int_shift(self, t):
-        return self._cum_shift(t)
-
-    def alpha_at(self, t):
-        return self._alpha_spline(t)
+                           for j in range(frame.dim)] for k in range(RATE_POINTS)])
+        self.frame, self.bath = frame, bath
+        self.int_alpha = frame.energies_at.antiderivative()
+        self.int_beta = CubicSpline(ts, rates[..., 0], axis=0).antiderivative()
+        self.int_shift = CubicSpline(ts, rates[..., 1], axis=0).antiderivative()
 
 
-def tables_for(atom: AtomPath, frame: EigenFrame,
-               bath: bath_mod.BathSpec) -> AsymptoticTables:
+def tables_for(frame: EigenFrame, bath: bath_mod.BathSpec) -> AsymptoticTables:
     """The AsymptoticTables of `bath`, kept in the frame's slot for them."""
     if frame._asym_tables is None or frame._asym_tables.bath is not bath:
-        frame._asym_tables = AsymptoticTables(atom, frame, bath)
+        frame._asym_tables = AsymptoticTables(frame, bath)
     return frame._asym_tables
 
 
 def leading_order_z(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
                     eps: float, lam: float, z0: np.ndarray, t,
                     tables: Optional[AsymptoticTables] = None) -> np.ndarray:
-    """Leading-order atomic amplitudes.
+    """Leading-order atomic amplitudes at a scalar t, or at every time of an array.
 
     Per level: dynamical phase with the Lamb-shift correction, exponential
     decay at rate beta_j/eps, and the geometric phase, all riding on the
-    instantaneous eigenvector.
+    instantaneous eigenvector. `atom` must be frame.atom.
     """
+    if atom is not frame.atom:
+        raise ValueError("atom is not frame.atom, the path the frame was built from")
     if tables is None:
-        tables = tables_for(atom, frame, bath)
-    z0 = np.asarray(z0, dtype=complex)
-    d = atom.dim
+        tables = tables_for(frame, bath)
+    t = np.asarray(t, dtype=float)
     v0 = frame.vectors_at(frame.times[0])
-    z0_levels = v0.conj().T @ z0
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty((len(t_arr), d), dtype=complex)
-    for k, tk in enumerate(t_arr):
-        phase = tables.int_alpha(tk) + lam**2 * tables.int_shift(tk)
-        decay = tables.int_beta(tk)
-        xi = np.array([berry_phase(frame, j, tk) for j in range(d)])
-        amps = (np.exp(-1j * phase / eps)
-                * np.exp(-(lam**2 / eps) * decay)
-                * np.exp(1j * xi) * z0_levels)
-        out[k] = frame.vectors_at(tk) @ amps
-    return out if np.ndim(t) > 0 else out[0]
+    z0_levels = v0.conj().T @ np.asarray(z0, dtype=complex)
+    phase = tables.int_alpha(t) + lam**2 * tables.int_shift(t)
+    decay = tables.int_beta(t)
+    xi = np.stack([berry_phase(frame, j, t) for j in range(frame.dim)], axis=-1)
+    amps = (np.exp(-1j * phase / eps)
+            * np.exp(-(lam**2 / eps) * decay)
+            * np.exp(1j * xi) * z0_levels)
+    return (frame.vectors_at(t) @ amps[..., None])[..., 0]
 
 
 def population_approx(frame: EigenFrame, bath: bath_mod.BathSpec, eps: float,
-                      lam: float, p0: float, j: int, t,
-                      atom: Optional[AtomPath] = None,
-                      tables: Optional[AsymptoticTables] = None):
+                      lam: float, p0: float, j: int, t):
     """p_j(t) = exp(-2 (lam^2/eps) int_0^t beta_j) p_j(0)."""
-    if tables is None:
-        if atom is None:
-            raise ValueError("need either tables or the atom path")
-        tables = tables_for(atom, frame, bath)
-    decay = np.asarray(tables.int_beta(t))[..., j]
+    decay = tables_for(frame, bath).int_beta(t)[..., j]
     return np.exp(-2.0 * (lam**2 / eps) * decay) * p0
 
 
@@ -148,7 +120,7 @@ def regime_classify(eps: float, lam: float,
         regime = "weak_a" if lam**2 / eps**2 >= 1.0 else "weak_b"
     p_down = None
     if tables is not None:
-        d = tables.atom.dim
+        d = tables.frame.dim
         if z0 is None:
             weights = np.zeros(d)
             weights[0] = 1.0

@@ -12,8 +12,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 from scipy.linalg import eigh, expm
 
 from . import bath as bath_mod
@@ -137,27 +136,26 @@ class EigenFrame:
         return CubicSpline(self.times, self.vectors, axis=0)
 
     @cached_property
-    def _berry(self) -> np.ndarray:
-        """(n, d) cumulative geometric phases xi_j(t_k) along the tracked gauge."""
-        v = self.vectors
-        h = self.step
-        dv = np.gradient(v, h, axis=0, edge_order=2)
-        # fourth-order central stencil in the interior; the second-order edge
-        # values enter the phase integral only with O(h) weight
-        dv[2:-2] = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
-        conn = np.einsum("kij,kij->kj", v.conj(), dv)  # <phi_j | dphi_j>
+    def _berry(self) -> PPoly:
+        """xi_j(t) = i int <phi_j, dphi_j> as a (d,)-valued spline in t, zero at times[0].
+
+        The antiderivative of the cubic spline through the connection at the
+        grid points, with dphi_j from the derivative of vectors_at.
+        """
+        conn = np.einsum("kij,kij->kj", self.vectors.conj(),
+                         self.vectors_at.derivative()(self.times))  # <phi_j | dphi_j>
         # <phi|dphi> is purely imaginary for a normalized path; the real residue
         # measures frame roughness.
         residue = np.max(np.abs(conn.real))
         if residue > 1e-4:
             raise FrameSmoothnessError(
                 f"Berry connection has real residue {residue:.1e}; refine the grid")
-        xi = cumulative_trapezoid(1j * conn, dx=h, axis=0, initial=0.0)
-        imag_residue = np.max(np.abs(xi.imag))
+        xi = CubicSpline(self.times, 1j * conn, axis=0).antiderivative()
+        imag_residue = np.max(np.abs(xi(self.times).imag))
         if imag_residue > 1e-8:
             raise FrameSmoothnessError(
                 f"Berry phase accumulated imaginary part {imag_residue:.1e}")
-        return xi.real
+        return xi
 
     @cached_property
     def _kato(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -233,9 +231,12 @@ def coupling_in_working_basis(atom: AtomPath, frame: EigenFrame, t) -> np.ndarra
     return (frame.vectors_at(t) @ atom.couplings(t)[..., None])[..., 0]
 
 
-def berry_phase(frame: EigenFrame, j: int, t: float) -> float:
-    """xi_j(t) = i int_0^t <phi_j(u), d/du phi_j(u)> du in the frame gauge."""
-    return float(np.interp(t, frame.times, frame._berry[:, j]))
+def berry_phase(frame: EigenFrame, j: int, t):
+    """xi_j(t) = i int_0^t <phi_j(u), d/du phi_j(u)> du in the frame gauge.
+
+    A scalar t gives a float, an array of times the array of phases.
+    """
+    return np.take(frame._berry(t).real, j, axis=-1)
 
 
 def kato_intertwiner(frame: EigenFrame, t: float, s: float = 0.0) -> np.ndarray:

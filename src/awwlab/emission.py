@@ -8,13 +8,11 @@ order-one decay (the line sweeps while depleting).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 from scipy.integrate import simpson
 
 from . import bath as bath_mod
-from .asymptotics import AsymptoticTables, tables_for
+from .asymptotics import tables_for
 from .atom import AtomPath, EigenFrame
 from .errors import WellCouplednessError
 from .exact import ModeGrid, Trajectory
@@ -47,26 +45,24 @@ def regime_A_limit(frame: EigenFrame, bath: bath_mod.BathSpec,
 
 
 def regime_B_limit(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
-                   obs: bath_mod.TestObservable, j: int, r: float, t: float,
-                   tables: Optional[AsymptoticTables] = None,
-                   n_grid: Optional[int] = None) -> float:
+                   obs: bath_mod.TestObservable, j: int, r: float, t: float) -> float:
     """Order-one-decay limit.
 
     sqrt(2 pi) r int_0^t |v_j(s)|^2 e^{-2 r int_0^s beta_j} ghat_B(alpha_j(s)) ds.
     The grid refines with r so the depleting exponential stays resolved.
+    `atom` must be frame.atom.
     """
+    if atom is not frame.atom:
+        raise ValueError("atom is not frame.atom, the path the frame was built from")
     if r <= 0.0:
         raise ValueError("r must be positive")
     if t == 0.0:
         return 0.0
-    if tables is None:
-        tables = tables_for(atom, frame, bath)
-    if n_grid is None:
-        n_grid = int(min(max(201, 40 * r), 40001)) | 1
+    n_grid = int(min(max(201, 40 * r), 40001)) | 1
     ss = np.linspace(0.0, t, n_grid)
-    alphas = np.asarray(tables.alpha_at(ss))[:, j]
+    alphas = frame.energies_at(ss)[:, j]
     v_j = atom.couplings(ss)[:, j]
-    decay = np.exp(-2.0 * r * np.asarray(tables.int_beta(ss))[:, j])
+    decay = np.exp(-2.0 * r * tables_for(frame, bath).int_beta(ss)[:, j])
     ghat_b = np.asarray(bath_mod.weighted_hat(bath, obs, alphas), dtype=float)
     integrand = np.abs(v_j) ** 2 * decay * ghat_b
     return float(np.sqrt(2.0 * np.pi) * r * simpson(integrand, x=ss))

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 ODE_METHOD = "DOP853"   # solve_ivp method of the exact oracle
+ODE_ATOL = 1e-12        # solve_ivp absolute tolerance of the exact oracle
 NORM_TOL = 1e-6         # largest allowed |norm^2 - 1| of the oracle's state
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def _coupling_spline(atom: AtomPath, frame: EigenFrame, t_end: float, n: int = 1
 def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
                     z0: np.ndarray, eps: float, lam: float,
                     t_end: float = 1.0, dt_out: float = 1.0 / 200,
-                    rtol: float = 1e-10, atol: float = 1e-12,
+                    rtol: float = 1e-10,
                     override_smallness: bool = False, record_source: bool = False,
                     bath: Optional[bath_mod.BathSpec] = None) -> Trajectory:
     """Integrate the coupled atom-mode amplitudes from f_0 = 0.
@@ -169,7 +170,7 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
 
     y0 = np.concatenate([z0, np.zeros(n_modes, dtype=complex)])
     sol = solve_ivp(rhs, (0.0, t_end), y0, method=ODE_METHOD, t_eval=t_all,
-                    rtol=rtol, atol=atol)
+                    rtol=rtol, atol=ODE_ATOL)
     if not sol.success:
         raise StiffnessError(f"integration failed: {sol.message}")
 
@@ -199,9 +200,7 @@ def populations(traj: Trajectory, frame: EigenFrame) -> tuple[np.ndarray, np.nda
     """Per-level instantaneous populations p_j(t) and de-excitation p_down(t)."""
     vt = frame.vectors_at(traj.times)            # (n, d, d)
     amps = np.einsum("kij,ki->kj", vt.conj(), traj.z)
-    p = np.abs(amps) ** 2
-    p_down = 1.0 - np.sum(np.abs(traj.z) ** 2, axis=1)
-    return p, p_down
+    return np.abs(amps) ** 2, de_excitation(traj)
 
 
 def de_excitation(traj: Trajectory) -> np.ndarray:

@@ -163,27 +163,31 @@ def _solve_all(scen: Scenario, eps: float, lam: float,
                                      scen.z0, t_end=scen.t_end)
     tr_eff = reduced.effective_solve(scen.atom, frame, scen.bath, eps, lam,
                                      scen.z0, t_end=scen.t_end, dt_out=dt_out)
-    tables = asymptotics.tables_for(scen.atom, frame, scen.bath)
     z_lead = asymptotics.leading_order_z(frame, scen.bath, scen.atom, eps, lam,
-                                         scen.z0, tr_exact.times, tables=tables)
+                                         scen.z0, tr_exact.times)
     tr_lead = exact.Trajectory(times=tr_exact.times, z=z_lead,
                                meta={"eps": eps, "lam": lam, "scheme": "leading"})
-    return frame, modes, tr_exact, tr_volt, tr_eff, tr_lead, tables
+    return frame, tr_exact, tr_volt, tr_eff, tr_lead
+
+
+def _errors(tr_exact, tr_volt, tr_eff, tr_lead) -> dict:
+    """Distance ||z - z_exact|| of each reduced description at every oracle time."""
+    ts = tr_exact.times
+    return {name: np.linalg.norm(z - tr_exact.z, axis=1)
+            for name, z in (("E_volt", tr_volt.z_at(ts)), ("E_eff", tr_eff.z_at(ts)),
+                            ("E_lead", tr_lead.z))}
 
 
 def point_metrics(scen: Scenario, eps: float, lam: float, **kw) -> dict:
     """Error metrics of one (eps, lambda) point against the exact oracle."""
-    frame, _, tr_exact, tr_volt, tr_eff, tr_lead, tables = \
-        _solve_all(scen, eps, lam, **kw)
-    ts = tr_exact.times
-    e_volt = float(np.max(np.linalg.norm(tr_volt.z_at(ts) - tr_exact.z, axis=1)))
-    e_eff = float(np.max(np.linalg.norm(tr_eff.z_at(ts) - tr_exact.z, axis=1)))
-    e_lead = float(np.max(np.linalg.norm(tr_lead.z - tr_exact.z, axis=1)))
-    p_down = float(exact.de_excitation(tr_exact)[-1])
-    report = asymptotics.regime_classify(eps, lam, tables=tables, z0=scen.z0,
-                                         t=scen.t_end)
-    return {"eps": eps, "lam": lam, "E_lead": e_lead, "E_volt": e_volt,
-            "E_eff": e_eff, "p_down": p_down,
+    frame, tr_exact, tr_volt, tr_eff, tr_lead = _solve_all(scen, eps, lam, **kw)
+    errors = {name: float(np.max(e))
+              for name, e in _errors(tr_exact, tr_volt, tr_eff, tr_lead).items()}
+    report = asymptotics.regime_classify(
+        eps, lam, tables=asymptotics.tables_for(frame, scen.bath), z0=scen.z0,
+        t=scen.t_end)
+    return {"eps": eps, "lam": lam, **errors,
+            "p_down": float(exact.de_excitation(tr_exact)[-1]),
             "p_down_pred": report.p_down, "regime": report.regime}
 
 
@@ -195,7 +199,7 @@ def _solver_kw(rc: RunConfig) -> dict:
 def run_simulate(cfg: dict, out_dir: str, override: bool = False) -> list:
     """One (eps, lambda) point; writes four trajectory CSVs plus a comparison."""
     rc = RunConfig.from_dict(cfg)
-    frame, _, tr_exact, tr_volt, tr_eff, tr_lead, _ = _solve_all(
+    frame, tr_exact, tr_volt, tr_eff, tr_lead = _solve_all(
         _scenario(rc), rc.sim_eps, np.sqrt(rc.sim_lambda2), override=override,
         **_solver_kw(rc))
 
@@ -207,15 +211,9 @@ def run_simulate(cfg: dict, out_dir: str, override: bool = False) -> list:
         write_trajectory_csv(path, traj, frame)
         written.append(path)
 
-    ts = tr_exact.times
-    z_volt, z_eff = tr_volt.z_at(ts), tr_eff.z_at(ts)
-    rows = [[t,
-             np.linalg.norm(z_volt[k] - tr_exact.z[k]),
-             np.linalg.norm(z_eff[k] - tr_exact.z[k]),
-             np.linalg.norm(tr_lead.z[k] - tr_exact.z[k])]
-            for k, t in enumerate(ts)]
+    errors = _errors(tr_exact, tr_volt, tr_eff, tr_lead)
     path = os.path.join(out_dir, "comparison.csv")
-    _write_csv(path, ["t", "E_volt", "E_eff", "E_lead"], rows)
+    _write_csv(path, ["t", *errors], zip(tr_exact.times, *errors.values()))
     written.append(path)
     return written
 
@@ -366,7 +364,7 @@ def run_regimes(cfg: dict, out_dir: str, override: bool = False) -> list:
     rc = RunConfig.from_dict(cfg)
     points = _sweep_points(rc)
     scen = _scenario(rc)
-    tables = asymptotics.tables_for(scen.atom, scen.frame(), scen.bath)
+    tables = asymptotics.tables_for(scen.frame(), scen.bath)
     rows = []
     out = []
     for eps, lam in points:

@@ -28,6 +28,9 @@ __all__ = [
     "effective_solve",
 ]
 
+TRANSFORM_GRID = 121   # times at which EffectiveGenerator tabulates the half-line transforms
+
+
 class PropagatorTable:
     """Free atomic propagator U_eps(t, 0) cached on a uniform grid.
 
@@ -138,10 +141,10 @@ class EffectiveGenerator:
     """
 
     def __init__(self, atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
-                 eps: float, lam: float, t_end: float = 1.0, n_grid: int = 121):
+                 eps: float, lam: float, t_end: float = 1.0):
         self.atom, self.frame, self.bath = atom, frame, bath
         self.eps, self.lam = eps, lam
-        ts = np.linspace(0.0, t_end, n_grid)
+        ts = np.linspace(0.0, t_end, TRANSFORM_GRID)
         alphas = frame.energies_at(ts)
         vals = np.array([[0.0 if t == 0.0 else
                           bath_mod.half_line_transform(bath, float(alpha), t / eps)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.integrate import simpson
+from scipy.interpolate import CubicSpline
 
 from . import bath as bath_mod
 from .atom import AtomPath, EigenFrame, magnus_propagate
@@ -25,6 +27,10 @@ __all__ = [
     "residue_integral",
     "adiabatic_evolution_diagnostic",
 ]
+
+CONTOUR_NODES = 64        # trapezoid nodes on a contour circle before any doubling
+CONTOUR_DOUBLINGS = 3     # node doublings riesz_projection tries for an idempotent
+DIAGNOSTIC_GRID = 401     # times on [s, t] of adiabatic_evolution_diagnostic
 
 
 @dataclass
@@ -98,8 +104,7 @@ def _contour(center: complex, radius: float, m: int):
     return center + radius * np.exp(1j * theta)
 
 
-def riesz_projection(g: np.ndarray, center: complex, radius: float,
-                     m: int = 64, max_doublings: int = 3) -> np.ndarray:
+def riesz_projection(g: np.ndarray, center: complex, radius: float) -> np.ndarray:
     """-(2 pi i)^{-1} of the resolvent (G - z)^{-1} around the circle.
 
     Trapezoid on the circle converges spectrally for the analytic resolvent;
@@ -110,7 +115,8 @@ def riesz_projection(g: np.ndarray, center: complex, radius: float,
     eigs = np.linalg.eigvals(g)
     if np.min(np.abs(np.abs(eigs - center) - radius)) < 1e-8:
         raise ContourError("an eigenvalue lies within 1e-8 of the contour circle")
-    for _ in range(max_doublings + 1):
+    m = CONTOUR_NODES
+    for _ in range(CONTOUR_DOUBLINGS + 1):
         zs = _contour(center, radius, m)
         acc = np.zeros((d, d), dtype=complex)
         for z in zs:
@@ -122,10 +128,9 @@ def riesz_projection(g: np.ndarray, center: complex, radius: float,
     raise ContourError("contour quadrature failed to produce an idempotent")
 
 
-def residue_integral(center: complex, radius: float, pole: complex,
-                     m: int = 64) -> complex:
+def residue_integral(center: complex, radius: float, pole: complex) -> complex:
     """-(2 pi i)^{-1} contour integral of z/(pole - z)^2 around the circle."""
-    zs = _contour(center, radius, m)
+    zs = _contour(center, radius, CONTOUR_NODES)
     vals = zs / (pole - zs) ** 2 * (zs - center)
     return -np.mean(vals)
 
@@ -138,7 +143,7 @@ def _perturbed_projection_table(gen: EffectiveGenerator, frame: EigenFrame,
 
 def adiabatic_evolution_diagnostic(atom: AtomPath, frame: EigenFrame,
                                    bath: bath_mod.BathSpec, eps: float, lam: float,
-                                   t: float, s: float = 0.0, n_grid: int = 401,
+                                   t: float, s: float = 0.0,
                                    gen: EffectiveGenerator = None) -> np.ndarray:
     """Factorized adiabatic evolution V(t, s) = W(t, s) Psi(t, s).
 
@@ -155,7 +160,7 @@ def adiabatic_evolution_diagnostic(atom: AtomPath, frame: EigenFrame,
     if t == s:
         return np.eye(d, dtype=complex)
 
-    ts = np.linspace(s, t, n_grid)
+    ts = np.linspace(s, t, DIAGNOSTIC_GRID)
     h = ts[1] - ts[0]
     p_tab = _perturbed_projection_table(gen, frame, ts)
     dp = np.gradient(p_tab, h, axis=0, edge_order=2)
@@ -169,7 +174,6 @@ def adiabatic_evolution_diagnostic(atom: AtomPath, frame: EigenFrame,
             f"projection derivative unstable under step halving ({mism:.2e})")
 
     k_tab = np.einsum("kjab,kjbc->kac", dp, p_tab)
-    from scipy.interpolate import CubicSpline
     k_spline = CubicSpline(ts, k_tab, axis=0)
 
     w = magnus_propagate(k_spline, ts)[-1]
@@ -180,7 +184,6 @@ def adiabatic_evolution_diagnostic(atom: AtomPath, frame: EigenFrame,
                       for v_j, alpha_j in zip(v_row, alpha_row)]
                      for u, v_row, alpha_row in zip(ts, atom.couplings(ts), alphas)])
     exponents = alphas + lam**2 * corr
-    from scipy.integrate import simpson
     phases = np.array([simpson(exponents[:, j], x=ts) for j in range(d)])
     psi = np.zeros((d, d), dtype=complex)
     for j in range(d):

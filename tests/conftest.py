@@ -22,7 +22,7 @@ def ref_frame(ref_scenario):
 
 @pytest.fixture(scope="session")
 def ref_tables(ref_scenario, ref_frame):
-    return asymptotics.tables_for(ref_scenario.atom, ref_frame, ref_scenario.bath)
+    return asymptotics.tables_for(ref_frame, ref_scenario.bath)
 
 
 @pytest.fixture(scope="session")

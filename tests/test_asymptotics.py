@@ -69,11 +69,10 @@ def test_population_approx_closed_form(ref_bath):
         coupling_func=lambda t: np.array([1.0, 1.0]),
     )
     frame = A.eigenframe(atom, np.linspace(0.0, 1.0, 201))
-    val = Y.population_approx(frame, ref_bath, 0.05, np.sqrt(0.05), 1.0, 0, 1.0,
-                              atom=atom)
+    val = Y.population_approx(frame, ref_bath, 0.05, np.sqrt(0.05), 1.0, 0, 1.0)
     assert val == pytest.approx(np.exp(-2.0 * np.pi * np.exp(-1.0)), abs=1e-8)
-    assert Y.population_approx(frame, ref_bath, 0.05, 0.0, 0.7, 0, 0.9,
-                               atom=atom) == pytest.approx(0.7)
+    assert Y.population_approx(frame, ref_bath, 0.05, 0.0, 0.7, 0,
+                               0.9) == pytest.approx(0.7)
 
 
 def test_regime_classification_thresholds():
