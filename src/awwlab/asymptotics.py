@@ -68,12 +68,15 @@ def leading_order_z(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
 
     Per level: dynamical phase with the Lamb-shift correction, exponential
     decay at rate beta_j/eps, and the geometric phase, all riding on the
-    instantaneous eigenvector. `atom` must be frame.atom.
+    instantaneous eigenvector. `atom` must be frame.atom, and `tables`, when
+    given, must have been built for this frame and bath.
     """
     if atom is not frame.atom:
         raise ValueError("atom is not frame.atom, the path the frame was built from")
     if tables is None:
         tables = tables_for(frame, bath)
+    elif tables.frame is not frame or tables.bath is not bath:
+        raise ValueError("tables were built for another frame or bath")
     t = np.asarray(t, dtype=float)
     v0 = frame.vectors_at(frame.times[0])
     z0_levels = v0.conj().T @ np.asarray(z0, dtype=complex)

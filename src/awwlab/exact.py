@@ -9,13 +9,14 @@ terms instead of as stiff diagonal frequencies.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 from scipy.interpolate import CubicSpline
+from scipy.special import roots_legendre
 
 from . import bath as bath_mod
 from .atom import AtomPath, EigenFrame, coupling_in_working_basis, validate_coupling
@@ -32,8 +33,7 @@ __all__ = [
     "field_amplitude_closed_form",
 ]
 
-ODE_METHOD = "DOP853"   # solve_ivp method of the exact oracle
-ODE_ATOL = 1e-12        # solve_ivp absolute tolerance of the exact oracle
+ODE_ATOL = 1e-12        # absolute tolerance of the exact oracle's DOP853 stepper
 NORM_TOL = 1e-6         # largest allowed |norm^2 - 1| of the oracle's state
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def discretize_bath(bath: bath_mod.BathSpec, eps: float, tol_corr: float = 1e-4,
     xs = np.linspace(0.0, horizon, 400)
     gamma_ref = bath_mod.correlation(bath, xs)
     for _ in range(max_doublings + 1):
-        nodes, wts = leggauss(n)
+        nodes, wts = roots_legendre(n)
         omegas = 0.5 * cutoff * (nodes + 1.0)
         weights = 0.5 * cutoff * wts
         g2 = weights * bath.rho(omegas)
@@ -157,42 +157,52 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
 
     n_out = int(round(t_end / dt_out)) + 1
     t_eval = np.linspace(0.0, t_end, n_out)
+    y_out = np.empty((n_out, d + n_modes), dtype=complex)
+    # (times, buffer, state columns) read from each step's dense output: the
+    # full state on the output grid, only z on the source grid, so nothing of
+    # size N x n_src is ever held
+    samples = [(t_eval, y_out, slice(None))]
     if record_source:
         # phase per source step <= 0.1 rad so the closed-form reconstruction
         # can integrate the mode phases by trapezoid
         dt_src = 0.1 * eps / max(float(omegas[-1]), 1.0)
         n_src = int(np.ceil(t_end / dt_src)) + 1
         t_src = np.linspace(0.0, t_end, n_src)
-        t_all = np.union1d(t_eval, t_src)
-    else:
-        t_src = None
-        t_all = t_eval
+        z_src = np.empty((n_src, d), dtype=complex)
+        samples.append((t_src, z_src, slice(0, d)))
+    filled = [0] * len(samples)
 
     y0 = np.concatenate([z0, np.zeros(n_modes, dtype=complex)])
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method=ODE_METHOD, t_eval=t_all,
-                    rtol=rtol, atol=ODE_ATOL)
-    if not sol.success:
-        raise StiffnessError(f"integration failed: {sol.message}")
+    solver = DOP853(rhs, 0.0, y0, t_end, rtol=rtol, atol=ODE_ATOL)
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise StiffnessError(f"integration failed: {message}")
+        # the interpolant costs three right-hand sides: build it only for a
+        # step that holds a sampled time
+        dense = None
+        for k, (ts, buf, cols) in enumerate(samples):
+            stop = int(np.searchsorted(ts, solver.t, side="right"))
+            if stop > filled[k]:
+                if dense is None:
+                    dense = solver.dense_output()
+                buf[filled[k]:stop] = dense(ts[filled[k]:stop]).T[:, cols]
+                filled[k] = stop
 
-    idx = np.searchsorted(t_all, t_eval)
-    z_out = sol.y[:d, idx].T
-    f_out = (np.exp(-1j * np.outer(t_eval, omegas) * inv_eps) * sol.y[d:, idx].T)
-    defect = np.abs(np.sum(np.abs(sol.y[:, idx]) ** 2, axis=0) - 1.0)
+    f_out = np.exp(-1j * np.outer(t_eval, omegas) * inv_eps) * y_out[:, d:]
+    defect = np.abs(np.sum(np.abs(y_out) ** 2, axis=1) - 1.0)
     if np.max(defect) > NORM_TOL:
         raise IntegratorError(
             f"norm defect {np.max(defect):.2e} exceeds {NORM_TOL:.0e}")
 
     traj = Trajectory(
-        times=t_eval, z=z_out, field=f_out, norm_defect=defect,
-        meta={"eps": eps, "lam": lam, "modes": n_modes, "method": ODE_METHOD,
-              "nfev": sol.nfev},
+        times=t_eval, z=y_out[:, :d].copy(), field=f_out, norm_defect=defect,
+        meta={"eps": eps, "lam": lam, "modes": n_modes, "method": "DOP853",
+              "nfev": solver.nfev},
     )
     if record_source:
-        jdx = np.searchsorted(t_all, t_src)
-        z_src = sol.y[:d, jdx].T
-        u_src = u_spline(t_src)
         traj.source_times = t_src
-        traj.source_vals = np.einsum("kj,kj->k", u_src.conj(), z_src)
+        traj.source_vals = np.einsum("kj,kj->k", u_spline(t_src).conj(), z_src)
     return traj
 
 
@@ -211,18 +221,37 @@ def field_amplitude_closed_form(traj: Trajectory, modes: ModeGrid,
                                 eps: float, lam: float, t: float) -> np.ndarray:
     """f_t from the quadrature of the source history.
 
-    f_t(w_i) = -i (lam/eps) g_i int_0^t <u(s), z(s)> e^{-i (t-s) w_i / eps} ds.
+    f_t(w_i) = -i (lam/eps) g_i int_0^t <u(s), z(s)> e^{-i (t-s) w_i / eps} ds,
+    by the trapezoid rule over the source times s_k <= t. t must lie in
+    [0, source_times[-1]], and the source grid must be uniform, of step h:
+    the sum runs over blocks of b = floor(sqrt(n)) source times, and within
+    the block that starts at s_m, e^{i w s_k/eps} = e^{i w s_m/eps}
+    e^{i w (k-m) h/eps}, so one (N, b) phase matrix serves every block. That
+    takes N (b + n/b) exponentials and O(N b) memory, not N n of each.
     """
     if traj.source_times is None:
         raise ResolutionError(
             "trajectory has no recorded source history; rerun with record_source=True")
-    ts, src = traj.source_times, traj.source_vals
-    mask = ts <= t + 1e-12
-    ts, src = ts[mask], src[mask]
-    if len(ts) > 1:
-        step = ts[1] - ts[0]
-        if float(modes.omegas[-1]) * step / eps > 0.5:
-            raise ResolutionError("source history too coarse for the mode phases")
-    phase = np.exp(-1j * np.outer(modes.omegas, (t - ts)) / eps)   # (N, n)
-    integral = np.trapezoid(phase * src[None, :], ts, axis=1)
+    ts = traj.source_times
+    if not 0.0 <= t <= ts[-1]:
+        raise ValueError(f"t = {t} lies outside the source history [0, {ts[-1]}]")
+    step = (ts[-1] - ts[0]) / max(len(ts) - 1, 1)
+    if np.max(np.abs(ts - (ts[0] + step * np.arange(len(ts))))) > 1e-9 * step:
+        raise ResolutionError("source history is not on a uniform grid")
+    if float(modes.omegas[-1]) * step / eps > 0.5:
+        raise ResolutionError("source history too coarse for the mode phases")
+    n = int(np.searchsorted(ts, t + 1e-12, side="right"))
+    ts = ts[:n]
+    half = 0.5 * np.diff(ts)
+    weights = np.zeros(n)
+    weights[1:] += half
+    weights[:-1] += half
+    terms = weights * traj.source_vals[:n]
+    b = math.isqrt(n)
+    rate = modes.omegas / eps
+    base = np.exp(1j * np.outer(rate, step * np.arange(b)))      # (N, b)
+    integral = np.zeros(modes.size, dtype=complex)
+    for m in range(0, n, b):
+        block = terms[m:m + b]
+        integral += np.exp(-1j * rate * (t - ts[m])) * (base[:, :len(block)] @ block)
     return -1j * (lam / eps) * modes.couplings * integral

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,19 @@ def test_leading_order_norm_nonincreasing(ref_scenario, ref_frame, ref_tables):
                           tables=ref_tables)
     norms = np.linalg.norm(z, axis=1)
     assert np.all(np.diff(norms) <= 1e-12)
+
+
+def test_leading_order_rejects_tables_of_another_frame_or_bath(ref_scenario, ref_frame,
+                                                              ref_tables):
+    eps, lam = 0.05, np.sqrt(0.05)
+    atom, bath = ref_scenario.atom, ref_scenario.bath
+    second = A.eigenframe(atom, np.linspace(0.0, 1.0, 201))
+    with pytest.raises(ValueError, match="another frame or bath"):
+        Y.leading_order_z(ref_frame, bath, atom, eps, lam, ref_scenario.z0, 0.5,
+                          tables=Y.AsymptoticTables(second, bath))
+    with pytest.raises(ValueError, match="another frame or bath"):
+        Y.leading_order_z(ref_frame, dataclasses.replace(bath), atom, eps, lam,
+                          ref_scenario.z0, 0.5, tables=ref_tables)
 
 
 def test_leading_order_gauge_invariant_populations(ref_scenario, ref_bath):

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,3 +86,67 @@ def test_davies_population_cross_check(exact_runner, ref_frame, ref_bath):
         traj, _ = exact_runner(eps, float(np.sqrt(eps)))
         p, _ = X.populations(traj, ref_frame)
         assert abs(p[-1, 0] - pred) < c_max * eps
+
+
+def _traced_peak(fn, *args, **kw):
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kw)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_photon_buildup_memory_is_bounded(ref_scenario, ref_frame):
+    # neither the oracle nor the reconstruction may hold anything of the size
+    # N x n_src: the peak stays below a quarter of one such complex array
+    eps, lam = 0.05, float(np.sqrt(0.05))
+    modes = X.discretize_bath(ref_scenario.bath, eps)
+    traj, peak_run = _traced_peak(
+        X.propagate_exact, ref_scenario.atom, ref_frame, modes, ref_scenario.z0,
+        eps, lam, bath=ref_scenario.bath, override_smallness=True, record_source=True)
+    _, peak_field = _traced_peak(X.field_amplitude_closed_form, traj, modes, eps, lam, 1.0)
+    quarter = modes.size * len(traj.source_times) * 16 / 4
+    assert peak_run < quarter
+    assert peak_field < quarter
+
+
+def test_blocked_reconstruction_matches_dense_trapezoid(exact_runner):
+    eps, lam = 0.05, float(np.sqrt(0.05))
+    traj, modes = exact_runner(eps, lam, record_source=True)
+    for t in (0.0, 0.37, 0.5, 1.0):
+        keep = traj.source_times <= t + 1e-12
+        ts, src = traj.source_times[keep], traj.source_vals[keep]
+        phase = np.exp(-1j * np.outer(modes.omegas, t - ts) / eps)
+        dense = (-1j * (lam / eps) * modes.couplings
+                 * np.trapezoid(phase * src[None, :], ts, axis=1))
+        blocked = X.field_amplitude_closed_form(traj, modes, eps, lam, t)
+        assert np.max(np.abs(blocked - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_recording_the_source_leaves_the_run_unchanged(exact_runner):
+    eps, lam = 0.05, float(np.sqrt(0.05))
+    plain, _ = exact_runner(eps, lam)
+    recorded, _ = exact_runner(eps, lam, record_source=True)
+    for name in ("times", "z", "field", "norm_defect"):
+        assert np.array_equal(getattr(recorded, name), getattr(plain, name)), name
+    assert plain.source_times is None and plain.source_vals is None
+    # same steps: the recorded run only builds the dense interpolant (three
+    # more right-hand sides) on steps that hold a source time but no output time
+    extra = recorded.meta["nfev"] - plain.meta["nfev"]
+    assert extra >= 0 and extra % 3 == 0
+
+
+def test_field_reconstruction_checks_its_contract(exact_runner):
+    eps, lam = 0.05, float(np.sqrt(0.05))
+    traj, modes = exact_runner(eps, lam, record_source=True)
+    for t in (-1.0, 2.0):
+        with pytest.raises(ValueError):
+            X.field_amplitude_closed_form(traj, modes, eps, lam, t)
+    warped = dataclasses.replace(traj, source_times=traj.source_times ** 1.01)
+    with pytest.raises(ResolutionError, match="uniform"):
+        X.field_amplitude_closed_form(warped, modes, eps, lam, 0.5)
+    coarse = dataclasses.replace(traj, source_times=traj.source_times[::8],
+                                 source_vals=traj.source_vals[::8])
+    with pytest.raises(ResolutionError, match="too coarse"):
+        X.field_amplitude_closed_form(coarse, modes, eps, lam, 0.5)

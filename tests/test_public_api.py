@@ -32,7 +32,7 @@ def test_every_public_function_is_referenced_outside_its_module():
 
 
 def test_runtime_dependencies_are_numpy_and_scipy_at_their_floors():
-    # numpy 2.0 first ships np.trapezoid (exact.py, bath.py), and scipy 1.13
+    # numpy 2.0 first ships np.trapezoid (bath.py), and scipy 1.13
     # is the first scipy release whose wheels accept numpy 2.
     text = (ROOT / "pyproject.toml").read_text()
     block = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
