@@ -46,12 +46,12 @@ class AsymptoticTables:
         ts = np.linspace(frame.times[0], frame.times[-1], RATE_POINTS)
         alpha = frame.energies_at(ts)
         v = frame.atom.couplings(ts)
-        rates = np.array([[bath_mod.decay_and_shift(bath, v[k, j], float(alpha[k, j]))
-                           for j in range(frame.dim)] for k in range(RATE_POINTS)])
+        rates = np.array([bath_mod.decay_and_shift(bath, v_row, alpha_row)
+                          for v_row, alpha_row in zip(v, alpha)])   # (time, beta|shift, level)
         self.frame, self.bath = frame, bath
         self.int_alpha = frame.energies_at.antiderivative()
-        self.int_beta = CubicSpline(ts, rates[..., 0], axis=0).antiderivative()
-        self.int_shift = CubicSpline(ts, rates[..., 1], axis=0).antiderivative()
+        self.int_beta = CubicSpline(ts, rates[:, 0], axis=0).antiderivative()
+        self.int_shift = CubicSpline(ts, rates[:, 1], axis=0).antiderivative()
 
 
 def tables_for(frame: EigenFrame, bath: bath_mod.BathSpec) -> AsymptoticTables:
@@ -148,15 +148,11 @@ def semigroup_time_independent(a: np.ndarray, v: np.ndarray,
     z0 = np.asarray(z0, dtype=complex)
     energies, vecs = np.linalg.eigh(a)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    corr = np.empty(len(energies), dtype=complex)
-    for j, al in enumerate(energies):
-        v_j = np.vdot(vecs[:, j], v)
-        beta_j, shift_j = bath_mod.decay_and_shift(bath, v_j, float(al))
-        if beta_j <= 0.0:
-            raise WellCouplednessError(
-                f"level frequency {al:.3f} outside the bath support")
-        corr[j] = shift_j - 1j * beta_j
+    beta, shift = bath_mod.decay_and_shift(bath, vecs.conj().T @ v, energies)
+    if np.any(beta <= 0.0):
+        raise WellCouplednessError(
+            f"level frequency {energies[beta <= 0.0][0]:.3f} outside the bath support")
     comps = vecs.conj().T @ z0
-    phases = np.exp(-1j * np.outer(t_arr, energies + lam**2 * corr))
+    phases = np.exp(-1j * np.outer(t_arr, energies + lam**2 * (shift - 1j * beta)))
     out = np.einsum("kj,ij->ki", phases * comps[None, :], vecs)
     return out if np.ndim(t) > 0 else out[0]

@@ -151,11 +151,14 @@ def bath_from_name(name: str) -> BathSpec:
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
+_LEVELS = (..., None, None)   # indexes level axes against _panel_quad's (panel, node) axes
 
 
 def _panel_quad(f, a, b, rate):
     """Composite 16-point Gauss-Legendre with panel width <= pi/(4*rate).
 
+    ``f`` takes the nodes shaped ``(n_panels, 16)`` and returns values of
+    shape ``(..., n_panels, 16)``; the sums run over the last two axes.
     Returns ``(value, resabs)`` where ``resabs = sum |half * w * f|`` is the
     quadrature of ``|f|`` on the same nodes, the scale of the roundoff in
     ``value``.
@@ -165,11 +168,9 @@ def _panel_quad(f, a, b, rate):
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
-    # nodes shaped (n_panels, 16)
     x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = f(x.ravel()).reshape(n_panels, -1)
-    terms = half[:, None] * _GL_WEIGHTS[None, :] * vals
-    return np.sum(terms), np.sum(np.abs(terms))
+    terms = half[:, None] * _GL_WEIGHTS[None, :] * f(x)
+    return np.sum(terms, axis=(-2, -1)), np.sum(np.abs(terms), axis=(-2, -1))
 
 
 def _osc_quad(f, a, b, rate, tol=1e-9):
@@ -192,15 +193,19 @@ def _osc_quad(f, a, b, rate, tol=1e-9):
     ``tol`` and ``QuadratureError.achieved`` cover the discretisation and
     roundoff error on ``[a, b]`` only; the truncation of an integral at
     ``b`` is not part of the estimate. A value or estimate that is not
-    finite (an integrand that yields NaN or inf) raises as well.
+    finite (an integrand that yields NaN or inf) raises as well. Every
+    element of an array-valued integral is checked; the error reports the
+    worst failing one.
     """
     coarse, _ = _panel_quad(f, a, b, abs(rate) / 8.0)
     fine, resabs = _panel_quad(f, a, b, max(abs(rate), 2.0) / 4.0)
-    err = max(abs(fine - coarse), 50.0 * np.finfo(float).eps * resabs)
-    if not (np.isfinite(fine) and err <= tol):
+    err = np.maximum(np.abs(fine - coarse), 50.0 * np.finfo(float).eps * resabs)
+    failed = ~(np.isfinite(fine) & (err <= tol))
+    if np.any(failed):
+        worst = float(np.max(err[failed]))
         raise QuadratureError(
-            f"oscillatory quadrature did not converge (error {err:.2e} > {tol:.0e})",
-            achieved=err,
+            f"oscillatory quadrature did not converge (error {worst:.2e} > {tol:.0e})",
+            achieved=worst,
         )
     return fine
 
@@ -235,36 +240,40 @@ def fourier_hat(bath: BathSpec, alpha):
     return out[()] if out.ndim == 0 else out
 
 
-def _principal_value_hilbert(bath: BathSpec, alpha: float) -> float:
-    """PV int_0^cutoff rho(omega)/(alpha - omega) domega."""
+def _principal_value_hilbert(bath: BathSpec, alpha):
+    """PV int_0^cutoff rho(omega)/(alpha - omega) domega, elementwise in alpha.
+
+    Inside the support rho(alpha) is subtracted from the integrand and its
+    integral added back as a logarithm; outside, the subtracted value is 0
+    and the integrand is regular as it stands.
+    """
     hi = bath.quad_cutoff
     rho = bath.rho
-    if not (0.0 < alpha < hi):
-        # no singularity inside the support
-        return float(_panel_quad(lambda w: rho(w) / (alpha - w), 0.0, hi, rate=4.0)[0])
-    rho_a = float(rho(alpha))
+    alpha = np.asarray(alpha, dtype=float)
+    inside = (alpha > 0.0) & (alpha < hi)
+    a_in = np.where(inside, alpha, 0.5 * hi)    # a stand-in that keeps the log finite
+    rho_a = np.where(inside, rho(alpha), 0.0)
     h = 1e-6
-    drho_a = float(rho(alpha + h) - rho(alpha - h)) / (2.0 * h)
+    drho_a = (rho(alpha + h) - rho(alpha - h)) / (2.0 * h)
 
     def regular(w):
-        diff = alpha - w
-        out = np.empty_like(w)
+        diff = alpha[_LEVELS] - w
         near = np.abs(diff) < 1e-9
-        out[~near] = (rho(w[~near]) - rho_a) / diff[~near]
-        out[near] = -drho_a
-        return out
+        return np.where(near, -drho_a[_LEVELS],
+                        (rho(w) - rho_a[_LEVELS]) / np.where(near, 1.0, diff))
 
     smooth = _panel_quad(regular, 0.0, hi, rate=8.0)[0]
-    logarithmic = rho_a * np.log(alpha / (hi - alpha))
-    return float(smooth + logarithmic)
+    return smooth + rho_a * np.log(a_in / (hi - a_in))
 
 
-def half_line_transform(bath: BathSpec, alpha: float, T: float, tol=1e-8):
-    """int_0^T exp(i x alpha) gamma(x) dx.
+def half_line_transform(bath: BathSpec, alpha, T: float, tol=1e-8):
+    """int_0^T exp(i x alpha) gamma(x) dx, elementwise in alpha.
 
     Finite T is computed in the frequency domain against the kernel
     (exp(iT(alpha-omega)) - 1)/(i(alpha-omega)); T = inf uses the boundary
     value pi*rho(alpha) + i * PV int rho(omega)/(alpha-omega) domega.
+    ``alpha`` may be an array of level frequencies; ``T`` is one scalar,
+    and a scalar ``alpha`` gives a scalar.
 
     For finite T the tolerance is ``tol * max(T, 1)``; it and
     ``QuadratureError.achieved`` bound the discretisation and roundoff error
@@ -272,39 +281,34 @@ def half_line_transform(bath: BathSpec, alpha: float, T: float, tol=1e-8):
     included; it is governed by the ``BathSpec.quad_cutoff`` contract (tail
     mass < 1e-8).
     """
-    alpha = float(alpha)
-    if np.isinf(T):
-        re = np.pi * float(bath.rho(alpha)) if alpha >= 0 else 0.0
-        im = _principal_value_hilbert(bath, alpha)
-        return complex(re, im)
+    alpha = np.asarray(alpha, dtype=float)
     T = float(T)
+    if np.isinf(T):
+        return (np.pi * bath.rho(alpha) + 1j * _principal_value_hilbert(bath, alpha))[()]
     if T < 0:
         raise ValueError("T must be >= 0 or inf")
     if T == 0.0:
-        return 0.0 + 0.0j
+        return np.zeros(alpha.shape, dtype=complex)[()]
 
     def integrand(w):
-        delta = alpha - w
+        delta = alpha[_LEVELS] - w
         small = np.abs(delta) < 1e-12
         d = np.where(small, 1.0, delta)
         kern = np.where(small, T, (np.exp(1j * T * d) - 1.0) / (1j * d))
         return bath.rho(w) * kern
 
-    return complex(_osc_quad(integrand, 0.0, bath.quad_cutoff, rate=T, tol=tol * max(T, 1.0)))
+    return _osc_quad(integrand, 0.0, bath.quad_cutoff, rate=T, tol=tol * max(T, 1.0))[()]
 
 
-def decay_and_shift(bath: BathSpec, v_j: complex, alpha_j: float):
-    """Golden-rule decay rate and level shift for coupling v_j at frequency alpha_j.
+def decay_and_shift(bath: BathSpec, v, alpha):
+    """Golden-rule decay rate and level shift for coupling v at frequency alpha.
 
-    beta = sqrt(pi/2) |v_j|^2 ghat(alpha_j),
-    shift = sqrt(2 pi) |v_j|^2 Im (chi_+ gamma)^hat (alpha_j).
+    |v|^2 half_line_transform(bath, alpha, inf) = beta + i shift, so
+    beta = pi |v|^2 rho(alpha) and shift = |v|^2 PV int rho(omega)/(alpha-omega).
+    Elementwise over arrays of levels; returns the pair (beta, shift).
     """
-    a2 = abs(v_j) ** 2
-    if a2 == 0.0:
-        return 0.0, 0.0
-    beta = np.sqrt(np.pi / 2.0) * a2 * float(fourier_hat(bath, alpha_j))
-    shift = a2 * _principal_value_hilbert(bath, float(alpha_j))
-    return float(beta), float(shift)
+    val = np.abs(v) ** 2 * half_line_transform(bath, alpha, np.inf)
+    return val.real, val.imag
 
 
 def weighted_correlation(bath: BathSpec, obs: TestObservable, t, tol=1e-9):

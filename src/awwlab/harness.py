@@ -291,7 +291,9 @@ def run_sweep(cfg: dict, out_dir: str, override: bool = False,
     kw = {"override": override, **_solver_kw(rc)}
 
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads, initializer=_start_pool_worker,
+        # the pool forks every worker up front, and each builds a Scenario
+        with ProcessPoolExecutor(max_workers=min(threads, len(points)),
+                                 initializer=_start_pool_worker,
                                  initargs=(rc, kw)) as pool:
             results = list(pool.map(_pool_point, points))
     else:

@@ -135,9 +135,10 @@ class EffectiveGenerator:
     """t -> G_{eps,lam}(t) = A(t) - i lam^2 |u(t)><u(t)| Gamma_eps(t).
 
     Gamma_eps(t) = sum_j I(t/eps, alpha_j(t)) P_j(t) where I is the finite
-    half-line transform of the bath correlation. The transforms are
-    precomputed per level on a grid and spline-interpolated; everything
-    else is evaluated spectrally at call time.
+    half-line transform of the bath correlation. `transforms` is the cubic
+    spline of the d values I(t/eps, alpha_j(t)) through TRANSFORM_GRID times
+    of [0, t_end], one transform call per time; everything else is
+    evaluated spectrally at call time.
     """
 
     def __init__(self, atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
@@ -145,12 +146,9 @@ class EffectiveGenerator:
         self.atom, self.frame, self.bath = atom, frame, bath
         self.eps, self.lam = eps, lam
         ts = np.linspace(0.0, t_end, TRANSFORM_GRID)
-        alphas = frame.energies_at(ts)
-        vals = np.array([[0.0 if t == 0.0 else
-                          bath_mod.half_line_transform(bath, float(alpha), t / eps)
-                          for alpha in row] for t, row in zip(ts, alphas)], dtype=complex)
-        self._transforms = CubicSpline(ts, vals, axis=0)
-        self.gamma_l1 = bath_mod.correlation_l1_norm(bath)
+        vals = [bath_mod.half_line_transform(bath, alphas, t / eps)
+                for t, alphas in zip(ts, frame.energies_at(ts))]
+        self.transforms = CubicSpline(ts, vals, axis=0)
 
     def gamma_op(self, t) -> np.ndarray:
         """Gamma_eps(t); norm bounded by the L1 norm of the correlation.
@@ -158,7 +156,7 @@ class EffectiveGenerator:
         A scalar t gives a (d, d) matrix, an array of times the (..., d, d) stack.
         """
         vecs = self.frame.vectors_at(t)
-        i_vals = self._transforms(t)
+        i_vals = self.transforms(t)
         return (vecs * i_vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
     def __call__(self, t) -> np.ndarray:
@@ -175,13 +173,11 @@ def effective_generator(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSp
                         eps: float, lam: float, t: float) -> np.ndarray:
     """Single evaluation of G_{eps,lam}(t) without grid caching."""
     a = atom.matrix(t)
-    if lam == 0.0 or t == 0.0:
+    if lam == 0.0:
         return a
     u = coupling_in_working_basis(atom, frame, t)
-    alphas = frame.energies_at(t)
     vecs = frame.vectors_at(t)
-    i_vals = np.array([bath_mod.half_line_transform(bath, float(al), t / eps)
-                       for al in alphas])
+    i_vals = bath_mod.half_line_transform(bath, frame.energies_at(t), t / eps)
     gamma_op = (vecs * i_vals[None, :]) @ vecs.conj().T
     return a - 1j * lam**2 * np.outer(u, u.conj() @ gamma_op)
 

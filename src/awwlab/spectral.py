@@ -86,17 +86,14 @@ def perturbed_spectrum(g: np.ndarray, energies: np.ndarray,
                              right=vr, left=vl)
 
 
-def first_order_correction(bath: bath_mod.BathSpec, v_j: complex, alpha_j: float,
-                           eps: float, t: float) -> complex:
+def first_order_correction(bath: bath_mod.BathSpec, v_j, alpha_j, eps: float, t: float):
     """Second-order level correction -i|v_j|^2 int_0^{t/eps} e^{ix alpha} gamma(x) dx.
 
-    Pass t=inf for the limiting value shift - i*decay (the Lamb shift and
-    decay rate of the level).
+    Elementwise over arrays of levels (v_j, alpha_j) at one time t. Pass
+    t=inf for the limiting value shift - i*decay (the Lamb shift and decay
+    rate of the level).
     """
-    if t == 0.0:
-        return 0.0 + 0.0j
-    horizon = np.inf if np.isinf(t) else t / eps
-    return -1j * abs(v_j) ** 2 * bath_mod.half_line_transform(bath, alpha_j, horizon)
+    return -1j * np.abs(v_j) ** 2 * bath_mod.half_line_transform(bath, alpha_j, t / eps)
 
 
 def _contour(center: complex, radius: float, m: int):
@@ -149,16 +146,24 @@ def adiabatic_evolution_diagnostic(atom: AtomPath, frame: EigenFrame,
 
     W transports the perturbed projections (generator sum_j dP_j P_j, with
     dP_j from centered differences checked under step halving); Psi carries
-    the dynamical phases with the second-order level corrections. Used as a
-    diagnostic against the stepped effective propagator.
+    the dynamical phases with the second-order level corrections
+    -i|v_j|^2 I_j, read from the transform table of `gen`. A supplied `gen`
+    must have been built for this frame, bath, eps and lam, on a table that
+    covers [s, t]. Used as a diagnostic against the stepped effective
+    propagator.
     """
     if s > t:
         raise ValueError("require s <= t")
     if gen is None:
         gen = EffectiveGenerator(atom, frame, bath, eps, lam, t_end=max(t, 1e-9))
-    d = atom.dim
+    elif gen.frame is not frame or gen.bath is not bath or (gen.eps, gen.lam) != (eps, lam):
+        raise ValueError("gen was built for another frame, bath, eps or lam")
+    table = gen.transforms
+    if s < table.x[0] or t > table.x[-1]:
+        raise ValueError(f"gen's transform table covers [{table.x[0]:g}, {table.x[-1]:g}], "
+                         f"not [{s:g}, {t:g}]")
     if t == s:
-        return np.eye(d, dtype=complex)
+        return np.eye(atom.dim, dtype=complex)
 
     ts = np.linspace(s, t, DIAGNOSTIC_GRID)
     h = ts[1] - ts[0]
@@ -178,14 +183,7 @@ def adiabatic_evolution_diagnostic(atom: AtomPath, frame: EigenFrame,
 
     w = magnus_propagate(k_spline, ts)[-1]
 
-    # dynamical phases: cumulative Simpson of alpha_j + lam^2 alpha'_j
-    alphas = frame.energies_at(ts)
-    corr = np.array([[first_order_correction(bath, v_j, float(alpha_j), eps, u)
-                      for v_j, alpha_j in zip(v_row, alpha_row)]
-                     for u, v_row, alpha_row in zip(ts, atom.couplings(ts), alphas)])
-    exponents = alphas + lam**2 * corr
-    phases = np.array([simpson(exponents[:, j], x=ts) for j in range(d)])
-    psi = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        psi += np.exp(-1j * phases[j] / eps) * p_tab[0, j]
-    return w @ psi
+    # dynamical phases: Simpson of alpha_j + lam^2 alpha'_j over [s, t]
+    corr = -1j * np.abs(atom.couplings(ts)) ** 2 * table(ts)
+    phases = simpson(frame.energies_at(ts) + lam**2 * corr, x=ts, axis=0)
+    return w @ np.einsum("j,jab->ab", np.exp(-1j * phases / eps), p_tab[0])

@@ -201,3 +201,59 @@ def test_quadrature_rejects_nan_density(ref_bath):
     )
     with pytest.raises(QuadratureError):
         B.correlation(nan_bath, 1.0)
+
+
+# levels below, at and inside the support, and beyond quad_cutoff = 25
+LEVELS = np.array([-0.7, 0.0, 0.4, 1.0, 2.3, 24.0, 31.0])
+
+
+@pytest.mark.parametrize("T", [0.0, 0.3, 20.0, 80.0, np.inf])
+def test_batched_transform_equals_stacked_scalar_calls(ref_bath, T):
+    batched = B.half_line_transform(ref_bath, LEVELS, T)
+    stacked = np.array([B.half_line_transform(ref_bath, a, T) for a in LEVELS])
+    assert batched.shape == LEVELS.shape
+    np.testing.assert_allclose(batched, stacked, rtol=1e-14, atol=1e-14)
+    assert np.ndim(B.half_line_transform(ref_bath, 1.0, T)) == 0
+    rows = B.half_line_transform(ref_bath, np.stack([LEVELS, LEVELS[::-1]]), T)
+    np.testing.assert_allclose(rows, np.stack([stacked, stacked[::-1]]),
+                               rtol=1e-14, atol=1e-14)
+
+
+def test_batched_decay_and_shift_equals_stacked_scalar_calls(ref_bath):
+    v = np.array([1.0, 0.5j, 0.0, 0.3 - 0.4j, 2.0, 0.7, 1.0])
+    beta, shift = B.decay_and_shift(ref_bath, v, LEVELS)
+    stacked = np.array([B.decay_and_shift(ref_bath, v_j, a) for v_j, a in zip(v, LEVELS)])
+    np.testing.assert_allclose(beta, stacked[:, 0], rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(shift, stacked[:, 1], rtol=1e-14, atol=1e-14)
+    assert beta[2] == shift[2] == 0.0            # an uncoupled level
+    assert np.all(beta[:2] == 0.0) and beta[-1] > 0.0   # rho > 0 beyond the cutoff
+
+
+@pytest.mark.parametrize("alpha", [-0.7, 0.0, 31.0])
+def test_principal_value_outside_the_support_matches_quad(ref_bath, alpha):
+    # no singularity on [0, quad_cutoff]: plain adaptive quadrature is a reference
+    want = quad(lambda w: w**2 * np.exp(-w) / (alpha - w), 0.0, ref_bath.quad_cutoff,
+                epsabs=1e-13, limit=200)[0]
+    assert B.half_line_transform(ref_bath, alpha, np.inf).imag == pytest.approx(
+        want, abs=1e-12)
+    assert B.decay_and_shift(ref_bath, 1.0, alpha)[1] == pytest.approx(want, abs=1e-12)
+
+
+def test_one_failing_level_reports_its_own_estimate(ref_bath):
+    # the error estimates of these levels differ by about x2.7; a tolerance
+    # between the two largest fails only the worst level
+    alphas, T = np.array([0.4, 2.3, 31.0]), 20.0
+    estimates = []
+    for a in alphas:
+        with pytest.raises(QuadratureError) as err:
+            B.half_line_transform(ref_bath, a, T, tol=1e-30)
+        estimates.append(err.value.achieved)
+    worst, second = sorted(estimates)[::-1][:2]
+    assert worst > 1.5 * second
+    tol = np.sqrt(worst * second) / T
+    for a, est in zip(alphas, estimates):
+        if est < worst:
+            B.half_line_transform(ref_bath, a, T, tol=tol)
+    with pytest.raises(QuadratureError) as err:
+        B.half_line_transform(ref_bath, alphas, T, tol=tol)
+    assert err.value.achieved == worst

@@ -89,6 +89,40 @@ def test_sweep_worker_passes_dt_out(tmp_path, monkeypatch):
     assert seen == [1.0 / 200] * 3
 
 
+def test_sweep_pool_is_capped_at_the_point_count(tmp_path, monkeypatch):
+    # a fake executor records the pool size and maps in this process, so no
+    # worker is forked
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    def fake_metrics(scen, eps, lam, **kw):
+        return {"eps": eps, "lam": lam, "E_lead": eps, "E_volt": eps, "E_eff": eps,
+                "p_down": 0.5, "p_down_pred": 0.5, "regime": "B"}
+
+    monkeypatch.setattr(H, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(H, "point_metrics", fake_metrics)
+    monkeypatch.setattr(H, "_pool_state", None)
+    cfg = C.parse_config(BASE_CFG)
+    for threads in (64, 2):
+        res = H.run_sweep(cfg, str(tmp_path / f"t{threads}"), override=True,
+                          threads=threads)
+        assert [r["eps"] for r in res["results"]] == [0.2, 0.1, 0.05]
+    assert sizes == [3, 2]
+
+
 class _StopEmission(Exception):
     pass
 

@@ -86,7 +86,7 @@ def test_effective_generator_distance_bound(ref_scenario, ref_frame):
     lam2 = 1.0 / 64
     gen = R.EffectiveGenerator(ref_scenario.atom, ref_frame, ref_scenario.bath,
                                0.05, np.sqrt(lam2))
-    bound = lam2 * 2.0 * gen.gamma_l1
+    bound = lam2 * 2.0 * B.correlation_l1_norm(ref_scenario.bath)
     for t in np.linspace(0.0, 1.0, 21):
         dist = np.linalg.norm(gen(t) - ref_scenario.atom.matrix(t), 2)
         assert dist <= bound + 1e-10
@@ -96,7 +96,8 @@ def test_gamma_operator_norm_bound(ref_scenario, ref_frame):
     gen = R.EffectiveGenerator(ref_scenario.atom, ref_frame, ref_scenario.bath,
                                0.05, 0.1)
     for t in np.linspace(0.0, 1.0, 21):
-        assert np.linalg.norm(gen.gamma_op(t), 2) <= gen.gamma_l1 + 1e-10
+        assert (np.linalg.norm(gen.gamma_op(t), 2)
+                <= B.correlation_l1_norm(ref_scenario.bath) + 1e-10)
 
 
 def test_effective_solve_lambda_zero(ref_scenario, ref_frame):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from awwlab import bath as B, reduced as R, spectral as S
+from awwlab import asymptotics as Y, atom as A, bath as B, reduced as R, spectral as S
 from awwlab.errors import ContourError
+from test_magnus import three_level_atom
 
 
 @pytest.fixture(scope="module")
@@ -135,3 +136,62 @@ def test_adiabatic_diagnostic_identity_and_convergence(ref_scenario, ref_frame):
             cols.append(traj.z[-1])
         gaps.append(np.linalg.norm(v - np.column_stack(cols)))
     assert gaps[1] < gaps[0]
+
+
+@pytest.fixture(scope="module")
+def d3_frame(tmp_path_factory):
+    atom = three_level_atom(tmp_path_factory.mktemp("d3") / "atom.csv")
+    return A.eigenframe(atom, np.linspace(0.0, 1.0, 801))
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(B, name)
+
+    def counting(*args, **kw):
+        calls.append(name)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(B, name, counting)
+    return calls
+
+
+def test_golden_rule_tables_take_one_transform_per_time(d3_frame, ref_bath, monkeypatch):
+    rates = count_calls(monkeypatch, "decay_and_shift")
+    transforms = count_calls(monkeypatch, "half_line_transform")
+    Y.AsymptoticTables(d3_frame, ref_bath)
+    assert (len(rates), len(transforms)) == (Y.RATE_POINTS, Y.RATE_POINTS)
+
+
+def test_diagnostic_reads_the_generators_table(d3_frame, ref_bath, monkeypatch):
+    eps, lam = 0.1, 0.125
+    gen = R.EffectiveGenerator(d3_frame.atom, d3_frame, ref_bath, eps, lam)
+    transforms = count_calls(monkeypatch, "half_line_transform")
+    v = S.adiabatic_evolution_diagnostic(d3_frame.atom, d3_frame, ref_bath, eps, lam,
+                                         0.5, gen=gen)
+    assert transforms == []
+    # the level corrections come from the table: level j keeps the golden-rule
+    # norm exp(-(lam^2/eps) int beta_j) up to O(lam^2) (about 4e-3 here)
+    norms = np.linalg.norm(v @ d3_frame.vectors_at(0.0), axis=0)
+    predicted = np.exp(-(lam**2 / eps) * Y.tables_for(d3_frame, ref_bath).int_beta(0.5))
+    assert np.all(np.abs(norms / predicted - 1.0) < 1e-2)
+
+
+def test_diagnostic_rejects_a_generator_that_does_not_fit(ref_scenario, ref_frame):
+    atom, bath = ref_scenario.atom, ref_scenario.bath
+    eps, lam = 0.1, 0.1
+    short = R.EffectiveGenerator(atom, ref_frame, bath, eps, lam, t_end=0.5)
+    with pytest.raises(ValueError, match="covers"):
+        S.adiabatic_evolution_diagnostic(atom, ref_frame, bath, eps, lam, 0.8, gen=short)
+    with pytest.raises(ValueError, match="another"):
+        S.adiabatic_evolution_diagnostic(atom, ref_frame, bath, 0.05, lam, 0.4, gen=short)
+    S.adiabatic_evolution_diagnostic(atom, ref_frame, bath, eps, lam, 0.5, 0.1, gen=short)
+
+
+def test_first_order_correction_broadcasts_over_levels(ref_bath):
+    v, alphas = np.array([1.0, 0.5j, 0.7]), np.array([-0.3, 1.0, 2.4])
+    for t in (0.0, 0.6, np.inf):
+        want = [S.first_order_correction(ref_bath, v_j, a, 0.05, t)
+                for v_j, a in zip(v, alphas)]
+        np.testing.assert_allclose(S.first_order_correction(ref_bath, v, alphas, 0.05, t),
+                                   want, rtol=1e-14, atol=1e-14)
