@@ -22,7 +22,6 @@ __all__ = [
     "AsymptoticTables",
     "tables_for",
     "leading_order_z",
-    "population_approx",
     "RegimeReport",
     "regime_classify",
     "semigroup_time_independent",
@@ -77,7 +76,7 @@ def leading_order_z(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
         tables = tables_for(frame, bath)
     elif tables.frame is not frame or tables.bath is not bath:
         raise ValueError("tables were built for another frame or bath")
-    t = np.asarray(t, dtype=float)
+    t = frame.check_times(t)
     v0 = frame.vectors_at(frame.times[0])
     z0_levels = v0.conj().T @ np.asarray(z0, dtype=complex)
     phase = tables.int_alpha(t) + lam**2 * tables.int_shift(t)
@@ -87,13 +86,6 @@ def leading_order_z(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
             * np.exp(-(lam**2 / eps) * decay)
             * np.exp(1j * xi) * z0_levels)
     return (frame.vectors_at(t) @ amps[..., None])[..., 0]
-
-
-def population_approx(frame: EigenFrame, bath: bath_mod.BathSpec, eps: float,
-                      lam: float, p0: float, j: int, t):
-    """p_j(t) = exp(-2 (lam^2/eps) int_0^t beta_j) p_j(0)."""
-    decay = tables_for(frame, bath).int_beta(t)[..., j]
-    return np.exp(-2.0 * (lam**2 / eps) * decay) * p0
 
 
 @dataclass

@@ -112,13 +112,14 @@ class EigenFrame:
     def step(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def index_of(self, t: float) -> int:
-        k = int(round((t - self.times[0]) / self.step))
-        if not 0 <= k < len(self.times):
-            raise ValueError(f"t={t} outside frame range")
-        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} is not a frame grid point")
-        return k
+    def check_times(self, t) -> np.ndarray:
+        """t as a float array; ValueError if a time lies outside [times[0], times[-1]]."""
+        t = np.asarray(t, dtype=float)
+        lo, hi = self.times[0], self.times[-1]
+        if not np.all((t >= lo) & (t <= hi)):   # the splines would extrapolate
+            raise ValueError(f"t in [{np.min(t):g}, {np.max(t):g}] lies outside the "
+                             f"frame's range [{lo:g}, {hi:g}]")
+        return t
 
     @cached_property
     def energies_at(self) -> CubicSpline:
@@ -236,7 +237,7 @@ def berry_phase(frame: EigenFrame, j: int, t):
 
     A scalar t gives a float, an array of times the array of phases.
     """
-    return np.take(frame._berry(t).real, j, axis=-1)
+    return np.take(frame._berry(frame.check_times(t)).real, j, axis=-1)
 
 
 def kato_intertwiner(frame: EigenFrame, t: float, s: float = 0.0) -> np.ndarray:
@@ -245,6 +246,7 @@ def kato_intertwiner(frame: EigenFrame, t: float, s: float = 0.0) -> np.ndarray:
     magnus_propagate with steps no longer than the frame grid spacing; the
     anti-Hermitian generator makes every step exactly unitary.
     """
+    frame.check_times([t, s])
     if t < s:
         return kato_intertwiner(frame, s, t).conj().T
     d = frame.dim

@@ -21,7 +21,6 @@ from .exact import Trajectory
 
 __all__ = [
     "PropagatorTable",
-    "atomic_propagator",
     "volterra_solve",
     "EffectiveGenerator",
     "effective_generator",
@@ -35,13 +34,14 @@ class PropagatorTable:
     """Free atomic propagator U_eps(t, 0) cached on a uniform grid.
 
     Grid values are the magnus_propagate products on the magnus_grid of
-    [0, t_end]; off-grid queries take one extra Magnus step from the nearest
-    lower node so every returned matrix is a product of exact exponentials
-    and stays unitary.
+    `intervals` equal intervals of [0, t_end], so times[::sub] are the
+    interval ends; off-grid queries take one extra Magnus step from the
+    nearest lower node so every returned matrix is a product of exact
+    exponentials and stays unitary. U_eps(t, s) is at(t) @ at(s)^H.
     """
 
-    def __init__(self, atom: AtomPath, eps: float, t_end: float):
-        self.times, _ = magnus_grid(atom, eps, t_end)
+    def __init__(self, atom: AtomPath, eps: float, t_end: float, intervals: int = 1):
+        self.times, self.sub = magnus_grid(atom, eps, t_end, intervals)
         self.eps = eps
         self.atom = atom
         self.table = magnus_propagate(atom.matrix, self.times, -1j / eps)
@@ -58,16 +58,6 @@ class PropagatorTable:
             return self.table[k]
         step = magnus_propagate(self.atom.matrix, [t0, t], -1j / self.eps)[-1]
         return step @ self.table[k]
-
-
-def atomic_propagator(atom: AtomPath, eps: float, t: float, s: float = 0.0,
-                      table: Optional[PropagatorTable] = None) -> np.ndarray:
-    """U_eps(t, s): solution of i eps dU/dt = A(t) U with U(s, s) = 1."""
-    if s > t:
-        raise ValueError("require s <= t")
-    if table is None:
-        table = PropagatorTable(atom, eps, t)
-    return table.at(t) @ table.at(s).conj().T
 
 
 def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
@@ -92,12 +82,12 @@ def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
     h = ts[1] - ts[0]
 
     # U_eps at the solution nodes from Magnus steps on a refinement of them
-    fine, sub = magnus_grid(atom, eps, t_end, n)
-    if sub * PHASE_PER_STEP > 0.5:
+    free = PropagatorTable(atom, eps, t_end, intervals=n)
+    if free.sub * PHASE_PER_STEP > 0.5:
         raise ResolutionError(
             f"history grid too coarse: over 0.5 rad of fast phase per node "
-            f"({sub} Magnus steps)")
-    u_all = magnus_propagate(atom.matrix, fine, -1j / eps)[::sub]
+            f"({free.sub} Magnus steps)")
+    u_all = free.table[::free.sub]
     beta = (np.swapaxes(u_all.conj(), 1, 2)
             @ coupling_in_working_basis(atom, frame, ts)[:, :, None])[:, :, 0]
 
@@ -155,31 +145,34 @@ class EffectiveGenerator:
 
         A scalar t gives a (d, d) matrix, an array of times the (..., d, d) stack.
         """
-        vecs = self.frame.vectors_at(t)
-        i_vals = self.transforms(t)
-        return (vecs * i_vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+        return _gamma_op(self.frame, t, self.transforms(t))
 
     def __call__(self, t) -> np.ndarray:
         """G_{eps,lam}(t) for a scalar t, or the (..., d, d) stack for an array."""
-        a = self.atom.matrix(t)
-        if self.lam == 0.0:
-            return a
-        u = coupling_in_working_basis(self.atom, self.frame, t)
-        row = (u.conj()[..., None, :] @ self.gamma_op(t))[..., 0, :]
-        return a - 1j * self.lam**2 * (u[..., :, None] * row[..., None, :])
+        return _generator(self.atom, self.frame, self.lam, t, self.transforms)
 
 
 def effective_generator(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
                         eps: float, lam: float, t: float) -> np.ndarray:
     """Single evaluation of G_{eps,lam}(t) without grid caching."""
+    return _generator(atom, frame, lam, t, lambda s: bath_mod.half_line_transform(
+        bath, frame.energies_at(s), s / eps))
+
+
+def _gamma_op(frame: EigenFrame, t, i_vals) -> np.ndarray:
+    """sum_j I_j P_j(t) from the level values i_vals = (..., d) at t."""
+    vecs = frame.vectors_at(t)
+    return (vecs * i_vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+
+
+def _generator(atom: AtomPath, frame: EigenFrame, lam: float, t, transforms) -> np.ndarray:
+    """A(t) - i lam^2 |u(t)><u(t)| sum_j I_j P_j(t) with I_j = transforms(t)."""
     a = atom.matrix(t)
     if lam == 0.0:
         return a
     u = coupling_in_working_basis(atom, frame, t)
-    vecs = frame.vectors_at(t)
-    i_vals = bath_mod.half_line_transform(bath, frame.energies_at(t), t / eps)
-    gamma_op = (vecs * i_vals[None, :]) @ vecs.conj().T
-    return a - 1j * lam**2 * np.outer(u, u.conj() @ gamma_op)
+    row = (u.conj()[..., None, :] @ _gamma_op(frame, t, transforms(t)))[..., 0, :]
+    return a - 1j * lam**2 * (u[..., :, None] * row[..., None, :])
 
 
 def effective_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,

@@ -1,8 +1,8 @@
 """Non-Hermitian spectral machinery for the effective generator.
 
 Eigenvalues of G pick up negative imaginary parts of order lam^2; the
-associated rank-one projections are built either from matched left/right
-eigenvector pairs or, independently, from resolvent contour integrals.
+associated rank-one projections come either from the matched eigenvectors,
+P_j = r_j (R^-1)_j, or, independently, from resolvent contour integrals.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
@@ -22,7 +21,6 @@ from .reduced import EffectiveGenerator
 __all__ = [
     "PerturbedSpectrum",
     "perturbed_spectrum",
-    "first_order_correction",
     "riesz_projection",
     "residue_integral",
     "adiabatic_evolution_diagnostic",
@@ -39,8 +37,6 @@ class PerturbedSpectrum:
 
     eigenvalues: np.ndarray    # (d,) complex, entry j matched to level j
     projections: np.ndarray    # (d, d, d), generally non-orthogonal
-    right: np.ndarray          # (d, d) right eigenvectors as columns
-    left: np.ndarray           # (d, d) left eigenvectors as columns
 
     def reconstruct(self) -> np.ndarray:
         """Sum alpha_j P_j; equals G when the spectrum is simple."""
@@ -56,7 +52,7 @@ def perturbed_spectrum(g: np.ndarray, energies: np.ndarray,
     eigenvector overlap with the reference column.
     """
     d = g.shape[0]
-    w, vl, vr = sla.eig(g, left=True, right=True)
+    w, vr = np.linalg.eig(g)
 
     dist = np.abs(w[None, :] - np.asarray(energies)[:, None])   # (level, eig)
     order = np.full(d, -1, dtype=int)
@@ -75,25 +71,11 @@ def perturbed_spectrum(g: np.ndarray, energies: np.ndarray,
         order[level] = best
         used[best] = True
 
-    w = w[order]
     vr = vr[:, order]
-    vl = vl[:, order]
-    projections = np.empty((d, d, d), dtype=complex)
-    for j in range(d):
-        norm = np.vdot(vl[:, j], vr[:, j])
-        projections[j] = np.outer(vr[:, j], vl[:, j].conj()) / norm
-    return PerturbedSpectrum(eigenvalues=w, projections=projections,
-                             right=vr, left=vl)
-
-
-def first_order_correction(bath: bath_mod.BathSpec, v_j, alpha_j, eps: float, t: float):
-    """Second-order level correction -i|v_j|^2 int_0^{t/eps} e^{ix alpha} gamma(x) dx.
-
-    Elementwise over arrays of levels (v_j, alpha_j) at one time t. Pass
-    t=inf for the limiting value shift - i*decay (the Lamb shift and decay
-    rate of the level).
-    """
-    return -1j * np.abs(v_j) ** 2 * bath_mod.half_line_transform(bath, alpha_j, t / eps)
+    # P_j = r_j (R^-1)_j: the rows of R^-1 are the left eigenvectors, scaled
+    # so that each pairs to 1 with its right eigenvector
+    projections = np.einsum("aj,jb->jab", vr, np.linalg.inv(vr))
+    return PerturbedSpectrum(eigenvalues=w[order], projections=projections)
 
 
 def _contour(center: complex, radius: float, m: int):

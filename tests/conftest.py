@@ -25,6 +25,22 @@ def ref_tables(ref_scenario, ref_frame):
     return asymptotics.tables_for(ref_frame, ref_scenario.bath)
 
 
+@pytest.fixture
+def correlation_within_decay_t_max(monkeypatch):
+    """bath.correlation that fails beyond DECAY_T_MAX.
+
+    For a bath without a closed form each correlation is a quadrature whose
+    memory grows with t; the spy makes a request for t ~ 3e6 fail at once.
+    """
+    real = bath_mod.correlation
+
+    def spy(bath, t, tol=1e-9):
+        assert np.all(np.abs(t) <= bath_mod.DECAY_T_MAX), f"correlation at t = {t}"
+        return real(bath, t, tol)
+
+    monkeypatch.setattr(bath_mod, "correlation", spy)
+
+
 @pytest.fixture(scope="session")
 def exact_runner(ref_scenario, ref_frame):
     """Cached exact trajectories of the reference scenario, keyed by (eps, lam)."""

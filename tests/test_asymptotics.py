@@ -77,17 +77,23 @@ def test_leading_order_gauge_invariant_populations(ref_scenario, ref_bath):
 
 
 def test_population_approx_closed_form(ref_bath):
-    # constant level at alpha = 1 with unit coupling: survival e^{-2 pi/e}
+    # constant levels at alpha = 1, 2 with unit coupling and lam^2 = eps:
+    # level j survives with exp(-2 pi rho(alpha_j)), the survival law that
+    # regime_classify's p_down evaluates from the tables
     atom = A.diag_rotation_atom(
         level_funcs=(lambda t: 1.0, lambda t: 2.0),
         theta_func=lambda t: 0.0,
         coupling_func=lambda t: np.array([1.0, 1.0]),
     )
     frame = A.eigenframe(atom, np.linspace(0.0, 1.0, 201))
-    val = Y.population_approx(frame, ref_bath, 0.05, np.sqrt(0.05), 1.0, 0, 1.0)
-    assert val == pytest.approx(np.exp(-2.0 * np.pi * np.exp(-1.0)), abs=1e-8)
-    assert Y.population_approx(frame, ref_bath, 0.05, 0.0, 0.7, 0,
-                               0.9) == pytest.approx(0.7)
+    tables = Y.tables_for(frame, ref_bath)
+    eps, lam = 0.05, np.sqrt(0.05)
+    survive = np.exp(-2.0 * np.pi * np.array([np.exp(-1.0), 4.0 * np.exp(-2.0)]))
+    p_down = Y.regime_classify(eps, lam, tables, t=1.0).p_down
+    assert p_down == pytest.approx(1.0 - survive[0], abs=1e-8)
+    z0 = np.sqrt([0.7, 0.3]).astype(complex)
+    p_down = Y.regime_classify(eps, lam, tables, z0=z0, t=1.0).p_down
+    assert p_down == pytest.approx(1.0 - survive @ [0.7, 0.3], abs=1e-8)
 
 
 def test_regime_classification_thresholds():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from awwlab import atom as A
+from awwlab import asymptotics as Y, atom as A
 from awwlab.errors import GapViolation
 from awwlab.exact import Trajectory
 
@@ -93,13 +93,47 @@ def test_kato_transport_matches_berry_gauge(ref_frame):
             assert np.linalg.norm(moved - want) < 1e-6
 
 
+def test_kato_transport_carries_a_nonzero_berry_phase():
+    # xi_j(t) = -/+ t/2 on this path, so dropping the phase misses by 0.12-0.49
+    atom = A.complex_phase_atom(theta0=np.pi / 4, omega=1.0)
+    frame = A.eigenframe(atom, np.linspace(0.0, 1.0, 801))
+    for t in (0.25, 0.5, 1.0):
+        moved = A.kato_intertwiner(frame, t) @ frame.vectors_at(0.0)
+        phases = np.array([A.berry_phase(frame, j, t) for j in range(2)])
+        want = frame.vectors_at(t) * np.exp(1j * phases)[None, :]
+        assert np.max(np.linalg.norm(moved - want, axis=0)) < 1e-12
+        assert np.min(np.linalg.norm(moved - frame.vectors_at(t), axis=0)) > 0.1
+
+
+def test_frame_quantities_refuse_times_outside_the_frame(ref_scenario, ref_frame):
+    # the frame's splines would extrapolate silently; its range [0, 1] is inclusive
+    atom, bath, z0 = ref_scenario.atom, ref_scenario.bath, ref_scenario.z0
+    outside = [
+        lambda: A.kato_intertwiner(ref_frame, 1.5),
+        lambda: A.kato_intertwiner(ref_frame, 0.5, -0.1),
+        lambda: A.berry_phase(ref_frame, 0, 3.0),
+        lambda: A.berry_phase(ref_frame, 1, np.nan),
+        lambda: Y.leading_order_z(ref_frame, bath, atom, 0.05, 0.1, z0, 2.0),
+        lambda: Y.leading_order_z(ref_frame, bath, atom, 0.05, 0.1, z0,
+                                  np.array([0.5, 1.0 + 1e-9])),
+    ]
+    for call in outside:
+        with pytest.raises(ValueError, match="outside the frame's range"):
+            call()
+    ends = np.array([0.0, 1.0])
+    A.kato_intertwiner(ref_frame, 1.0)
+    A.kato_intertwiner(ref_frame, 0.0, 1.0)
+    assert A.berry_phase(ref_frame, 0, ends).shape == (2,)
+    assert Y.leading_order_z(ref_frame, bath, atom, 0.05, 0.1, z0, ends).shape == (2, 2)
+
+
 def test_kato_intertwines_projections(ref_frame):
     t = 0.8
     w = A.kato_intertwiner(ref_frame, t)
     for j in range(2):
         lhs = w @ ref_frame.projections(0)[j] @ w.conj().T
-        k = ref_frame.index_of(t)
-        rhs = ref_frame.projections(k)[j]
+        phi = ref_frame.vectors_at(t)[:, j]
+        rhs = np.outer(phi, phi.conj())
         assert np.linalg.norm(lhs - rhs) < 1e-6
 
 

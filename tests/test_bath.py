@@ -64,6 +64,7 @@ def test_half_line_transform_finite_T_oracle(ref_bath):
               0, T, limit=400)[0]
     got = B.half_line_transform(ref_bath, alpha, T)
     assert got == pytest.approx(re + 1j * im, abs=1e-8)
+    assert B.half_line_transform(ref_bath, alpha, 0.0) == 0.0
 
 
 def test_half_line_transform_long_horizon_oracle(ref_bath):
@@ -107,9 +108,6 @@ def test_decay_certificate(ref_bath):
 
 def test_weighted_transforms_reduce_to_plain(ref_bath):
     one = B.TestObservable(weight=lambda w: np.ones_like(w))
-    ts = np.array([0.0, 0.8, 3.0])
-    assert np.allclose(B.weighted_correlation(ref_bath, one, ts),
-                       B.correlation(ref_bath, ts), atol=1e-8)
     assert B.weighted_hat(ref_bath, one, 1.2) == pytest.approx(
         B.fourier_hat(ref_bath, 1.2))
 
@@ -121,24 +119,23 @@ def test_weighted_hat_omega_observable(ref_bath):
         2.0 * B.fourier_hat(ref_bath, 2.0))
 
 
-def test_bath_from_csv_roundtrip(tmp_path, ref_bath):
-    omega = np.linspace(0.0, 25.0, 4001)
-    rho = omega**2 * np.exp(-omega)
-    path = tmp_path / "bath.csv"
-    np.savetxt(path, np.column_stack([omega, rho]), delimiter=",",
+def write_density_table(path, nodes):
+    """CSV table of the reference density w^2 e^-w at `nodes` points of [0, 25]."""
+    omega = np.linspace(0.0, 25.0, nodes)
+    np.savetxt(path, np.column_stack([omega, omega**2 * np.exp(-omega)]), delimiter=",",
                header="omega,rho", comments="")
-    tab = B.bath_from_csv(path)
+    return path
+
+
+def test_bath_from_csv_roundtrip(tmp_path, ref_bath):
+    tab = B.bath_from_csv(write_density_table(tmp_path / "bath.csv", 4001))
     ts = np.array([0.0, 0.5, 2.0])
     got = B.correlation(tab, ts, tol=1e-6)   # pchip density is only C1
     assert np.max(np.abs(got - B.correlation(ref_bath, ts))) < 1e-5
 
 
 def test_tabulated_correlation_at_longer_times(tmp_path, ref_bath):
-    omega = np.linspace(0.0, 25.0, 4001)
-    path = tmp_path / "bath.csv"
-    np.savetxt(path, np.column_stack([omega, omega**2 * np.exp(-omega)]), delimiter=",",
-               header="omega,rho", comments="")
-    tab = B.bath_from_csv(path)
+    tab = B.bath_from_csv(write_density_table(tmp_path / "bath.csv", 4001))
     ts = np.array([0.5, 2.0, 10.0])
     got = B.correlation(tab, ts, tol=1e-6)
     assert np.max(np.abs(got - B.correlation(ref_bath, ts))) < 1e-5
@@ -150,6 +147,24 @@ def test_bath_from_csv_rejects_bad_tables(tmp_path):
                header="omega,rho", comments="")
     with pytest.raises(ValueError):
         B.bath_from_csv(path)
+
+
+def test_l1_norm_without_closed_form_stops_at_the_certified_time(
+        quad_bath, correlation_within_decay_t_max):
+    # the body ends at DECAY_T_MAX and the envelope tail C/((m-1)(1+x)^(m-1)),
+    # C = 6 and m = 3, is added per half line: ||gamma|| = 4 is exceeded by at
+    # most twice that tail
+    tail = 6.0 / (2.0 * (1.0 + B.DECAY_T_MAX) ** 2)
+    assert 0.0 <= B.correlation_l1_norm(quad_bath) - 4.0 <= 2.0 * tail
+
+
+def test_l1_norm_of_a_coarse_table_fails_as_a_quadrature_error(
+        tmp_path, correlation_within_decay_t_max):
+    # a 241-node table misses correlation's tol = 1e-9; that must surface as
+    # an AwwlabError, not as a MemoryError from quadratures at x ~ 3e6
+    tab = B.bath_from_csv(write_density_table(tmp_path / "bath.csv", 241))
+    with pytest.raises(QuadratureError):
+        B.correlation_l1_norm(tab)
 
 
 def test_reference_bath_hits_the_l1_norm_cache():
@@ -176,9 +191,6 @@ def test_quadrature_error_carries_estimate(quad_bath):
 @pytest.mark.parametrize("call", [
     *[pytest.param(lambda b, t=t: B.correlation(b, t, tol=1e-16), id=f"correlation-t{t}")
       for t in (0.0, 0.3, 1.0, 4.0, 11.0)],
-    pytest.param(lambda b: B.weighted_correlation(
-        b, B.TestObservable(weight=lambda w: np.asarray(w, dtype=float)), 1.0, tol=1e-16),
-        id="weighted_correlation"),
     pytest.param(lambda b: B.half_line_transform(b, 1.0, 20.0, tol=1e-18),
                  id="half_line_transform"),
 ])

@@ -7,6 +7,7 @@ import pytest
 
 from awwlab import atom as A, cli, config as C, harness as H
 from awwlab.errors import ConfigError
+from test_bath import write_density_table
 
 BASE_CFG = """\
 atom.name = ww-ref-2level
@@ -379,6 +380,15 @@ def test_cli_regimes_and_emission(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "limit" in text
     assert os.path.exists(os.path.join(out, "spectrum.csv"))
+
+
+def test_cli_validate_on_a_coarse_bath_table_exits_1(tmp_path, correlation_within_decay_t_max):
+    table = write_density_table(tmp_path / "bath.csv", 241)
+    path = write_cfg(tmp_path, "atom.name = ww-ref-2level\n"
+                               "bath.name = reference\n"
+                               f"bath.file = {table}\n"
+                               "sim.lambda2 = 0.015625\n", "v.cfg")
+    assert cli.main(["validate", "--config", path]) == 1
 
 
 def test_cli_validate_reports(tmp_path, capsys):

@@ -1,0 +1,93 @@
+"""Property tests of the d-level claims on seeded smooth Hermitian paths, d = 2, 3, 4."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from awwlab import atom as A, bath as B, reduced as R, spectral as S
+
+# short, reproducible runs: a fixed example sequence and no example database
+PROPERTY = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+DIMS = st.sampled_from([2, 3, 4])
+SEEDS = st.integers(0, 2**32 - 1)
+EPS = 0.1
+
+
+def smooth_path(d, seed):
+    """A(t) = U(t) diag(alpha(t)) U(t)^H with U(t) = exp(-i t H).
+
+    Levels 1 + 0.6 j each drift by at most 0.1, so the gap stays >= 0.4 and
+    the spectrum positive; H is a seeded Hermitian matrix of norm at most
+    pi/2; the couplings have modulus in [0.3, 0.7] and a slow phase.
+    """
+    rng = np.random.default_rng(seed)
+    amp, freq = rng.uniform(-0.1, 0.1, d), rng.uniform(0.5, 2.0, d)
+    phase = rng.uniform(0.0, 2.0 * np.pi, d)
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    herm = 0.5 * (x + x.conj().T)
+    herm *= rng.uniform(0.2, np.pi / 2.0) / np.linalg.norm(herm, 2)
+    lam_h, vec_h = np.linalg.eigh(herm)
+    mag, v_phase = rng.uniform(0.3, 0.7, d), rng.uniform(0.0, 2.0 * np.pi, d)
+
+    def ham(t):
+        t = np.asarray(t, dtype=float)[..., None]
+        alphas = 1.0 + 0.6 * np.arange(d) + amp * np.sin(freq * t + phase)
+        rot = (vec_h * np.exp(-1j * t * lam_h)[..., None, :]) @ vec_h.conj().T
+        a = (rot * alphas[..., None, :]) @ np.swapaxes(rot.conj(), -1, -2)
+        return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
+
+    def coupling(t):
+        return mag * np.exp(1j * (v_phase + 0.3 * np.asarray(t, dtype=float)[..., None]))
+
+    return A.AtomPath(dim=d, hamiltonian=ham, coupling=coupling, label=f"seeded-d{d}")
+
+
+def frame_of(atom):
+    return A.eigenframe(atom, np.linspace(0.0, 1.0, 401))
+
+
+@PROPERTY
+@given(d=DIMS, seed=SEEDS)
+def test_propagator_table_is_unitary_and_at_composes(d, seed):
+    atom = smooth_path(d, seed)
+    tab = R.PropagatorTable(atom, EPS, 1.0)
+    defect = np.einsum("kij,klj->kil", tab.table, tab.table.conj()) - np.eye(d)
+    assert np.max(np.abs(defect)) < 1e-10
+    # an off-grid query composes a Magnus step onto the node below; it agrees
+    # with a table whose last node is that time
+    for t in (0.3217, 0.8761):
+        u = tab.at(t)
+        assert np.max(np.abs(u @ u.conj().T - np.eye(d))) < 1e-10
+        assert np.linalg.norm(u - R.PropagatorTable(atom, EPS, t).at(t)) < 1e-7
+
+
+@PROPERTY
+@given(d=DIMS, seed=SEEDS)
+def test_volterra_without_coupling_is_the_free_propagator(d, seed):
+    atom = smooth_path(d, seed)
+    z0 = np.array([1.0, 1j]) @ np.random.default_rng(seed).normal(size=(2, d))
+    z0 /= np.linalg.norm(z0)
+    traj = R.volterra_solve(atom, frame_of(atom), B.reference_bath(), EPS, 0.0, z0)
+    want = R.PropagatorTable(atom, EPS, 1.0).at(1.0) @ z0
+    assert np.linalg.norm(traj.z[-1] - want) < 1e-7
+
+
+@PROPERTY
+@given(d=DIMS, seed=SEEDS, t=st.floats(0.2, 1.0))
+def test_perturbed_projections_resolve_the_generator(d, seed, t):
+    atom = smooth_path(d, seed)
+    frame = frame_of(atom)
+    g = R.effective_generator(atom, frame, B.reference_bath(), EPS, 0.1, t)
+    energies = frame.energies_at(t)
+    pspec = S.perturbed_spectrum(g, energies, frame.vectors_at(t))
+    projections = pspec.projections
+    assert np.linalg.norm(projections.sum(axis=0) - np.eye(d)) < 1e-10
+    for p in projections:
+        assert np.linalg.norm(p @ p - p) < 1e-10
+    assert np.linalg.norm(pspec.reconstruct() - g) < 1e-10
+    radius = 0.5 * float(np.min(np.diff(energies)))
+    for j, p in enumerate(projections):
+        riesz = S.riesz_projection(g, complex(energies[j]), radius)
+        assert np.linalg.norm(riesz - p) < 1e-8

@@ -11,8 +11,8 @@ def test_propagator_unitary_and_flow(ref_scenario):
     tab = R.PropagatorTable(atom, eps, 1.0)
     u1 = tab.at(1.0)
     assert np.allclose(u1 @ u1.conj().T, np.eye(2), atol=1e-10)
-    comp = R.atomic_propagator(atom, eps, 1.0, 0.5, table=tab) \
-        @ R.atomic_propagator(atom, eps, 0.5, 0.0, table=tab)
+    # U(1, 0.5) U(0.5, 0) with U(t, s) = at(t) at(s)^H
+    comp = (tab.at(1.0) @ tab.at(0.5).conj().T) @ (tab.at(0.5) @ tab.at(0.0).conj().T)
     assert np.linalg.norm(comp - u1) < 1e-8
     assert np.allclose(tab.at(0.0), np.eye(2))
 
@@ -25,7 +25,7 @@ def test_propagator_constant_hamiltonian_closed_form():
     )
     eps, t = 0.1, 0.7
     want = sla.expm(-1j * t / eps * atom.matrix(0.0))
-    got = R.atomic_propagator(atom, eps, t)
+    got = R.PropagatorTable(atom, eps, t).at(t)
     assert np.linalg.norm(got - want) < 1e-8
 
 
@@ -43,7 +43,7 @@ def test_propagator_offgrid_query(ref_scenario):
 def test_volterra_lambda_zero_is_free_motion(ref_scenario, ref_frame):
     traj = R.volterra_solve(ref_scenario.atom, ref_frame, ref_scenario.bath,
                             0.1, 0.0, ref_scenario.z0)
-    u = R.atomic_propagator(ref_scenario.atom, 0.1, 1.0)
+    u = R.PropagatorTable(ref_scenario.atom, 0.1, 1.0).at(1.0)
     assert np.linalg.norm(traj.z[-1] - u @ ref_scenario.z0) < 1e-8
     assert np.max(np.abs(np.linalg.norm(traj.z, axis=1) - 1.0)) < 1e-10
 
@@ -103,7 +103,7 @@ def test_gamma_operator_norm_bound(ref_scenario, ref_frame):
 def test_effective_solve_lambda_zero(ref_scenario, ref_frame):
     traj = R.effective_solve(ref_scenario.atom, ref_frame, ref_scenario.bath,
                              0.1, 0.0, ref_scenario.z0)
-    u = R.atomic_propagator(ref_scenario.atom, 0.1, 1.0)
+    u = R.PropagatorTable(ref_scenario.atom, 0.1, 1.0).at(1.0)
     assert np.linalg.norm(traj.z[-1] - u @ ref_scenario.z0) < 1e-7
 
 

@@ -66,19 +66,12 @@ def test_projection_distance_bound(ref_generator, ref_frame, ref_scenario):
             assert dist <= bound
 
 
-def test_first_order_correction_values(ref_bath):
-    assert S.first_order_correction(ref_bath, 1.0, 1.0, 0.05, 0.0) == 0.0
-    lim = S.first_order_correction(ref_bath, 1.0, 1.0, 0.05, np.inf)
-    assert lim.imag == pytest.approx(-np.pi * np.exp(-1.0), abs=1e-9)
-    beta, shift = B.decay_and_shift(ref_bath, 1.0, 1.0)
-    assert lim == pytest.approx(shift - 1j * beta, abs=1e-8)
-
-
 def test_eigenvalue_expansion_is_second_order(ref_scenario, ref_frame):
     # residual against alpha + lam^2 alpha' shrinks like lam^4
     t, eps = 0.6, 0.05
     alpha0 = float(ref_frame.energies_at(t)[0])
-    a1 = S.first_order_correction(ref_scenario.bath, 1.0, alpha0, eps, t)
+    # level correction -i|v|^2 I(t/eps, alpha), with |v| = 1 on this path
+    a1 = -1j * B.half_line_transform(ref_scenario.bath, alpha0, t / eps)
     ratios = []
     for lam in (0.1, 0.05, 0.025):
         g = R.effective_generator(ref_scenario.atom, ref_frame,
@@ -186,12 +179,3 @@ def test_diagnostic_rejects_a_generator_that_does_not_fit(ref_scenario, ref_fram
     with pytest.raises(ValueError, match="another"):
         S.adiabatic_evolution_diagnostic(atom, ref_frame, bath, 0.05, lam, 0.4, gen=short)
     S.adiabatic_evolution_diagnostic(atom, ref_frame, bath, eps, lam, 0.5, 0.1, gen=short)
-
-
-def test_first_order_correction_broadcasts_over_levels(ref_bath):
-    v, alphas = np.array([1.0, 0.5j, 0.7]), np.array([-0.3, 1.0, 2.4])
-    for t in (0.0, 0.6, np.inf):
-        want = [S.first_order_correction(ref_bath, v_j, a, 0.05, t)
-                for v_j, a in zip(v, alphas)]
-        np.testing.assert_allclose(S.first_order_correction(ref_bath, v, alphas, 0.05, t),
-                                   want, rtol=1e-14, atol=1e-14)
