@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import factorial
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh
 
 from . import bath as bath_mod
 from .errors import FrameSmoothnessError, GapViolation
@@ -39,6 +40,12 @@ PHASE_PER_STEP = 0.1       # target rad of fast phase per Magnus step
 KATO_UNITARITY_TOL = 1e-8      # largest entry of |W^H W - 1| for a Kato transport
 COUPLING_CHECK_POINTS = 64     # sample times of validate_coupling
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
+# diagonal Pade degrees m and the largest 1-norm at which each one's backward
+# error stays below double precision (Higham, SIAM J. Matrix Anal. Appl. 26
+# (2005), Table 2.3)
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0),
+               (13, 5.371920351148152e0))
 
 
 @dataclass(frozen=True)
@@ -268,8 +275,10 @@ def magnus_propagate(matfun: Callable[[np.ndarray], np.ndarray], grid,
     One fourth-order two-point Gauss Magnus step per grid interval (Blanes,
     Casas, Oteo & Ros, Phys. Rep. 470 (2009), sec. 5). matfun is called once,
     on the array of all Gauss nodes, and returns the (2(n-1), d, d) stack or
-    one constant (d, d) matrix; all step exponentials are taken in one batched
-    expm, then a running product. M may be non-Hermitian.
+    one constant (d, d) matrix; the step exponentials are one batched
+    scaling-and-squaring Pade exponential (_expm), then a running product.
+    M may be non-Hermitian: the effective generator and the free, Kato and
+    adiabatic transports all take this one path.
     """
     grid = np.asarray(grid, dtype=float)
     h = np.diff(grid)
@@ -279,12 +288,41 @@ def magnus_propagate(matfun: Callable[[np.ndarray], np.ndarray], grid,
     m = scale * np.broadcast_to(m, nodes.shape + m.shape[-2:])
     b1, b2 = m[:len(h)], m[len(h):]
     h = h[:, None, None]
-    steps = expm(0.5 * h * (b1 + b2) + (np.sqrt(3.0) / 12.0) * h * h * (b2 @ b1 - b1 @ b2))
+    steps = _expm(0.5 * h * (b1 + b2) + (np.sqrt(3.0) / 12.0) * h * h * (b2 @ b1 - b1 @ b2))
     u = np.empty((len(grid),) + steps.shape[1:], dtype=complex)
     u[0] = np.eye(steps.shape[1])
     for k, step in enumerate(steps):
         np.matmul(step, u[k], out=u[k + 1])
     return u
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of every matrix of an (n, d, d) stack, Hermitian or not.
+
+    Scaling and squaring (Higham 2005): one diagonal Pade approximant for the
+    whole stack, of the lowest degree whose threshold covers the stack's
+    largest 1-norm; a matrix beyond the degree-13 threshold is scaled by its
+    own power of two and squared back.
+    """
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    top = np.max(norm, initial=0.0)
+    m, theta = next((p for p in _PADE_THETA if top <= p[1]), _PADE_THETA[-1])
+    with np.errstate(invalid="ignore"):   # a non-finite matrix stays unscaled
+        s = np.ceil(np.log2(np.maximum(norm / theta, 1.0)))
+    s = np.where(np.isfinite(s), s, 0.0).astype(int)
+    a = a * np.exp2(-s)[:, None, None]
+    b = [factorial(2 * m - k) * factorial(m) / (factorial(2 * m) * factorial(k)
+                                                 * factorial(m - k)) for k in range(m + 1)]
+    even = [np.broadcast_to(np.eye(a.shape[-1]), a.shape), a @ a]   # a^0, a^2, ...
+    while len(even) < (m + 1) // 2:
+        even.append(even[-1] @ even[1])
+    u = a @ sum(b[2 * i + 1] * p for i, p in enumerate(even))
+    v = sum(b[2 * i] * p for i, p in enumerate(even))
+    r = np.linalg.solve(v - u, v + u)
+    for i in range(s.max(initial=0)):
+        sel = s > i
+        r[sel] = r[sel] @ r[sel]
+    return r
 
 
 def magnus_grid(atom: AtomPath, eps: float, t_end: float, intervals: int = 1):

@@ -126,8 +126,9 @@ def bath_from_csv(path, decay_amplitude=None, decay_power=2.5) -> BathSpec:
 
     if decay_amplitude is None:
         # conservative default: |gamma| <= gamma(0) and the tabulated support
-        # is compact, so a generic algebraic envelope is certified numerically
-        # by check_decay_bound at load time.
+        # is compact, so a generic algebraic envelope is assumed. Nothing
+        # checks it on load: only run_validate (`awwlab validate`) calls
+        # check_decay_bound, after correlation_l1_norm has used its tail.
         decay_amplitude = 4.0 * float(np.trapezoid(rho, omega))
     return BathSpec(
         density=density,

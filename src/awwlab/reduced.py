@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 TRANSFORM_GRID = 121   # times at which EffectiveGenerator tabulates the half-line transforms
+HISTORY_BLOCK = 32     # Volterra history lags summed directly; older lags come by FFT
 
 
 class PropagatorTable:
@@ -35,9 +36,10 @@ class PropagatorTable:
 
     Grid values are the magnus_propagate products on the magnus_grid of
     `intervals` equal intervals of [0, t_end], so times[::sub] are the
-    interval ends; off-grid queries take one extra Magnus step from the
-    nearest lower node so every returned matrix is a product of exact
-    exponentials and stays unitary. U_eps(t, s) is at(t) @ at(s)^H.
+    interval ends; an off-grid query inside [times[0], times[-1]] takes one
+    extra Magnus step from the nearest lower node, so every returned matrix
+    is a product of step exponentials and stays unitary. U_eps(t, s) is
+    at(t) @ at(s)^H.
     """
 
     def __init__(self, atom: AtomPath, eps: float, t_end: float, intervals: int = 1):
@@ -51,8 +53,11 @@ class PropagatorTable:
             raise IntegratorError(f"propagator unitarity drift {defect:.2e}")
 
     def at(self, t: float) -> np.ndarray:
+        """U_eps(t, 0); ValueError for t outside [times[0], times[-1]]."""
+        lo, hi = self.times[0], self.times[-1]
+        if not lo <= t <= hi:
+            raise ValueError(f"t = {t:g} lies outside the table's range [{lo:g}, {hi:g}]")
         k = int(np.searchsorted(self.times, t + 1e-14) - 1)
-        k = min(max(k, 0), len(self.times) - 1)
         t0 = self.times[k]
         if abs(t - t0) < 1e-13:
             return self.table[k]
@@ -67,8 +72,11 @@ def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
 
     In the interaction picture y = U_eps^{-1} z the equation is
     dy/dt = -(lam/eps)^2 beta(t) int_0^t <beta(s), y(s)> gamma((t-s)/eps) ds
-    with beta(t) = U_eps(t)^{-1} u(t). Heun stepping with product-trapezoid
-    history on a grid whose x = (t-s)/eps spacing is fixed across eps.
+    with beta(t) = U_eps(t)^{-1} u(t). Heun stepping with a product-trapezoid
+    history on n = t_end / (x_step eps) equal steps, where x_step, the node
+    spacing in x = (t-s)/eps, defaults to min(1/20, eps/2). The history sum
+    is one discrete convolution of <beta, y> with gamma at the nodes, formed
+    once per step by _History in O(n log^2 n) over the whole run.
     """
     z0 = np.asarray(z0, dtype=complex)
     d = atom.dim
@@ -94,31 +102,71 @@ def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
     kernel = bath_mod.correlation(bath, ts / eps)   # gamma(x) at x = k*h/eps
     rate = (lam / eps) ** 2
 
+    # memory(k) = h * trapezoid of inner[j] gamma((t_k - s_j)/eps) over j = 0..k.
+    # Its sum over j < k serves both step k-1's corrector and step k's
+    # predictor, so history forms it once. Heun's inner products with y all
+    # follow from p = <beta_{k+1}, y_k>, cross_k = <beta_{k+1}, beta_k> and
+    # norm2_k = |beta_k|^2.
+    cross = np.einsum("ki,ki->k", beta[1:].conj(), beta[:-1])
+    norm2 = np.einsum("ki,ki->k", beta.conj(), beta)
+    c = rate * h
     y = np.empty((n + 1, d), dtype=complex)
     y[0] = z0
     inner = np.empty(n + 1, dtype=complex)          # <beta(s_k), y(s_k)>
     inner[0] = np.vdot(beta[0], z0)
-
-    def memory(k, extra=None):
-        # trapezoid of inner[j] * gamma((t_k - s_j)/eps) over j = 0..k
-        if k == 0:
-            return 0.0
-        vals = inner[:k] * kernel[k:0:-1]
-        last = (inner[k] if extra is None else extra) * kernel[0]
-        return h * (vals.sum() + 0.5 * last - 0.5 * vals[0])
-
+    history = _History(inner, kernel)
+    first = 0.5 * inner[0] * kernel                 # the trapezoid's j = 0 end
+    half_g0 = 0.5 * kernel[0]                       # and its j = k end
+    mem = 0.0
     for k in range(n):
-        f_k = -rate * beta[k] * memory(k)
-        y_pred = y[k] + h * f_k
-        inner_pred = np.vdot(beta[k + 1], y_pred)
-        f_next = -rate * beta[k + 1] * memory(k + 1, extra=inner_pred)
-        y[k + 1] = y[k] + 0.5 * h * (f_k + f_next)
-        inner[k + 1] = np.vdot(beta[k + 1], y[k + 1])
+        p = np.vdot(beta[k + 1], y[k])
+        past = history(k + 1) - first[k + 1]
+        mem_pred = h * (past + half_g0 * (p - c * mem * cross[k]))
+        a, b = -0.5 * c * mem, -0.5 * c * mem_pred
+        y[k + 1] = y[k] + a * beta[k] + b * beta[k + 1]
+        inner[k + 1] = p + a * cross[k] + b * norm2[k + 1]
+        mem = h * (past + half_g0 * inner[k + 1])
 
     z = np.einsum("kij,kj->ki", u_all, y)
     return Trajectory(times=ts, z=z,
                       meta={"eps": eps, "lam": lam, "scheme": "volterra-heun",
                             "x_step": x_step})
+
+
+class _History:
+    """Running sums S_m = sum_{j<m} a[j] g[m-j] while a is filled in order.
+
+    The blocked convolution of Hairer, Lubich & Schlichte (SIAM J. Sci.
+    Stat. Comput. 6, 1985): the node axis is cut into blocks of
+    HISTORY_BLOCK, and blocks pair up into blocks twice their size. A pair
+    (j, m) in one block is summed directly when S_m is asked for. Every
+    other pair is added to far[m] ahead of time: when a[:e] is final at a
+    block end e, the last s values of a, with s the block size at which e
+    ends a left half, reach far[e:e+s] through one FFT convolution of
+    length 2s with g[:2s]. Over m = 1..n that is O(n log^2 n) work.
+    """
+
+    def __init__(self, a: np.ndarray, g: np.ndarray):
+        self.a, self.g = a, g
+        self.far = np.zeros(len(g), dtype=complex)
+        self._spectra = {}          # block size s -> FFT of g[:2s]
+
+    def __call__(self, m: int) -> complex:
+        """S_m, once a[:m] is final; call with m = 1, 2, ... in order."""
+        lo = m - m % HISTORY_BLOCK
+        if m == lo:
+            self._push(m)
+        return self.far[m] + np.dot(self.a[lo:m], self.g[m - lo:0:-1])
+
+    def _push(self, e: int):
+        blocks = e // HISTORY_BLOCK
+        s = HISTORY_BLOCK * (blocks & -blocks)
+        spec = self._spectra.get(s)
+        if spec is None:
+            spec = self._spectra[s] = np.fft.fft(self.g[:2 * s], 2 * s)
+        stop = min(e + s, len(self.far))
+        conv = np.fft.ifft(np.fft.fft(self.a[e - s:e], 2 * s) * spec)
+        self.far[e:stop] += conv[s:s + stop - e]
 
 
 class EffectiveGenerator:

@@ -61,6 +61,34 @@ def test_products_compose_across_a_split_grid(ref_scenario):
     assert np.linalg.norm(rest[-1] @ full[m] - full[-1]) < 1e-12
 
 
+@pytest.mark.parametrize("hermitian", [True, False], ids=["anti-hermitian", "general"])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_batched_exponential_matches_scipy_matrix_by_matrix(hermitian, d):
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(400, d, d)) + 1j * rng.normal(size=(400, d, d))
+    if hermitian:
+        x = 0.5 * (x - np.swapaxes(x.conj(), 1, 2))
+    # 1-norms from 1e-4 to 20: every Pade degree, and scaling and squaring
+    # for the matrices beyond the degree-13 threshold
+    norms = np.abs(x).sum(axis=1).max(axis=1)
+    x *= (np.geomspace(1e-4, 20.0, 400) / norms)[:, None, None]
+    got = A._expm(x)
+    want = sla.expm(x)
+    rel = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+    assert np.max(rel) <= 1e-13
+    for top in (1e-3, 0.2, 0.9, 2.0):   # one stack per Pade degree below 13
+        small = x[np.abs(x).sum(axis=1).max(axis=1) <= top]
+        assert np.max(np.abs(A._expm(small) - sla.expm(small))) <= 1e-13
+
+
+def test_propagator_table_rejects_times_outside_its_range(ref_scenario):
+    tab = R.PropagatorTable(ref_scenario.atom, 0.05, 1.0)
+    for t in (-1e-3, 1.0 + 1e-9, 1.5):
+        with pytest.raises(ValueError, match="outside"):
+            tab.at(t)
+    assert np.array_equal(tab.at(1.0), tab.table[-1])
+
+
 def test_magnus_grid_refines_the_coarse_grid(ref_scenario):
     eps = 0.05
     grid, sub = A.magnus_grid(ref_scenario.atom, eps, 1.0, 40)

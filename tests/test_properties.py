@@ -6,13 +6,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from awwlab import atom as A, bath as B, reduced as R, spectral as S
+from awwlab import atom as A, bath as B, exact as E, reduced as R, spectral as S
 
 # short, reproducible runs: a fixed example sequence and no example database
 PROPERTY = settings(max_examples=15, deadline=None, derandomize=True, database=None)
 DIMS = st.sampled_from([2, 3, 4])
 SEEDS = st.integers(0, 2**32 - 1)
 EPS = 0.1
+LAM2 = 0.05        # coupling of the oracle runs
 
 
 def smooth_path(d, seed):
@@ -48,6 +49,21 @@ def frame_of(atom):
     return A.eigenframe(atom, np.linspace(0.0, 1.0, 401))
 
 
+def unit_z0(d, seed):
+    z0 = np.array([1.0, 1j]) @ np.random.default_rng(seed).normal(size=(2, d))
+    return z0 / np.linalg.norm(z0)
+
+
+def oracle_run(d, seed):
+    """The exact oracle at EPS, lam^2 = LAM2 on smooth_path(d, seed), with its inputs."""
+    atom = smooth_path(d, seed)
+    frame = frame_of(atom)
+    bath = B.reference_bath()
+    traj = E.propagate_exact(atom, frame, E.discretize_bath(bath, EPS), unit_z0(d, seed),
+                             EPS, np.sqrt(LAM2), bath=bath, override_smallness=True)
+    return atom, frame, bath, traj
+
+
 @PROPERTY
 @given(d=DIMS, seed=SEEDS)
 def test_propagator_table_is_unitary_and_at_composes(d, seed):
@@ -67,8 +83,7 @@ def test_propagator_table_is_unitary_and_at_composes(d, seed):
 @given(d=DIMS, seed=SEEDS)
 def test_volterra_without_coupling_is_the_free_propagator(d, seed):
     atom = smooth_path(d, seed)
-    z0 = np.array([1.0, 1j]) @ np.random.default_rng(seed).normal(size=(2, d))
-    z0 /= np.linalg.norm(z0)
+    z0 = unit_z0(d, seed)
     traj = R.volterra_solve(atom, frame_of(atom), B.reference_bath(), EPS, 0.0, z0)
     want = R.PropagatorTable(atom, EPS, 1.0).at(1.0) @ z0
     assert np.linalg.norm(traj.z[-1] - want) < 1e-7
@@ -91,3 +106,22 @@ def test_perturbed_projections_resolve_the_generator(d, seed, t):
     for j, p in enumerate(projections):
         riesz = S.riesz_projection(g, complex(energies[j]), radius)
         assert np.linalg.norm(riesz - p) < 1e-8
+
+
+@PROPERTY
+@given(d=DIMS, seed=SEEDS)
+def test_oracle_conserves_the_norm(d, seed):
+    traj = oracle_run(d, seed)[3]
+    assert np.max(np.abs(traj.norm_defect)) <= 1e-8
+
+
+@PROPERTY
+@given(d=DIMS, seed=SEEDS)
+def test_volterra_converges_to_the_oracle_at_second_order(d, seed):
+    atom, frame, bath, oracle = oracle_run(d, seed)
+    dist = []
+    for x_step in (0.05, 0.025):
+        traj = R.volterra_solve(atom, frame, bath, EPS, np.sqrt(LAM2), oracle.z[0],
+                                x_step=x_step)
+        dist.append(np.max(np.linalg.norm(traj.z_at(oracle.times) - oracle.z, axis=1)))
+    assert dist[0] >= 3.0 * dist[1]
