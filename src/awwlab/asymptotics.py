@@ -77,7 +77,7 @@ def leading_order_z(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
     elif tables.frame is not frame or tables.bath is not bath:
         raise ValueError("tables were built for another frame or bath")
     t = frame.check_times(t)
-    v0 = frame.vectors_at(frame.times[0])
+    v0 = frame.vectors[0]
     z0_levels = v0.conj().T @ np.asarray(z0, dtype=complex)
     phase = tables.int_alpha(t) + lam**2 * tables.int_shift(t)
     decay = tables.int_beta(t)
@@ -120,7 +120,7 @@ def regime_classify(eps: float, lam: float,
             weights = np.zeros(d)
             weights[0] = 1.0
         else:
-            v0 = tables.frame.vectors_at(tables.frame.times[0])
+            v0 = tables.frame.vectors[0]
             weights = np.abs(v0.conj().T @ np.asarray(z0, dtype=complex)) ** 2
         survive = np.exp(-2.0 * r * np.asarray(tables.int_beta(t)))
         p_down = float(1.0 - np.dot(survive, weights))

@@ -128,6 +128,10 @@ class EigenFrame:
                              f"frame's range [{lo:g}, {hi:g}]")
         return t
 
+    def check_end(self, t_end: Optional[float] = None) -> float:
+        """A solver's last time: t_end, or the frame's last; ValueError past the frame."""
+        return float(self.times[-1] if t_end is None else self.check_times(t_end))
+
     @cached_property
     def energies_at(self) -> CubicSpline:
         return CubicSpline(self.times, self.energies, axis=0)
@@ -236,6 +240,7 @@ def coupling_in_working_basis(atom: AtomPath, frame: EigenFrame, t) -> np.ndarra
 
     A scalar t gives a (d,) vector, an array of times the (..., d) stack.
     """
+    t = frame.check_times(t)
     return (frame.vectors_at(t) @ atom.couplings(t)[..., None])[..., 0]
 
 

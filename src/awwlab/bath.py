@@ -33,7 +33,6 @@ __all__ = [
     "fourier_hat",
     "half_line_transform",
     "decay_and_shift",
-    "weighted_hat",
     "correlation_l1_norm",
     "check_decay_bound",
 ]
@@ -309,13 +308,6 @@ def decay_and_shift(bath: BathSpec, v, alpha):
     """
     val = np.abs(v) ** 2 * half_line_transform(bath, alpha, np.inf)
     return val.real, val.imag
-
-
-def weighted_hat(bath: BathSpec, obs: TestObservable, alpha):
-    """ghat_B(alpha) = sqrt(2 pi) B(alpha) rho(alpha) on the support."""
-    alpha_arr = np.asarray(alpha, dtype=float)
-    out = np.where(alpha_arr >= 0.0, SQRT_2PI * obs(alpha_arr) * bath.rho(alpha_arr), 0.0)
-    return out[()] if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

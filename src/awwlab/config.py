@@ -12,6 +12,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 from .errors import ConfigError
+from .exact import DT_OUT, ODE_RTOL, TOL_CORR
 
 __all__ = ["RunConfig", "KNOWN_KEYS", "parse_config", "load_config"]
 
@@ -53,9 +54,9 @@ class RunConfig:
                                   "each coupling lam in (0, 1]", default="lambda2=eps")
     sweep_direction: str = _key("sweep axis for the slope fit", str,
                                 ("eps | lambda", lambda s: s in ("eps", "lambda")), "eps")
-    solver_rtol: float = _key("exact-propagation relative tolerance", float, _OPEN_UNIT, 1e-10)
-    solver_dt_out: float = _key("output grid spacing", float, _POSITIVE, 1.0 / 200)
-    solver_tol_corr: float = _key("mode-grid correlation tolerance", float, _OPEN_UNIT, 1e-4)
+    solver_rtol: float = _key("exact-propagation relative tolerance", float, _OPEN_UNIT, ODE_RTOL)
+    solver_dt_out: float = _key("output grid spacing", float, _POSITIVE, DT_OUT)
+    solver_tol_corr: float = _key("mode-grid correlation tolerance", float, _OPEN_UNIT, TOL_CORR)
     emission_r: float = _key("decay-vs-slowness ratio r = lambda2/eps", float, _POSITIVE, 1.0)
     emission_observable: str = _key("emitted observable", str,
                                     ("one | omega", lambda s: s in ("one", "omega")), "one")

@@ -35,13 +35,12 @@ def observable_average(traj: Trajectory, grid: ModeGrid,
 
 def regime_A_limit(frame: EigenFrame, bath: bath_mod.BathSpec,
                    obs: bath_mod.TestObservable, j: int) -> float:
-    """Fast-decay limit ghat_B(alpha_j(0)) / ghat(alpha_j(0))."""
-    alpha0 = float(frame.energies_at(frame.times[0])[j])
-    denom = float(bath_mod.fourier_hat(bath, alpha0))
-    if denom == 0.0:
+    """Fast-decay limit ghat_B(alpha_j(0)) / ghat(alpha_j(0)), which is B(alpha_j(0))."""
+    alpha0 = float(frame.energies[0, j])
+    if bath_mod.fourier_hat(bath, alpha0) == 0.0:
         raise WellCouplednessError(
             f"level frequency {alpha0:.3f} outside the bath support")
-    return float(bath_mod.weighted_hat(bath, obs, alpha0)) / denom
+    return float(obs(alpha0))
 
 
 def regime_B_limit(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
@@ -63,6 +62,6 @@ def regime_B_limit(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
     alphas = frame.energies_at(ss)[:, j]
     v_j = atom.couplings(ss)[:, j]
     decay = np.exp(-2.0 * r * tables_for(frame, bath).int_beta(ss)[:, j])
-    ghat_b = np.asarray(bath_mod.weighted_hat(bath, obs, alphas), dtype=float)
+    ghat_b = obs(alphas) * bath_mod.fourier_hat(bath, alphas)
     integrand = np.abs(v_j) ** 2 * decay * ghat_b
     return float(np.sqrt(2.0 * np.pi) * r * simpson(integrand, x=ss))

@@ -33,7 +33,10 @@ __all__ = [
     "field_amplitude_closed_form",
 ]
 
+ODE_RTOL = 1e-10        # relative tolerance of the exact oracle's DOP853 stepper
 ODE_ATOL = 1e-12        # absolute tolerance of the exact oracle's DOP853 stepper
+DT_OUT = 1.0 / 200      # output grid spacing of the oracle and the effective solve
+TOL_CORR = 1e-4         # largest |gamma_N - gamma| a mode grid may leave
 NORM_TOL = 1e-6         # largest allowed |norm^2 - 1| of the oracle's state
 
 @dataclass(frozen=True)
@@ -50,13 +53,8 @@ class ModeGrid:
     def size(self) -> int:
         return len(self.omegas)
 
-    def discrete_correlation(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.exp(-1j * np.outer(x, self.omegas)) @ (self.couplings**2)
-        return out if out.size > 1 else out[0]
 
-
-def discretize_bath(bath: bath_mod.BathSpec, eps: float, tol_corr: float = 1e-4,
+def discretize_bath(bath: bath_mod.BathSpec, eps: float, tol_corr: float = TOL_CORR,
                     horizon: Optional[float] = None, max_doublings: int = 5) -> ModeGrid:
     """Gauss-Legendre mode grid reproducing gamma on [0, horizon].
 
@@ -120,8 +118,8 @@ def _coupling_spline(atom: AtomPath, frame: EigenFrame, t_end: float, n: int = 1
 
 def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
                     z0: np.ndarray, eps: float, lam: float,
-                    t_end: float = 1.0, dt_out: float = 1.0 / 200,
-                    rtol: float = 1e-10,
+                    t_end: Optional[float] = None, dt_out: float = DT_OUT,
+                    rtol: float = ODE_RTOL,
                     override_smallness: bool = False, record_source: bool = False,
                     bath: Optional[bath_mod.BathSpec] = None) -> Trajectory:
     """Integrate the coupled atom-mode amplitudes from f_0 = 0.
@@ -130,6 +128,7 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
     i eps df_i/dt = w_i f_i + lam <u(t), z> g_i
     in the field interaction picture F_i = exp(i w_i t / eps) f_i.
     """
+    t_end = frame.check_end(t_end)
     z0 = np.asarray(z0, dtype=complex)
     if abs(np.linalg.norm(z0) - 1.0) > 1e-10:
         raise ValueError("initial atomic amplitudes must have unit norm")

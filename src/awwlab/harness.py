@@ -46,7 +46,7 @@ class Scenario:
     atom: AtomPath
     bath: bath_mod.BathSpec
     z0: np.ndarray
-    t_end: float = 1.0
+    t_end: float
 
     def frame(self):
         """The eigenframe on [0, t_end], built on the first call."""
@@ -127,42 +127,38 @@ def _write_csv(path, header, rows):
                              for cell in row])
 
 
-def _trajectory_rows(traj, frame):
-    p, p_down = exact.populations(traj, frame)
-    defect = traj.norm_defect if traj.norm_defect is not None \
-        else np.zeros(len(traj.times))
-    rows = []
-    for k, t in enumerate(traj.times):
-        row = [t]
-        for j in range(traj.dim):
-            row += [traj.z[k, j].real, traj.z[k, j].imag]
-        row += list(p[k]) + [p_down[k], defect[k]]
-        rows.append(row)
-    return rows
-
-
 def write_trajectory_csv(path, traj, frame):
     d = traj.dim
     header = (["t"]
               + [f"{part}_z{j + 1}" for j in range(d) for part in ("re", "im")]
               + [f"p_{j + 1}" for j in range(d)] + ["p_down", "norm_defect"])
-    _write_csv(path, header, _trajectory_rows(traj, frame))
+    p, p_down = exact.populations(traj, frame)
+    defect = traj.norm_defect if traj.norm_defect is not None \
+        else np.zeros(len(traj.times))
+    # Python floats: FLOAT_FMT formats them faster than numpy scalars
+    rows = np.column_stack([traj.times, np.ascontiguousarray(traj.z).view(float),
+                            p, p_down, defect]).tolist()
+    _write_csv(path, header, rows)
 
 
-def _solve_all(scen: Scenario, eps: float, lam: float,
-               rtol: float = RunConfig.solver_rtol,
-               dt_out: float = RunConfig.solver_dt_out,
-               tol_corr: float = RunConfig.solver_tol_corr, override: bool = False):
-    frame = scen.frame()
+def _oracle(scen: Scenario, eps: float, lam: float, override: bool = False,
+            tol_corr: float = exact.TOL_CORR, **kw):
+    """Mode grid and exact trajectory of one point; kw (rtol, dt_out) is propagate_exact's."""
     modes = exact.discretize_bath(scen.bath, eps, tol_corr=tol_corr,
                                   horizon=scen.t_end / eps)
-    tr_exact = exact.propagate_exact(
-        scen.atom, frame, modes, scen.z0, eps, lam, t_end=scen.t_end,
-        dt_out=dt_out, rtol=rtol, bath=scen.bath, override_smallness=override)
-    tr_volt = reduced.volterra_solve(scen.atom, frame, scen.bath, eps, lam,
-                                     scen.z0, t_end=scen.t_end)
-    tr_eff = reduced.effective_solve(scen.atom, frame, scen.bath, eps, lam,
-                                     scen.z0, t_end=scen.t_end, dt_out=dt_out)
+    return modes, exact.propagate_exact(scen.atom, scen.frame(), modes, scen.z0, eps,
+                                        lam, bath=scen.bath, override_smallness=override,
+                                        **kw)
+
+
+def _solve_all(scen: Scenario, eps: float, lam: float, override: bool = False, **solver):
+    """The four trajectories of one point; solver holds any of rtol, dt_out, tol_corr."""
+    frame = scen.frame()
+    _, tr_exact = _oracle(scen, eps, lam, override, **solver)
+    tr_volt = reduced.volterra_solve(scen.atom, frame, scen.bath, eps, lam, scen.z0)
+    # the effective trajectory shares the oracle's output grid
+    tr_eff = reduced.effective_solve(scen.atom, frame, scen.bath, eps, lam, scen.z0,
+                                     dt_out=tr_exact.times[1])
     z_lead = asymptotics.leading_order_z(frame, scen.bath, scen.atom, eps, lam,
                                          scen.z0, tr_exact.times)
     tr_lead = exact.Trajectory(times=tr_exact.times, z=z_lead,
@@ -340,15 +336,9 @@ def run_emission(cfg: dict, out_dir: str, override: bool = False) -> dict:
     eps = rc.sim_eps if rc.emission_eps is None else rc.emission_eps
     lam = float(np.sqrt(r * eps))
     obs = bath_mod.TestObservable(weight=_OBSERVABLE_WEIGHTS[rc.emission_observable])
-    frame = scen.frame()
-    modes = exact.discretize_bath(scen.bath, eps, tol_corr=rc.solver_tol_corr,
-                                  horizon=scen.t_end / eps)
-    traj = exact.propagate_exact(scen.atom, frame, modes, scen.z0, eps, lam,
-                                 t_end=scen.t_end, dt_out=rc.solver_dt_out,
-                                 rtol=rc.solver_rtol, bath=scen.bath,
-                                 override_smallness=override)
+    modes, traj = _oracle(scen, eps, lam, override, **_solver_kw(rc))
     avg = float(emission.observable_average(traj, modes, obs)[-1])
-    limit = emission.regime_B_limit(frame, scen.bath, scen.atom, obs, 0, r,
+    limit = emission.regime_B_limit(scen.frame(), scen.bath, scen.atom, obs, 0, r,
                                     scen.t_end)
 
     os.makedirs(out_dir, exist_ok=True)

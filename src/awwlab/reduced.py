@@ -17,7 +17,7 @@ from . import bath as bath_mod
 from .atom import (PHASE_PER_STEP, AtomPath, EigenFrame, coupling_in_working_basis,
                    magnus_grid, magnus_propagate)
 from .errors import IntegratorError, ResolutionError
-from .exact import Trajectory
+from .exact import DT_OUT, Trajectory
 
 __all__ = [
     "PropagatorTable",
@@ -66,7 +66,7 @@ class PropagatorTable:
 
 
 def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
-                   eps: float, lam: float, z0: np.ndarray, t_end: float = 1.0,
+                   eps: float, lam: float, z0: np.ndarray, t_end: Optional[float] = None,
                    x_step: Optional[float] = None) -> Trajectory:
     """Memory-kernel dynamics of the atomic amplitudes alone.
 
@@ -78,6 +78,7 @@ def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
     is one discrete convolution of <beta, y> with gamma at the nodes, formed
     once per step by _History in O(n log^2 n) over the whole run.
     """
+    t_end = frame.check_end(t_end)
     z0 = np.asarray(z0, dtype=complex)
     d = atom.dim
     if x_step is None:
@@ -180,7 +181,8 @@ class EffectiveGenerator:
     """
 
     def __init__(self, atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
-                 eps: float, lam: float, t_end: float = 1.0):
+                 eps: float, lam: float, t_end: Optional[float] = None):
+        t_end = frame.check_end(t_end)
         self.atom, self.frame, self.bath = atom, frame, bath
         self.eps, self.lam = eps, lam
         ts = np.linspace(0.0, t_end, TRANSFORM_GRID)
@@ -224,17 +226,16 @@ def _generator(atom: AtomPath, frame: EigenFrame, lam: float, t, transforms) -> 
 
 
 def effective_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
-                    eps: float, lam: float, z0: np.ndarray, t_end: float = 1.0,
-                    dt_out: float = 1.0 / 200,
-                    gen: Optional[EffectiveGenerator] = None) -> Trajectory:
+                    eps: float, lam: float, z0: np.ndarray, t_end: Optional[float] = None,
+                    dt_out: float = DT_OUT) -> Trajectory:
     """Integrate i eps dz/dt = G_{eps,lam}(t) z by stepped Magnus exponentials.
 
     magnus_propagate of the non-Hermitian generator on the magnus_grid that
     refines the output grid of spacing dt_out.
     """
+    t_end = frame.check_end(t_end)
     z0 = np.asarray(z0, dtype=complex)
-    if gen is None:
-        gen = EffectiveGenerator(atom, frame, bath, eps, lam, t_end)
+    gen = EffectiveGenerator(atom, frame, bath, eps, lam, t_end)
     n_out = int(round(t_end / dt_out)) + 1
     t_out = np.linspace(0.0, t_end, n_out)
     fine, sub = magnus_grid(atom, eps, t_end, n_out - 1)

@@ -106,19 +106,6 @@ def test_decay_certificate(ref_bath):
     assert B.check_decay_bound(ref_bath)
 
 
-def test_weighted_transforms_reduce_to_plain(ref_bath):
-    one = B.TestObservable(weight=lambda w: np.ones_like(w))
-    assert B.weighted_hat(ref_bath, one, 1.2) == pytest.approx(
-        B.fourier_hat(ref_bath, 1.2))
-
-
-def test_weighted_hat_omega_observable(ref_bath):
-    obs = B.TestObservable(weight=lambda w: np.asarray(w, dtype=float))
-    # B(omega) = omega multiplies the density pointwise
-    assert B.weighted_hat(ref_bath, obs, 2.0) == pytest.approx(
-        2.0 * B.fourier_hat(ref_bath, 2.0))
-
-
 def write_density_table(path, nodes):
     """CSV table of the reference density w^2 e^-w at `nodes` points of [0, 25]."""
     omega = np.linspace(0.0, 25.0, nodes)

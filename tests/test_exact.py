@@ -12,7 +12,8 @@ def test_mode_grid_reproduces_correlation(ref_bath):
     from awwlab import bath as B
     modes = X.discretize_bath(ref_bath, 0.05)
     xs = np.linspace(0.0, 20.0, 313)
-    err = np.max(np.abs(modes.discrete_correlation(xs) - B.correlation(ref_bath, xs)))
+    discrete = np.exp(-1j * np.outer(xs, modes.omegas)) @ modes.couplings**2
+    err = np.max(np.abs(discrete - B.correlation(ref_bath, xs)))
     assert err < 1e-4
     assert modes.achieved_error < 1e-4
     assert np.all(modes.weights > 0.0)

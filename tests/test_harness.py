@@ -1,11 +1,12 @@
 import dataclasses
 import functools
+import inspect
 import os
 
 import numpy as np
 import pytest
 
-from awwlab import atom as A, cli, config as C, harness as H
+from awwlab import atom as A, cli, config as C, exact as X, harness as H, reduced as R
 from awwlab.errors import ConfigError
 from test_bath import write_density_table
 
@@ -41,6 +42,21 @@ def test_config_parses_and_rejects():
         C.parse_config(BASE_CFG + "sim.eps = 0.2\n")    # duplicate
     with pytest.raises(ConfigError):
         C.RunConfig.from_dict({**cfg, "sim.eps": "abc"})
+
+
+def test_solver_defaults_are_stated_once():
+    # the config keys and the solvers read the one constant in exact
+    assert C.RunConfig.solver_rtol is X.ODE_RTOL
+    assert C.RunConfig.solver_dt_out is X.DT_OUT
+    assert C.RunConfig.solver_tol_corr is X.TOL_CORR
+    defaults = {name: {key: p.default for key, p in inspect.signature(fn).parameters.items()}
+                for name, fn in (("propagate", X.propagate_exact),
+                                 ("effective", R.effective_solve),
+                                 ("modes", X.discretize_bath))}
+    assert defaults["propagate"]["rtol"] is X.ODE_RTOL
+    assert defaults["propagate"]["dt_out"] is X.DT_OUT
+    assert defaults["effective"]["dt_out"] is X.DT_OUT
+    assert defaults["modes"]["tol_corr"] is X.TOL_CORR
 
 
 def test_builtin_scenarios():

@@ -134,3 +134,31 @@ def test_reduced_solvers_run_on_complex_phase_atom(ref_bath):
     ts = oracle.times
     assert np.max(np.linalg.norm(volt.z_at(ts) - oracle.z, axis=1)) < 1e-3
     assert np.max(np.linalg.norm(eff.z_at(ts) - oracle.z, axis=1)) < 2e-2
+
+
+def test_solvers_run_over_the_frame_and_not_past_it(ref_scenario, ref_frame):
+    # the reference frame covers [0, 1]; past it the eigenvector splines extrapolate
+    atom, bath, z0 = ref_scenario.atom, ref_scenario.bath, ref_scenario.z0
+    eps = 0.1
+    lam = float(np.sqrt(eps))
+    modes = E.discretize_bath(bath, eps)
+    solvers = {
+        "volterra": lambda **kw: R.volterra_solve(atom, ref_frame, bath, eps, lam, z0, **kw),
+        "effective": lambda **kw: R.effective_solve(atom, ref_frame, bath, eps, lam, z0, **kw),
+        "exact": lambda **kw: E.propagate_exact(atom, ref_frame, modes, z0, eps, lam,
+                                                bath=bath, override_smallness=True, **kw),
+    }
+    for name, solve in solvers.items():
+        with pytest.raises(ValueError, match="outside the frame"):
+            solve(t_end=1.5)
+        full, explicit = solve(), solve(t_end=1.0)
+        assert full.times[-1] == 1.0, name
+        assert np.array_equal(full.z, explicit.z), name
+    with pytest.raises(ValueError, match="outside the frame"):
+        R.EffectiveGenerator(atom, ref_frame, bath, eps, lam, t_end=1.5)
+    gen = R.EffectiveGenerator(atom, ref_frame, bath, eps, lam)
+    assert gen.transforms.x[-1] == 1.0
+    with pytest.raises(ValueError, match="outside the frame"):
+        A.coupling_in_working_basis(atom, ref_frame, 1.5)
+    with pytest.raises(ValueError, match="outside the frame"):
+        A.coupling_in_working_basis(atom, ref_frame, np.array([0.5, 1.5]))
