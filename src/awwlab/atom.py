@@ -439,7 +439,8 @@ def complex_phase_atom(theta0: float, omega: float, levels=(1.0, 2.0)) -> AtomPa
 
 def tabulated_atom(path) -> AtomPath:
     """Atom path from CSV: column t, then d^2 (re, im) matrix entries row-major,
-    then d (re, im) coupling entries; cubic-spline interpolated."""
+    then d (re, im) coupling entries; cubic-spline interpolated. The coupling
+    is the CubicSpline itself, so coupling.x holds the table's times."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     ts = data[:, 0]
     n_rest = data.shape[1] - 1

@@ -43,7 +43,8 @@ class RunConfig:
     sim_eps: float = _key("adiabatic parameter for single runs", float, _UNIT, 0.05)
     sim_lambda2: float = _key("coupling squared for single runs", float, _UNIT, 1.0 / 64)
     sim_t_end: Optional[float] = _key("final rescaled time (default 1, 20 for "
-                                      "ww-const-2level)", float, _POSITIVE, None)
+                                      "ww-const-2level, the table's last time for "
+                                      "tabulated)", float, _POSITIVE, None)
     sim_z0: Optional[tuple] = _key(
         "comma-separated initial amplitudes (default 1,0,...)", _floats,
         ("of nonzero finite norm", lambda z: 0.0 < math.hypot(*z) < math.inf), None)

@@ -58,17 +58,23 @@ def discretize_bath(bath: bath_mod.BathSpec, eps: float, tol_corr: float = TOL_C
                     horizon: Optional[float] = None, max_doublings: int = 5) -> ModeGrid:
     """Gauss-Legendre mode grid reproducing gamma on [0, horizon].
 
-    The horizon defaults to the physical duration 1/eps; the node count
-    starts from the density rule (spacing ~ pi/(2*horizon) over the cutoff)
-    and doubles until the discrete correlation matches gamma to tol_corr.
+    The horizon defaults to the physical duration 1/eps. With w = cutoff
+    (s + 1)/2, the kernel e^{-i w x} is a phase times e^{-i (cutoff x/2) s},
+    whose frequency is at most k = cutoff horizon / 2 on [0, horizon]. The
+    Legendre coefficients of e^{-i k s} are spherical Bessel values j_n(k),
+    which die off once n passes k by a few k^{1/3}, and an n-node Gauss rule
+    is exact to degree 2n - 1. So the node count starts at
+    max(32, k/2 + 6 k^{1/3}) and doubles until the discrete correlation
+    matches gamma to tol_corr on 400 points of [0, horizon]; the doubling
+    also catches a density that is not smooth.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     if horizon is None:
         horizon = 1.0 / eps
     cutoff = bath.quad_cutoff
-    n = int(np.ceil(2.0 * cutoff * horizon / np.pi))
-    n = max(n, 32)
+    k = 0.5 * cutoff * horizon
+    n = max(32, math.ceil(0.5 * k + 6.0 * k ** (1.0 / 3.0)))
     xs = np.linspace(0.0, horizon, 400)
     gamma_ref = bath_mod.correlation(bath, xs)
     for _ in range(max_doublings + 1):
@@ -127,8 +133,14 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
     i eps dz/dt = A(t) z + lam u(t) <g, f>
     i eps df_i/dt = w_i f_i + lam <u(t), z> g_i
     in the field interaction picture F_i = exp(i w_i t / eps) f_i.
+    The grid must certify the kernel over the whole run: ResolutionError if
+    t_end/eps exceeds modes.horizon.
     """
     t_end = frame.check_end(t_end)
+    if t_end / eps > modes.horizon * (1.0 + 1e-12):
+        raise ResolutionError(
+            f"t_end/eps = {t_end / eps:g} lies past the mode grid's horizon "
+            f"{modes.horizon:g}; build the grid with horizon >= t_end/eps")
     z0 = np.asarray(z0, dtype=complex)
     if abs(np.linalg.norm(z0) - 1.0) > 1e-10:
         raise ValueError("initial atomic amplitudes must have unit norm")

@@ -85,8 +85,13 @@ def scenario_from_config(cfg: dict) -> Scenario:
 def _scenario(rc: RunConfig) -> Scenario:
     if rc.atom_name == "tabulated":
         atom = _read_table(tabulated_atom, rc.atom_file, "atom.file")
+        t_table = float(atom.coupling.x[-1])    # past it the splines extrapolate
+        t_end = t_table if rc.sim_t_end is None else rc.sim_t_end
+        if t_end > t_table:
+            raise ConfigError(f"sim.t_end = {t_end:g} lies past the atom table's last "
+                              f"time {t_table:g}", key="sim.t_end")
         scen = Scenario(name="tabulated", atom=atom, bath=_bath(rc),
-                        z0=np.eye(atom.dim, dtype=complex)[0], t_end=rc.sim_t_end or 1.0)
+                        z0=np.eye(atom.dim, dtype=complex)[0], t_end=t_end)
     else:
         scen = builtin_scenario(rc.atom_name, t_end=rc.sim_t_end)
         scen.bath = _bath(rc)

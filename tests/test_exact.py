@@ -1,15 +1,16 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
-from awwlab import exact as X
+from awwlab import bath as B, exact as X, harness as H
 from awwlab.errors import CouplingValidationError, DiscretizationError, ResolutionError
 
 
 def test_mode_grid_reproduces_correlation(ref_bath):
-    from awwlab import bath as B
     modes = X.discretize_bath(ref_bath, 0.05)
     xs = np.linspace(0.0, 20.0, 313)
     discrete = np.exp(-1j * np.outer(xs, modes.omegas)) @ modes.couplings**2
@@ -18,6 +19,66 @@ def test_mode_grid_reproduces_correlation(ref_bath):
     assert modes.achieved_error < 1e-4
     assert np.all(modes.weights > 0.0)
     assert np.all(np.diff(modes.omegas) > 0.0)
+
+
+def density_rule_grid(bath, horizon):
+    """The Gauss-Legendre grid of max(32, 2 cutoff horizon / pi) nodes, a spacing
+    of about pi / (2 horizon) over [0, cutoff]; its error is not measured."""
+    cutoff = bath.quad_cutoff
+    nodes, wts = roots_legendre(max(32, math.ceil(2.0 * cutoff * horizon / np.pi)))
+    omegas = 0.5 * cutoff * (nodes + 1.0)
+    weights = 0.5 * cutoff * wts
+    return X.ModeGrid(omegas=omegas, weights=weights,
+                      couplings=np.sqrt(weights * bath.rho(omegas)),
+                      horizon=horizon, achieved_error=np.nan)
+
+
+def _kernel_error(bath, omegas, g2, xs):
+    """max |gamma_N - gamma| over xs, in row blocks of at most 256 times."""
+    return max(float(np.max(np.abs(np.exp(-1j * np.outer(part, omegas)) @ g2
+                                   - B.correlation(bath, part))))
+               for part in np.array_split(xs, math.ceil(len(xs) / 256)))
+
+
+@pytest.mark.parametrize("horizon", [1.0, 4.0, 10.0, 40.0, 80.0, 320.0])
+def test_first_grid_reaches_the_density_rule_floor_on_fewer_nodes(ref_bath, horizon):
+    # max_doublings=0: the grid discretize_bath starts from, or an error
+    modes = X.discretize_bath(ref_bath, 1.0, horizon=horizon, max_doublings=0)
+    dense = density_rule_grid(ref_bath, horizon)
+    dense_error = _kernel_error(ref_bath, dense.omegas, dense.couplings**2,
+                                np.linspace(0.0, horizon, 400))
+    # both sit on the quad_cutoff tail floor, about 9.4e-9
+    assert abs(modes.achieved_error - dense_error) <= 1e-10
+    # the node ratio falls from 0.58 at horizon 10 toward 0.41 at 320
+    if horizon >= 10.0:
+        assert modes.size <= 0.6 * dense.size
+    if horizon >= 40.0:
+        assert modes.size <= 0.5 * dense.size
+
+
+@pytest.mark.parametrize("horizon", [1.0, 4.0, 10.0, 40.0, 80.0, 320.0])
+def test_achieved_error_bounds_the_kernel_error_between_its_points(ref_bath, horizon):
+    modes = X.discretize_bath(ref_bath, 1.0, horizon=horizon)
+    fine = _kernel_error(ref_bath, modes.omegas, modes.couplings**2,
+                         np.linspace(0.0, horizon, 4000))
+    assert fine <= 1.5 * modes.achieved_error
+
+
+def test_oracle_refuses_a_run_past_the_grid_horizon():
+    # the ww-const-2level frame covers [0, 20]: at eps = 1 the kernel is
+    # needed up to 20, and the default grid certifies it up to 1/eps = 1
+    scen = H.builtin_scenario("ww-const-2level")
+    frame, eps, lam = scen.frame(), 1.0, 0.05
+    short = X.discretize_bath(scen.bath, eps)
+    assert short.horizon == 1.0
+    with pytest.raises(ResolutionError, match="horizon"):
+        X.propagate_exact(scen.atom, frame, short, scen.z0, eps, lam)
+    # a run that ends within the horizon is allowed on the same grid
+    X.propagate_exact(scen.atom, frame, short, scen.z0, eps, lam, t_end=1.0)
+    full = X.discretize_bath(scen.bath, eps, horizon=20.0)
+    traj = X.propagate_exact(scen.atom, frame, full, scen.z0, eps, lam)
+    assert traj.times[-1] == 20.0
+    assert np.max(traj.norm_defect) < 1e-8
 
 
 def test_mode_grid_failure_reports_error(ref_bath):
@@ -80,7 +141,6 @@ def test_initial_state_must_be_normalized(ref_scenario, ref_frame):
 def test_davies_population_cross_check(exact_runner, ref_frame, ref_bath):
     # along lam^2 = eps the surviving upper population approaches
     # exp(-2 int beta_1) with an O(eps) defect
-    from awwlab import bath as B
     beta1, _ = B.decay_and_shift(ref_bath, 1.0, 1.0)
     pred = np.exp(-2.0 * beta1)
     for eps, c_max in ((0.1, 0.3), (0.05, 0.3)):

@@ -316,6 +316,21 @@ def test_unreadable_table_is_config_error(tmp_path, key, content):
     assert_config_error(tmp_path, text, key, tuple(COMMAND_RUNS))
 
 
+def test_tabulated_run_spans_its_table(tmp_path):
+    # A(t) = diag(1, 3), v = (1, 1) tabulated over [0, 0.5]
+    path = tmp_path / "atom.csv"
+    rows = [[t, 1, 0, 0, 0, 0, 0, 3, 0, 1, 0, 1, 0] for t in np.linspace(0.0, 0.5, 6)]
+    np.savetxt(path, rows, delimiter=",", header="t," + ",".join(["c"] * 12), comments="")
+    text = BASE_CFG.replace("atom.name = ww-ref-2level",
+                            f"atom.name = tabulated\natom.file = {path}")
+    scen = H.scenario_from_config(C.parse_config(text))
+    assert scen.t_end == 0.5 and scen.frame().times[-1] == 0.5
+    assert H.scenario_from_config(C.parse_config(text + "sim.t_end = 0.25\n")).t_end == 0.25
+    # past the table the splines would extrapolate the Hamiltonian
+    assert_config_error(tmp_path, text + "sim.t_end = 0.75\n", "sim.t_end",
+                        tuple(COMMAND_RUNS))
+
+
 def test_loglog_slope_recovers_power_law():
     xs = np.array([0.2, 0.1, 0.05, 0.025])
     slope, stderr = H.loglog_slope(xs, 3.0 * xs**1.7)

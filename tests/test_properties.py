@@ -7,6 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from awwlab import atom as A, bath as B, exact as E, reduced as R, spectral as S
+from test_exact import density_rule_grid
 
 # short, reproducible runs: a fixed example sequence and no example database
 PROPERTY = settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -54,12 +55,17 @@ def unit_z0(d, seed):
     return z0 / np.linalg.norm(z0)
 
 
-def oracle_run(d, seed):
-    """The exact oracle at EPS, lam^2 = LAM2 on smooth_path(d, seed), with its inputs."""
+def oracle_run(d, seed, modes=None):
+    """The exact oracle at EPS, lam^2 = LAM2 on smooth_path(d, seed), with its inputs.
+
+    modes defaults to discretize_bath's grid for EPS.
+    """
     atom = smooth_path(d, seed)
     frame = frame_of(atom)
     bath = B.reference_bath()
-    traj = E.propagate_exact(atom, frame, E.discretize_bath(bath, EPS), unit_z0(d, seed),
+    if modes is None:
+        modes = E.discretize_bath(bath, EPS)
+    traj = E.propagate_exact(atom, frame, modes, unit_z0(d, seed),
                              EPS, np.sqrt(LAM2), bath=bath, override_smallness=True)
     return atom, frame, bath, traj
 
@@ -125,3 +131,13 @@ def test_volterra_converges_to_the_oracle_at_second_order(d, seed):
                                 x_step=x_step)
         dist.append(np.max(np.linalg.norm(traj.z_at(oracle.times) - oracle.z, axis=1)))
     assert dist[0] >= 3.0 * dist[1]
+
+
+@PROPERTY
+@given(d=DIMS, seed=SEEDS)
+def test_oracle_on_the_default_grid_matches_a_denser_grid(d, seed):
+    # discretize_bath's grid at EPS has 93 modes, the density rule's 160
+    traj = oracle_run(d, seed)[3]
+    dense = oracle_run(d, seed, density_rule_grid(B.reference_bath(), 1.0 / EPS))[3]
+    assert traj.meta["modes"] < dense.meta["modes"]
+    assert np.max(np.abs(traj.z - dense.z)) <= 1e-9
