@@ -29,13 +29,16 @@ print(f"exact run at eps = {eps}, r = {r}:")
 print(f"  emitted weight <1>_1   = {total:.5f}")
 print(f"  mean emitted frequency = {mean_w:.5f} (transition line alpha_1 = 1)")
 
-print("\ncoarse emitted spectrum (weight per frequency bin):")
-edges = np.linspace(0.0, 3.0, 13)
+# the line's half-width, lam^2 beta_1 ~ 0.02, is under the node spacing near it
+# (~0.04), so a bin edge on the line would split it by where nodes happen to fall
+print("\ncoarse emitted spectrum (weight per frequency bin; the line, about 0.02")
+print("wide, is narrower than the mode-node spacing near it, so the bins are centred on it):")
+edges = np.linspace(0.125, 3.125, 13)
 dens = np.abs(traj.field[-1]) ** 2
 for lo, hi in zip(edges[:-1], edges[1:]):
     mask = (modes.omegas >= lo) & (modes.omegas < hi)
-    bar = "#" * int(400 * dens[mask].sum())
-    print(f"  [{lo:4.2f}, {hi:4.2f}) {dens[mask].sum():8.5f} {bar}")
+    bar = "#" * int(80 * dens[mask].sum())
+    print(f"  [{lo:5.3f}, {hi:5.3f}) {dens[mask].sum():8.5f} {bar}")
 
 print("\nlimit laws for B = 1:")
 b_val = emission.regime_B_limit(frame, scen.bath, scen.atom, one, 0, r, 1.0)

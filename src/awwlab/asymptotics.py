@@ -97,12 +97,14 @@ class RegimeReport:
 
 def regime_classify(eps: float, lam: float,
                     tables: Optional[AsymptoticTables] = None,
-                    z0: Optional[np.ndarray] = None, t: float = 1.0) -> RegimeReport:
+                    z0: Optional[np.ndarray] = None,
+                    t: Optional[float] = None) -> RegimeReport:
     """Coupling-vs-slowness taxonomy with an evaluated de-excitation prediction.
 
     The ratio r = lam^2/eps orders the regimes; the prediction
     1 - sum_j exp(-2 r int beta_j)|z0_j|^2 interpolates all of them
-    (saturating near 1 when strong, vanishing when weak).
+    (saturating near 1 when strong, vanishing when weak), at time t: by
+    default the end of the tables' frame, and ValueError past it.
     """
     if not (0.0 < eps <= 1.0 and 0.0 < lam <= 1.0):
         raise ValueError("eps and lam must lie in (0, 1]")
@@ -122,6 +124,7 @@ def regime_classify(eps: float, lam: float,
         else:
             v0 = tables.frame.vectors[0]
             weights = np.abs(v0.conj().T @ np.asarray(z0, dtype=complex)) ** 2
+        t = tables.frame.check_end(t)
         survive = np.exp(-2.0 * r * np.asarray(tables.int_beta(t)))
         p_down = float(1.0 - np.dot(survive, weights))
     return RegimeReport(regime=regime, ratio=r, p_down=p_down)

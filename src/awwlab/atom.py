@@ -37,6 +37,7 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 PHASE_PER_STEP = 0.1       # target rad of fast phase per Magnus step
+PHASE_PER_NODE = 0.5       # most rad of fast phase per node a trapezoid history sum takes
 KATO_UNITARITY_TOL = 1e-8      # largest entry of |W^H W - 1| for a Kato transport
 COUPLING_CHECK_POINTS = 64     # sample times of validate_coupling
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0

@@ -19,7 +19,8 @@ from scipy.interpolate import CubicSpline
 from scipy.special import roots_legendre
 
 from . import bath as bath_mod
-from .atom import AtomPath, EigenFrame, coupling_in_working_basis, validate_coupling
+from .atom import (PHASE_PER_NODE, PHASE_PER_STEP, AtomPath, EigenFrame,
+                   coupling_in_working_basis, validate_coupling)
 from .errors import (CouplingValidationError, DiscretizationError,
                      IntegratorError, ResolutionError, StiffnessError)
 
@@ -174,9 +175,9 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
     # size N x n_src is ever held
     samples = [(t_eval, y_out, slice(None))]
     if record_source:
-        # phase per source step <= 0.1 rad so the closed-form reconstruction
-        # can integrate the mode phases by trapezoid
-        dt_src = 0.1 * eps / max(float(omegas[-1]), 1.0)
+        # phase per source step <= PHASE_PER_STEP, well inside the
+        # PHASE_PER_NODE that the closed-form reconstruction's trapezoid takes
+        dt_src = PHASE_PER_STEP * eps / max(float(omegas[-1]), 1.0)
         n_src = int(np.ceil(t_end / dt_src)) + 1
         t_src = np.linspace(0.0, t_end, n_src)
         z_src = np.empty((n_src, d), dtype=complex)
@@ -249,7 +250,7 @@ def field_amplitude_closed_form(traj: Trajectory, modes: ModeGrid,
     step = (ts[-1] - ts[0]) / max(len(ts) - 1, 1)
     if np.max(np.abs(ts - (ts[0] + step * np.arange(len(ts))))) > 1e-9 * step:
         raise ResolutionError("source history is not on a uniform grid")
-    if float(modes.omegas[-1]) * step / eps > 0.5:
+    if float(modes.omegas[-1]) * step / eps > PHASE_PER_NODE:
         raise ResolutionError("source history too coarse for the mode phases")
     n = int(np.searchsorted(ts, t + 1e-12, side="right"))
     ts = ts[:n]

@@ -14,8 +14,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import bath as bath_mod
-from .atom import (PHASE_PER_STEP, AtomPath, EigenFrame, coupling_in_working_basis,
-                   magnus_grid, magnus_propagate)
+from .atom import (PHASE_PER_NODE, PHASE_PER_STEP, AtomPath, EigenFrame,
+                   coupling_in_working_basis, magnus_grid, magnus_propagate)
 from .errors import IntegratorError, ResolutionError
 from .exact import DT_OUT, Trajectory
 
@@ -92,9 +92,9 @@ def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
 
     # U_eps at the solution nodes from Magnus steps on a refinement of them
     free = PropagatorTable(atom, eps, t_end, intervals=n)
-    if free.sub * PHASE_PER_STEP > 0.5:
+    if free.sub * PHASE_PER_STEP > PHASE_PER_NODE:
         raise ResolutionError(
-            f"history grid too coarse: over 0.5 rad of fast phase per node "
+            f"history grid too coarse: over {PHASE_PER_NODE} rad of fast phase per node "
             f"({free.sub} Magnus steps)")
     u_all = free.table[::free.sub]
     beta = (np.swapaxes(u_all.conj(), 1, 2)

@@ -35,47 +35,41 @@ DIAGNOSTIC_GRID = 401     # times on [s, t] of adiabatic_evolution_diagnostic
 class PerturbedSpectrum:
     """Eigenvalues and rank-one projections of G, ordered by unperturbed level."""
 
-    eigenvalues: np.ndarray    # (d,) complex, entry j matched to level j
-    projections: np.ndarray    # (d, d, d), generally non-orthogonal
+    eigenvalues: np.ndarray    # (..., d) complex, entry j matched to level j
+    projections: np.ndarray    # (..., d, d, d), generally non-orthogonal
 
     def reconstruct(self) -> np.ndarray:
-        """Sum alpha_j P_j; equals G when the spectrum is simple."""
-        return np.einsum("j,jkl->kl", self.eigenvalues, self.projections)
+        """Sum alpha_j P_j; equals G (or its stack) when the spectrum is simple."""
+        return np.einsum("...j,...jkl->...kl", self.eigenvalues, self.projections)
 
 
 def perturbed_spectrum(g: np.ndarray, energies: np.ndarray,
                        vectors: np.ndarray) -> PerturbedSpectrum:
     """Eigendecomposition of G matched to the unperturbed levels.
 
-    energies/vectors are the Hermitian reference spectrum at the same time;
-    matching is greedy by eigenvalue distance, with near-ties resolved by
-    eigenvector overlap with the reference column.
+    g is one (d, d) generator or a (..., d, d) stack; energies (..., d) and
+    vectors (..., d, d), eigenvectors as columns, are the Hermitian reference
+    spectrum at the same times. Returns eigenvalues (..., d) and projections
+    (..., d, d, d). Level j takes the eigenvalue nearest alpha_j: under the
+    coupling-smallness condition Bauer-Fike puts each eigenvalue of G within
+    lam^2 ||v||^2 ||gamma||_L1 < gap/4 of its own level, so this is one-to-one.
+    As a check, the eigenvector overlapping reference column j most must name
+    the same eigenvalue; MatchingError if not, or if two levels share one.
     """
-    d = g.shape[0]
     w, vr = np.linalg.eig(g)
+    order = np.argmin(np.abs(w[..., None, :] - np.asarray(energies)[..., :, None]), axis=-1)
+    overlap = np.abs(np.swapaxes(np.conj(vectors), -1, -2) @ vr)    # (..., level, eig)
+    if (np.any(np.sort(order, axis=-1) != np.arange(w.shape[-1]))
+            or np.any(np.argmax(overlap, axis=-1) != order)):
+        raise MatchingError("two levels share a nearest eigenvalue, or distance "
+                            "and eigenvector overlap name different ones")
 
-    dist = np.abs(w[None, :] - np.asarray(energies)[:, None])   # (level, eig)
-    order = np.full(d, -1, dtype=int)
-    used = np.zeros(d, dtype=bool)
-    for level in np.argsort(dist.min(axis=1)):
-        row = dist[level].copy()
-        row[used] = np.inf
-        best = int(np.argmin(row))
-        near = np.flatnonzero(np.abs(row - row[best]) < 1e-12)
-        if len(near) > 1:
-            overlaps = [abs(np.vdot(vectors[:, level], vr[:, i])) for i in near]
-            best = int(near[int(np.argmax(overlaps))])
-            if sorted(overlaps)[-1] - sorted(overlaps)[-2] < 1e-12:
-                raise MatchingError(
-                    f"levels indistinguishable near eigenvalue {w[best]:.6g}")
-        order[level] = best
-        used[best] = True
-
-    vr = vr[:, order]
+    vr = np.take_along_axis(vr, order[..., None, :], axis=-1)
     # P_j = r_j (R^-1)_j: the rows of R^-1 are the left eigenvectors, scaled
     # so that each pairs to 1 with its right eigenvector
-    projections = np.einsum("aj,jb->jab", vr, np.linalg.inv(vr))
-    return PerturbedSpectrum(eigenvalues=w[order], projections=projections)
+    projections = np.einsum("...aj,...jb->...jab", vr, np.linalg.inv(vr))
+    return PerturbedSpectrum(eigenvalues=np.take_along_axis(w, order, axis=-1),
+                             projections=projections)
 
 
 def _contour(center: complex, radius: float, m: int):
@@ -89,18 +83,14 @@ def riesz_projection(g: np.ndarray, center: complex, radius: float) -> np.ndarra
     Trapezoid on the circle converges spectrally for the analytic resolvent;
     node count doubles if an eigenvalue sits close to the contour.
     """
-    d = g.shape[0]
-    eye = np.eye(d)
+    eye = np.eye(g.shape[0])
     eigs = np.linalg.eigvals(g)
     if np.min(np.abs(np.abs(eigs - center) - radius)) < 1e-8:
         raise ContourError("an eigenvalue lies within 1e-8 of the contour circle")
     m = CONTOUR_NODES
     for _ in range(CONTOUR_DOUBLINGS + 1):
-        zs = _contour(center, radius, m)
-        acc = np.zeros((d, d), dtype=complex)
-        for z in zs:
-            acc += np.linalg.solve(g - z * eye, eye) * (z - center)
-        p = -acc / m
+        zs = _contour(center, radius, m)[:, None, None]
+        p = -np.sum(np.linalg.inv(g - zs * eye) * (zs - center), axis=0) / m
         if np.linalg.norm(p @ p - p, 2) < 1e-10:
             return p
         m *= 2
@@ -112,12 +102,6 @@ def residue_integral(center: complex, radius: float, pole: complex) -> complex:
     zs = _contour(center, radius, CONTOUR_NODES)
     vals = zs / (pole - zs) ** 2 * (zs - center)
     return -np.mean(vals)
-
-
-def _perturbed_projection_table(gen: EffectiveGenerator, frame: EigenFrame,
-                                ts: np.ndarray) -> np.ndarray:
-    return np.array([perturbed_spectrum(g, en, vec).projections for g, en, vec
-                     in zip(gen(ts), frame.energies_at(ts), frame.vectors_at(ts))])
 
 
 def adiabatic_evolution_diagnostic(atom: AtomPath, frame: EigenFrame,
@@ -149,7 +133,7 @@ def adiabatic_evolution_diagnostic(atom: AtomPath, frame: EigenFrame,
 
     ts = np.linspace(s, t, DIAGNOSTIC_GRID)
     h = ts[1] - ts[0]
-    p_tab = _perturbed_projection_table(gen, frame, ts)
+    p_tab = perturbed_spectrum(gen(ts), frame.energies_at(ts), frame.vectors_at(ts)).projections
     dp = np.gradient(p_tab, h, axis=0, edge_order=2)
 
     # step-halving consistency of the finite-difference derivative

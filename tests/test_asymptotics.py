@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from awwlab import asymptotics as Y, atom as A, bath as B
+from awwlab import asymptotics as Y, atom as A, bath as B, harness as H
 from awwlab.errors import WellCouplednessError
 
 
@@ -110,6 +110,18 @@ def test_regime_predictions(ref_tables):
     assert strong.p_down > 0.999
     weak = Y.regime_classify(0.1, np.sqrt(0.1**3), tables=ref_tables)
     assert weak.p_down < 0.1
+
+
+def test_regime_prediction_is_read_at_the_frames_end(ref_tables, ref_bath):
+    # the default t is the frame's last time; a t past the frame raises
+    # instead of extrapolating int beta
+    with pytest.raises(ValueError, match="outside"):
+        Y.regime_classify(0.05, np.sqrt(0.05), tables=ref_tables, t=1.5)
+    const = H.builtin_scenario("ww-const-2level")
+    tables = Y.tables_for(const.frame(), ref_bath)
+    default = Y.regime_classify(0.05, np.sqrt(0.05), tables=tables, z0=const.z0)
+    at_end = Y.regime_classify(0.05, np.sqrt(0.05), tables=tables, z0=const.z0, t=20.0)
+    assert default.p_down == at_end.p_down
 
 
 def test_strong_coupling_survival_bound(ref_scenario, ref_frame, ref_tables):

@@ -116,6 +116,22 @@ def test_perturbed_projections_resolve_the_generator(d, seed, t):
 
 @PROPERTY
 @given(d=DIMS, seed=SEEDS)
+def test_one_stacked_spectrum_is_the_per_time_spectra(d, seed):
+    atom = smooth_path(d, seed)
+    frame = frame_of(atom)
+    ts = np.linspace(0.0, 1.0, 50)
+    g = R.EffectiveGenerator(atom, frame, B.reference_bath(), EPS, 0.1)(ts)
+    energies, vectors = frame.energies_at(ts), frame.vectors_at(ts)
+    stack = S.perturbed_spectrum(g, energies, vectors)
+    for k in range(len(ts)):
+        one = S.perturbed_spectrum(g[k], energies[k], vectors[k])
+        assert np.array_equal(stack.eigenvalues[k], one.eigenvalues)
+        assert np.array_equal(stack.projections[k], one.projections)
+    assert np.max(np.abs(stack.reconstruct() - g)) < 1e-10
+
+
+@PROPERTY
+@given(d=DIMS, seed=SEEDS)
 def test_oracle_conserves_the_norm(d, seed):
     traj = oracle_run(d, seed)[3]
     assert np.max(np.abs(traj.norm_defect)) <= 1e-8

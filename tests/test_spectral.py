@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from awwlab import asymptotics as Y, atom as A, bath as B, reduced as R, spectral as S
-from awwlab.errors import ContourError
+from awwlab.errors import ContourError, MatchingError
 from test_magnus import three_level_atom
 
 
@@ -81,6 +81,17 @@ def test_eigenvalue_expansion_is_second_order(ref_scenario, ref_frame):
         resid = abs(pspec.eigenvalues[0] - alpha0 - lam**2 * a1)
         ratios.append(resid / lam**4)
     assert max(ratios) / min(ratios) < 1.2
+
+
+@pytest.mark.parametrize("g, energies, vectors", [
+    # both levels lie nearest the eigenvalue 1
+    (np.diag([1.0 + 0j, 5.0]), np.array([1.0, 2.0]), np.eye(2)),
+    # each level's nearest eigenvalue has the other reference column's eigenvector
+    (np.diag([1.0 + 0j, 2.0]), np.array([1.0, 2.0]), np.eye(2)[:, ::-1]),
+], ids=["shared-nearest-eigenvalue", "distance-and-overlap-disagree"])
+def test_matching_error_when_levels_cannot_be_told_apart(g, energies, vectors):
+    with pytest.raises(MatchingError):
+        S.perturbed_spectrum(g, energies, vectors)
 
 
 def test_riesz_projection_diagonal_matrix():
