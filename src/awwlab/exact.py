@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import DOP853
+from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.interpolate import CubicSpline
 from scipy.special import roots_legendre
 
 from . import bath as bath_mod
 from .atom import (PHASE_PER_NODE, PHASE_PER_STEP, AtomPath, EigenFrame,
-                   coupling_in_working_basis, validate_coupling)
+                   _broadcast_times, coupling_in_working_basis, validate_coupling)
 from .errors import (CouplingValidationError, DiscretizationError,
                      IntegratorError, ResolutionError, StiffnessError)
 
@@ -123,6 +124,180 @@ def _coupling_spline(atom: AtomPath, frame: EigenFrame, t_end: float, n: int = 1
     return CubicSpline(ts, coupling_in_working_basis(atom, frame, ts), axis=0)
 
 
+class _CoupledRhs:
+    """Right-hand side of the amplitude equations, its time-only work batched.
+
+    load(ts) computes, for all the times one step evaluates, everything that
+    depends on time alone: the mode phases exp(-i w t / eps), g conj(phase),
+    u(t) and A(t). at(k, y, out) writes the derivative at ts[k] into out.
+    """
+
+    def __init__(self, atom: AtomPath, u_spline: CubicSpline, modes: ModeGrid,
+                 eps: float, lam: float):
+        self.atom, self.u_spline, self.lam, self.d = atom, u_spline, lam, atom.dim
+        self.g = modes.couplings
+        self.minus_i_omegas = -1j * modes.omegas
+        self.inv_eps = 1.0 / eps
+        self.to_dz = -1j * self.inv_eps                 # dz = to_dz (A z + lam u <g, f>)
+        self.to_df = self.to_dz * lam                   # df = to_df <u, z> g conj(phase)
+        self.nfev = 0
+
+    def load(self, ts: np.ndarray) -> None:
+        d = self.d
+        self.phase = np.exp(self.minus_i_omegas * (ts[:, None] * self.inv_eps))
+        self.g_conj = self.g * np.conj(self.phase)
+        self.u = self.u_spline(ts)
+        self.a = _broadcast_times(self.atom.hamiltonian(ts), ts, (d, d), "A")
+
+    def at(self, k: int, y: np.ndarray, out: np.ndarray) -> None:
+        self.nfev += 1
+        d, u = self.d, self.u[k]
+        z, big_f = y[:d], y[d:]
+        s_field = self.g @ (self.phase[k] * big_f)     # <g, f>
+        s_atom = np.vdot(u, z)                          # <u, z>
+        out[:d] = self.to_dz * (self.a[k] @ z + self.lam * u * s_field)
+        np.multiply(self.to_df * s_atom, self.g_conj[k], out=out[d:])
+
+
+# Hairer, Norsett & Wanner's DOP853 (Solving ODEs I, secs. II.4-II.6) with the
+# tableau, error norm and step controller of scipy.integrate.DOP853, so the
+# steps, and every number of the run, are the same as scipy's
+_STAGES = _dop853.N_STAGES                                  # 12
+_A = _dop853.A[:_STAGES, :_STAGES]
+_A_EXTRA = _dop853.A[_STAGES + 1:]
+_C_STEP = np.append(_dop853.C[1:_STAGES], 1.0)            # times of K[1:13] per unit h
+_C_EXTRA = _dop853.C[_STAGES + 1:]
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0                                # -1/(error order 7 + 1)
+_MIN_RTOL = 100 * np.finfo(float).eps                       # scipy's floor on rtol
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+class _Dop853:
+    """Adaptive DOP853 steps of y' = rhs from y(0) = y0 up to t_end.
+
+    Each attempted step first loads all twelve of its evaluation times into
+    rhs, then runs the stages. step() takes one accepted step or raises
+    StiffnessError once the step would fall below 10 ulp of t; dense(ts, cols)
+    reads that step's dense output.
+    """
+
+    def __init__(self, rhs: _CoupledRhs, y0: np.ndarray, t_end: float,
+                 rtol: float, atol: float):
+        if rtol < _MIN_RTOL:
+            warnings.warn(f"rtol = {rtol:g} is below {_MIN_RTOL:g}; using {_MIN_RTOL:g}",
+                          stacklevel=3)
+            rtol = _MIN_RTOL
+        self.rhs, self.t_end, self.rtol, self.atol = rhs, t_end, rtol, atol
+        self.t, self.y = 0.0, y0
+        self.K = np.empty((_dop853.N_STAGES_EXTENDED, len(y0)), dtype=complex)
+        self.f = np.empty_like(y0)
+        rhs.load(np.zeros(1))
+        rhs.at(0, y0, self.f)
+        self.h_abs = self._first_step()
+        self.steps = self.rejected = 0
+
+    def _first_step(self) -> float:
+        """The starting step of Hairer, Norsett & Wanner, sec. II.4."""
+        y0, f0 = self.y, self.f
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, self.t_end)
+        f1 = np.empty_like(y0)
+        self.rhs.load(np.array([h0]))
+        self.rhs.at(0, y0 + h0 * f0, f1)
+        d2 = _rms((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+        return min(100 * h0, h1, self.t_end)
+
+    def step(self) -> None:
+        t, y, K, rhs = self.t, self.y, self.K, self.rhs
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(self.h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError("integration failed: Required step size "
+                                     "is less than spacing between numbers.")
+            t_new = min(t + h_abs, self.t_end)
+            h_abs = h = t_new - t
+            rhs.load(t + _C_STEP * h)
+            K[0] = self.f
+            for s in range(1, _STAGES):
+                rhs.at(s - 1, y + np.dot(K[:s].T, _A[s, :s]) * h, K[s])
+            y_new = y + h * np.dot(K[:_STAGES].T, _dop853.B)
+            rhs.at(_STAGES - 1, y_new, K[_STAGES])
+            error_norm = self._error_norm(y, y_new, h)
+            if error_norm < 1:
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+            self.rejected += 1
+        if error_norm == 0:
+            factor = _MAX_FACTOR
+        else:
+            factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+        if rejected:
+            factor = min(1, factor)
+        self.steps += 1
+        self.t_old, self.y_old, self.h = t, y, h
+        self.t, self.y, self.h_abs = t_new, y_new, h_abs * factor
+        self.f = K[_STAGES].copy()
+        self.F = None
+
+    def _error_norm(self, y: np.ndarray, y_new: np.ndarray, h: float) -> float:
+        """Scaled norm of the embedded fifth- and third-order error estimates."""
+        K = self.K[:_STAGES + 1]
+        scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+        err5_norm_2 = np.linalg.norm(np.dot(K.T, _dop853.E5) / scale) ** 2
+        err3_norm_2 = np.linalg.norm(np.dot(K.T, _dop853.E3) / scale) ** 2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+    def _interpolant(self) -> np.ndarray:
+        """Rows F of the last step's seventh-degree dense output; three more stages."""
+        K, h, y_old, rhs = self.K, self.h, self.y_old, self.rhs
+        rhs.load(self.t_old + _C_EXTRA * h)
+        for k, s in enumerate(range(_STAGES + 1, len(K))):
+            rhs.at(k, y_old + np.dot(K[:s].T, _A_EXTRA[k, :s]) * h, K[s])
+        F = np.empty((_dop853.INTERPOLATOR_POWER, K.shape[1]), dtype=complex)
+        f_old, delta_y = K[0], self.y - y_old
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (self.f + f_old)
+        F[3:] = h * np.dot(_dop853.D, K)
+        return F
+
+    def dense(self, ts: np.ndarray, cols: slice) -> np.ndarray:
+        """Columns cols of the last step's dense output at its times ts, (len(ts), ncols).
+
+        The interpolant costs three right-hand sides: a step builds it on its
+        first call only, and a step without a sampled time never does.
+        """
+        if self.F is None:
+            self.F = self._interpolant()
+        x = ((ts - self.t_old) / self.h)[:, None]
+        y_old = self.y_old[cols]
+        y = np.zeros((len(ts), len(y_old)), dtype=complex)
+        for i, f in enumerate(self.F[::-1, cols]):
+            y += f
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += y_old
+        return y
+
+
 def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
                     z0: np.ndarray, eps: float, lam: float,
                     t_end: Optional[float] = None, dt_out: float = DT_OUT,
@@ -133,7 +308,9 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
 
     i eps dz/dt = A(t) z + lam u(t) <g, f>
     i eps df_i/dt = w_i f_i + lam <u(t), z> g_i
-    in the field interaction picture F_i = exp(i w_i t / eps) f_i.
+    in the field interaction picture F_i = exp(i w_i t / eps) f_i, stepped by
+    _Dop853, which takes scipy.integrate.DOP853's steps to the last bit.
+    meta records nfev and the accepted and rejected steps.
     The grid must certify the kernel over the whole run: ResolutionError if
     t_end/eps exceeds modes.horizon.
     """
@@ -154,18 +331,8 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
 
     d, n_modes = atom.dim, modes.size
     u_spline = _coupling_spline(atom, frame, t_end)
-    omegas, g = modes.omegas, modes.couplings
+    omegas = modes.omegas
     inv_eps = 1.0 / eps
-
-    def rhs(t, y):
-        z, big_f = y[:d], y[d:]
-        phase = np.exp(-1j * omegas * (t * inv_eps))
-        u = u_spline(t)
-        s_field = g @ (phase * big_f)           # <g, f>
-        s_atom = np.vdot(u, z)                  # <u, z>
-        dz = -1j * inv_eps * (atom.hamiltonian(t) @ z + lam * u * s_field)
-        df = -1j * inv_eps * lam * s_atom * (g * np.conj(phase))
-        return np.concatenate([dz, df])
 
     n_out = int(round(t_end / dt_out)) + 1
     t_eval = np.linspace(0.0, t_end, n_out)
@@ -185,20 +352,14 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
     filled = [0] * len(samples)
 
     y0 = np.concatenate([z0, np.zeros(n_modes, dtype=complex)])
-    solver = DOP853(rhs, 0.0, y0, t_end, rtol=rtol, atol=ODE_ATOL)
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise StiffnessError(f"integration failed: {message}")
-        # the interpolant costs three right-hand sides: build it only for a
-        # step that holds a sampled time
-        dense = None
+    rhs = _CoupledRhs(atom, u_spline, modes, eps, lam)
+    solver = _Dop853(rhs, y0, t_end, rtol, ODE_ATOL)
+    while solver.t < t_end:
+        solver.step()
         for k, (ts, buf, cols) in enumerate(samples):
             stop = int(np.searchsorted(ts, solver.t, side="right"))
             if stop > filled[k]:
-                if dense is None:
-                    dense = solver.dense_output()
-                buf[filled[k]:stop] = dense(ts[filled[k]:stop]).T[:, cols]
+                buf[filled[k]:stop] = solver.dense(ts[filled[k]:stop], cols)
                 filled[k] = stop
 
     f_out = np.exp(-1j * np.outer(t_eval, omegas) * inv_eps) * y_out[:, d:]
@@ -210,7 +371,7 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
     traj = Trajectory(
         times=t_eval, z=y_out[:, :d].copy(), field=f_out, norm_defect=defect,
         meta={"eps": eps, "lam": lam, "modes": n_modes, "method": "DOP853",
-              "nfev": solver.nfev},
+              "nfev": rhs.nfev, "steps": solver.steps, "rejected": solver.rejected},
     )
     if record_source:
         traj.source_times = t_src

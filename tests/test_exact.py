@@ -4,10 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 from scipy.special import roots_legendre
 
 from awwlab import bath as B, exact as X, harness as H
-from awwlab.errors import CouplingValidationError, DiscretizationError, ResolutionError
+from awwlab.errors import (CouplingValidationError, DiscretizationError, ResolutionError,
+                           StiffnessError)
 
 
 def test_mode_grid_reproduces_correlation(ref_bath):
@@ -211,3 +213,123 @@ def test_field_reconstruction_checks_its_contract(exact_runner):
                                  source_vals=traj.source_vals[::8])
     with pytest.raises(ResolutionError, match="too coarse"):
         X.field_amplitude_closed_form(coarse, modes, eps, lam, 0.5)
+
+
+def scipy_oracle(atom, frame, modes, z0, eps, lam, record_source=False):
+    """The oracle stepped by scipy.integrate.DOP853 with a per-call closure
+    right-hand side, sampled through scipy's dense output of each step.
+
+    Returns (z, field, norm_defect, source_vals, nfev) on propagate_exact's
+    grids, for its default t_end, rtol and dt_out.
+    """
+    t_end = frame.check_end()
+    d, n_modes = atom.dim, modes.size
+    u_spline = X._coupling_spline(atom, frame, t_end)
+    omegas, g = modes.omegas, modes.couplings
+    inv_eps = 1.0 / eps
+
+    def rhs(t, y):
+        z, big_f = y[:d], y[d:]
+        phase = np.exp(-1j * omegas * (t * inv_eps))
+        u = u_spline(t)
+        s_field = g @ (phase * big_f)           # <g, f>
+        s_atom = np.vdot(u, z)                  # <u, z>
+        dz = -1j * inv_eps * (atom.hamiltonian(t) @ z + lam * u * s_field)
+        df = -1j * inv_eps * lam * s_atom * (g * np.conj(phase))
+        return np.concatenate([dz, df])
+
+    grids = [np.linspace(0.0, t_end, int(round(t_end / X.DT_OUT)) + 1)]
+    if record_source:
+        dt_src = X.PHASE_PER_STEP * eps / max(float(omegas[-1]), 1.0)
+        grids.append(np.linspace(0.0, t_end, int(np.ceil(t_end / dt_src)) + 1))
+    rows = [[] for _ in grids]
+    filled = [0] * len(grids)
+    y0 = np.concatenate([z0, np.zeros(n_modes, dtype=complex)])
+    solver = DOP853(rhs, 0.0, y0, t_end, rtol=X.ODE_RTOL, atol=X.ODE_ATOL)
+    while solver.status == "running":
+        solver.step()
+        assert solver.status != "failed"
+        dense = None
+        for k, ts in enumerate(grids):
+            stop = int(np.searchsorted(ts, solver.t, side="right"))
+            if stop > filled[k]:
+                dense = dense or solver.dense_output()
+                rows[k].append(dense(ts[filled[k]:stop]).T)
+                filled[k] = stop
+    y_out = np.concatenate(rows[0])
+    field = np.exp(-1j * np.outer(grids[0], omegas) * inv_eps) * y_out[:, d:]
+    defect = np.abs(np.sum(np.abs(y_out) ** 2, axis=1) - 1.0)
+    source = None
+    if record_source:
+        z_src = np.concatenate(rows[1])[:, :d]
+        source = np.einsum("kj,kj->k", u_spline(grids[1]).conj(), z_src)
+    return y_out[:, :d], field, defect, source, solver.nfev
+
+
+def _reference_case(case):
+    """(atom, frame, bath, z0, eps, lam) of a bit-identity case."""
+    if case == "d3":
+        from test_properties import EPS, LAM2, frame_of, smooth_path, unit_z0
+        atom = smooth_path(3, 7)
+        return atom, frame_of(atom), B.reference_bath(), unit_z0(3, 7), EPS, np.sqrt(LAM2)
+    scen = H.builtin_scenario("ww-ref-2level")
+    return scen.atom, scen.frame(), scen.bath, scen.z0, 0.05, float(np.sqrt(0.05))
+
+
+@pytest.mark.parametrize("case, record_source", [("ref", False), ("ref", True),
+                                                 ("d3", True)])
+def test_oracle_steps_as_scipy_dop853_bit_for_bit(case, record_source):
+    # the in-module stepper uses scipy's tableau and controller and the same
+    # per-time arithmetic, so every number of the run is scipy's; on the
+    # seeded d = 3 path the controller also rejects a step
+    atom, frame, bath, z0, eps, lam = _reference_case(case)
+    modes = X.discretize_bath(bath, eps)
+    traj = X.propagate_exact(atom, frame, modes, z0, eps, lam, bath=bath,
+                             override_smallness=True, record_source=record_source)
+    z, field, defect, source, nfev = scipy_oracle(atom, frame, modes, z0, eps, lam,
+                                                  record_source)
+    assert np.array_equal(traj.z, z)
+    assert np.array_equal(traj.field, field)
+    assert np.array_equal(traj.norm_defect, defect)
+    if record_source:
+        assert np.array_equal(traj.source_vals, source)
+    assert traj.meta["nfev"] == nfev
+    # two evaluations start the run, twelve go into each attempted step and
+    # three into each dense interpolant
+    meta = traj.meta
+    interpolant_fev = meta["nfev"] - 2 - 12 * (meta["steps"] + meta["rejected"])
+    assert interpolant_fev >= 0 and interpolant_fev % 3 == 0
+    if case == "d3":
+        assert meta["rejected"] >= 1
+
+
+def test_oracle_fails_on_a_hamiltonian_that_turns_nan(ref_scenario, ref_frame):
+    # every step that reaches past t = 0.5 has a NaN error norm and is cut
+    # fivefold, until the step falls below 10 ulp of t
+    ref = ref_scenario.atom
+
+    def ham(t):
+        return np.where((np.asarray(t) > 0.5)[..., None, None], np.nan, ref.hamiltonian(t))
+
+    atom = dataclasses.replace(ref, hamiltonian=ham)
+    eps = 0.05
+    modes = X.discretize_bath(ref_scenario.bath, eps)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(StiffnessError, match="integration failed"):
+            X.propagate_exact(atom, ref_frame, modes, ref_scenario.z0, eps, np.sqrt(eps))
+
+
+def test_oracle_floors_rtol_as_scipy_does(ref_scenario, ref_frame):
+    # scipy's DOP853 warns and raises an rtol below 100 ulp to that floor
+    eps = 0.1
+    modes = X.discretize_bath(ref_scenario.bath, eps)
+
+    def run(rtol):
+        return X.propagate_exact(ref_scenario.atom, ref_frame, modes, ref_scenario.z0,
+                                 eps, 0.3, t_end=0.2, rtol=rtol)
+
+    with pytest.warns(UserWarning, match="rtol"):
+        tiny = run(1e-17)
+    floor = run(100 * np.finfo(float).eps)
+    assert np.array_equal(tiny.z, floor.z)
+    assert tiny.meta["nfev"] == floor.meta["nfev"]
