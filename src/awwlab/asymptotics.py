@@ -92,19 +92,18 @@ def leading_order_z(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
 class RegimeReport:
     regime: str          # strong | davies | weak_a | weak_b
     ratio: float         # r = lam^2 / eps
-    p_down: Optional[float]   # predicted de-excitation at t (when tables given)
+    p_down: float        # predicted de-excitation at t
 
 
-def regime_classify(eps: float, lam: float,
-                    tables: Optional[AsymptoticTables] = None,
-                    z0: Optional[np.ndarray] = None,
+def regime_classify(eps: float, lam: float, tables: AsymptoticTables, z0: np.ndarray,
                     t: Optional[float] = None) -> RegimeReport:
     """Coupling-vs-slowness taxonomy with an evaluated de-excitation prediction.
 
     The ratio r = lam^2/eps orders the regimes; the prediction
-    1 - sum_j exp(-2 r int beta_j)|z0_j|^2 interpolates all of them
-    (saturating near 1 when strong, vanishing when weak), at time t: by
-    default the end of the tables' frame, and ValueError past it.
+    1 - sum_j exp(-2 r int beta_j)|z0_j|^2, with z0_j on the frame's t = 0
+    eigenvectors, interpolates all of them (saturating near 1 when strong,
+    vanishing when weak), at time t: by default the end of the tables'
+    frame, and ValueError outside the frame.
     """
     if not (0.0 < eps <= 1.0 and 0.0 < lam <= 1.0):
         raise ValueError("eps and lam must lie in (0, 1]")
@@ -115,18 +114,11 @@ def regime_classify(eps: float, lam: float,
         regime = "davies"
     else:
         regime = "weak_a" if lam**2 / eps**2 >= 1.0 else "weak_b"
-    p_down = None
-    if tables is not None:
-        d = tables.frame.dim
-        if z0 is None:
-            weights = np.zeros(d)
-            weights[0] = 1.0
-        else:
-            v0 = tables.frame.vectors[0]
-            weights = np.abs(v0.conj().T @ np.asarray(z0, dtype=complex)) ** 2
-        t = tables.frame.check_end(t)
-        survive = np.exp(-2.0 * r * np.asarray(tables.int_beta(t)))
-        p_down = float(1.0 - np.dot(survive, weights))
+    frame = tables.frame
+    weights = np.abs(frame.vectors[0].conj().T @ np.asarray(z0, dtype=complex)) ** 2
+    t = frame.times[-1] if t is None else frame.check_times(t)
+    survive = np.exp(-2.0 * r * np.asarray(tables.int_beta(t)))
+    p_down = float(1.0 - np.dot(survive, weights))
     return RegimeReport(regime=regime, ratio=r, p_down=p_down)
 
 

@@ -68,7 +68,6 @@ class AtomPath:
     hamiltonian: Callable[[np.ndarray], np.ndarray]
     coupling: Callable[[np.ndarray], np.ndarray]
     eigvec_provider: Optional[Callable[[float], tuple]] = None
-    label: str = "custom"
 
     def matrix(self, t) -> np.ndarray:
         """A(t) for a scalar t, or the (..., d, d) stack for an array of times.
@@ -130,8 +129,12 @@ class EigenFrame:
         return t
 
     def check_end(self, t_end: Optional[float] = None) -> float:
-        """A solver's last time: t_end, or the frame's last; ValueError past the frame."""
-        return float(self.times[-1] if t_end is None else self.check_times(t_end))
+        """A solver's last time: t_end, or the frame's last; ValueError past the
+        frame or at its first time, where the run would be empty."""
+        t_end = float(self.times[-1] if t_end is None else self.check_times(t_end))
+        if t_end <= self.times[0]:
+            raise ValueError(f"t_end = {t_end:g} leaves an empty span from {self.times[0]:g}")
+        return t_end
 
     @cached_property
     def energies_at(self) -> CubicSpline:
@@ -382,7 +385,7 @@ def validate_coupling(atom: AtomPath, frame: EigenFrame, bath: "bath_mod.BathSpe
 # builtin atom families
 # ---------------------------------------------------------------------------
 
-def diag_rotation_atom(level_funcs, theta_func, coupling_func, label="diag+rotation") -> AtomPath:
+def diag_rotation_atom(level_funcs, theta_func, coupling_func) -> AtomPath:
     """A(t) = R(theta(t)) diag(alpha_1(t), ..., alpha_d(t)) R(theta(t))^T, d = 2.
 
     level_funcs, theta_func and coupling_func take an array of times; a
@@ -406,7 +409,7 @@ def diag_rotation_atom(level_funcs, theta_func, coupling_func, label="diag+rotat
         a[..., 1, 1] = diag_11
         return a
 
-    return AtomPath(dim=d, hamiltonian=ham, coupling=coupling_func, label=label)
+    return AtomPath(dim=d, hamiltonian=ham, coupling=coupling_func)
 
 
 def complex_phase_atom(theta0: float, omega: float, levels=(1.0, 2.0)) -> AtomPath:
@@ -429,13 +432,8 @@ def complex_phase_atom(theta0: float, omega: float, levels=(1.0, 2.0)) -> AtomPa
         a, v = provider(t)
         return (v * a) @ np.swapaxes(v.conj(), -1, -2)
 
-    return AtomPath(
-        dim=2,
-        hamiltonian=ham,
-        coupling=lambda t: np.array([1.0, 1.0], dtype=complex),
-        eigvec_provider=provider,
-        label="complex-phase",
-    )
+    return AtomPath(dim=2, hamiltonian=ham, eigvec_provider=provider,
+                    coupling=lambda t: np.array([1.0, 1.0], dtype=complex))
 
 
 def tabulated_atom(path) -> AtomPath:
@@ -458,4 +456,4 @@ def tabulated_atom(path) -> AtomPath:
         a = m_spline(t)
         return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))  # symmetrize interpolation noise
 
-    return AtomPath(dim=d, hamiltonian=ham, coupling=c_spline, label="tabulated")
+    return AtomPath(dim=d, hamiltonian=ham, coupling=c_spline)

@@ -60,7 +60,6 @@ class BathSpec:
     decay_amplitude: float
     decay_power: float
     closed_form_correlation: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    label: str = "custom"
 
     def rho(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -90,7 +89,6 @@ _REFERENCE_BATH = BathSpec(
     decay_amplitude=6.0,
     decay_power=3.0,
     closed_form_correlation=lambda t: 2.0 / (1.0 + 1j * np.asarray(t)) ** 3,
-    label="reference",
 )
 
 
@@ -135,7 +133,6 @@ def bath_from_csv(path, decay_amplitude=None, decay_power=2.5) -> BathSpec:
         quad_cutoff=hi,
         decay_amplitude=float(decay_amplitude),
         decay_power=float(decay_power),
-        label="tabulated",
     )
 
 

@@ -26,6 +26,19 @@ def _floats(text: str) -> tuple:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
+def _lambda_rule(text: str) -> tuple:
+    """("list", (l1, l2, ...)), or ("power", c, p) for lambda2 = c * eps^p."""
+    rule = text.replace(" ", "")
+    if rule.startswith("list:"):
+        return "list", tuple(float(tok) for tok in rule[len("list:"):].split(","))
+    if rule == "lambda2=eps":
+        return "power", 1.0, 1.0
+    if rule.startswith("lambda2="):
+        c, p = rule[len("lambda2="):].split("*eps^")   # ValueError unless one '*eps^'
+        return "power", float(c), float(p)
+    raise ValueError(text)
+
+
 def _key(help_text, parse=str, allowed=None, default=MISSING):
     return field(default=default, metadata={"help": help_text, "parse": parse, "allowed": allowed})
 
@@ -51,8 +64,9 @@ class RunConfig:
     sweep_epsilons: Optional[tuple] = _key(
         "comma-separated epsilon list, required by sweep (>= 3) and regimes", _floats,
         ("each in (0, 1]", lambda xs: all(_UNIT[1](x) for x in xs)), None)
-    sweep_lambda_rule: str = _key("lambda2=eps | lambda2=<c>*eps^<p> | list:<l1,l2,...>, "
-                                  "each coupling lam in (0, 1]", default="lambda2=eps")
+    sweep_lambda_rule: tuple = _key("lambda2=eps | lambda2=<c>*eps^<p> | list:<l1,l2,...>, "
+                                    "each coupling lam in (0, 1]", _lambda_rule,
+                                    default=_lambda_rule("lambda2=eps"))
     sweep_direction: str = _key("sweep axis for the slope fit", str,
                                 ("eps | lambda", lambda s: s in ("eps", "lambda")), "eps")
     solver_rtol: float = _key("exact-propagation relative tolerance", float, _OPEN_UNIT, ODE_RTOL)
@@ -92,7 +106,8 @@ KNOWN_KEYS = {key: f.metadata["help"] for key, f in _FIELDS.items()}
 
 
 def parse_config(text: str) -> dict:
-    """Parse key = value lines into a flat string dict."""
+    """Parse key = value lines into a flat string dict; an unknown or duplicate
+    key is a ConfigError naming its line. RunConfig.from_dict checks the rest."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -107,9 +122,6 @@ def parse_config(text: str) -> dict:
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}", key=key)
         out[key] = value
-    for key, f in _FIELDS.items():
-        if f.default is MISSING and key not in out:
-            raise ConfigError(f"missing required key {key!r}", key=key)
     return out
 
 

@@ -40,6 +40,8 @@ ODE_ATOL = 1e-12        # absolute tolerance of the exact oracle's DOP853 steppe
 DT_OUT = 1.0 / 200      # output grid spacing of the oracle and the effective solve
 TOL_CORR = 1e-4         # largest |gamma_N - gamma| a mode grid may leave
 NORM_TOL = 1e-6         # largest allowed |norm^2 - 1| of the oracle's state
+U_SPLINE_POINTS = 1601  # times on [0, t_end] of the oracle's spline of u(t)
+
 
 @dataclass(frozen=True)
 class ModeGrid:
@@ -119,8 +121,8 @@ class Trajectory:
         return CubicSpline(self.times, self.z, axis=0)(t)
 
 
-def _coupling_spline(atom: AtomPath, frame: EigenFrame, t_end: float, n: int = 1601):
-    ts = np.linspace(0.0, t_end, n)
+def _coupling_spline(atom: AtomPath, frame: EigenFrame, t_end: float):
+    ts = np.linspace(0.0, t_end, U_SPLINE_POINTS)
     return CubicSpline(ts, coupling_in_working_basis(atom, frame, ts), axis=0)
 
 

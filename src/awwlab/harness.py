@@ -42,7 +42,6 @@ FRAME_GRID = 801     # eigenframe grid points on [0, t_end]
 class Scenario:
     """One atom-bath-initial-state combination ready to run."""
 
-    name: str
     atom: AtomPath
     bath: bath_mod.BathSpec
     z0: np.ndarray
@@ -73,7 +72,7 @@ def builtin_scenario(name: str, t_end: Optional[float] = None) -> Scenario:
         raise ConfigError(f"unknown builtin scenario {name!r}", key="atom.name")
     atom = diag_rotation_atom(level_funcs=levels, theta_func=theta,
                               coupling_func=lambda t: np.array([1.0, 1.0]))
-    return Scenario(name=name, atom=atom, bath=bath_mod.reference_bath(),
+    return Scenario(atom=atom, bath=bath_mod.reference_bath(),
                     z0=np.array([1.0, 0.0], dtype=complex),
                     t_end=t_default if t_end is None else t_end)
 
@@ -90,7 +89,7 @@ def _scenario(rc: RunConfig) -> Scenario:
         if t_end > t_table:
             raise ConfigError(f"sim.t_end = {t_end:g} lies past the atom table's last "
                               f"time {t_table:g}", key="sim.t_end")
-        scen = Scenario(name="tabulated", atom=atom, bath=_bath(rc),
+        scen = Scenario(atom=atom, bath=_bath(rc),
                         z0=np.eye(atom.dim, dtype=complex)[0], t_end=t_end)
     else:
         scen = builtin_scenario(rc.atom_name, t_end=rc.sim_t_end)
@@ -173,9 +172,10 @@ def _solve_all(scen: Scenario, eps: float, lam: float, override: bool = False, *
 
 def _errors(tr_exact, tr_volt, tr_eff, tr_lead) -> dict:
     """Distance ||z - z_exact|| of each reduced description at every oracle time."""
-    ts = tr_exact.times
+    # _solve_all runs the effective solve and the leading order on the oracle's
+    # output grid, so only the Volterra trajectory needs interpolating
     return {name: np.linalg.norm(z - tr_exact.z, axis=1)
-            for name, z in (("E_volt", tr_volt.z_at(ts)), ("E_eff", tr_eff.z_at(ts)),
+            for name, z in (("E_volt", tr_volt.z_at(tr_exact.times)), ("E_eff", tr_eff.z),
                             ("E_lead", tr_lead.z))}
 
 
@@ -219,24 +219,20 @@ def run_simulate(cfg: dict, out_dir: str, override: bool = False) -> list:
     return written
 
 
-def _lambda_for(rule: str, eps: float, index: int) -> float:
-    """Coupling lam of sweep point `index` at `eps`; it must lie in (0, 1]."""
-    rule = rule.replace(" ", "")
+def _lambda_for(rule: tuple, eps: float, index: int) -> float:
+    """Coupling lam of sweep point `index` at `eps` by a RunConfig.sweep_lambda_rule;
+    it must lie in (0, 1]."""
     try:
-        if rule.startswith("list:"):
-            lam = [float(tok) for tok in rule[5:].split(",")][index]
-        elif rule.startswith("lambda2="):
-            law = rule[len("lambda2="):]
-            c_str, p_str = ("1", "1") if law == "eps" else law.split("*eps^")
-            lam = math.sqrt(float(c_str) * eps ** float(p_str))
+        if rule[0] == "list":
+            lam = rule[1][index]
         else:
-            raise ValueError(rule)
+            lam = math.sqrt(rule[1] * eps ** rule[2])
     except (ValueError, IndexError, OverflowError):
-        raise ConfigError(f"cannot read sweep point {index + 1} from "
-                          f"sweep.lambda_rule {rule!r}", key="sweep.lambda_rule")
+        raise ConfigError(f"sweep.lambda_rule gives no coupling for sweep point "
+                          f"{index + 1} (eps = {eps!r})", key="sweep.lambda_rule")
     if not 0.0 < lam <= 1.0:
-        raise ConfigError(f"sweep.lambda_rule {rule!r} gives lam = {lam!r} at sweep "
-                          f"point {index + 1}, outside (0, 1]", key="sweep.lambda_rule")
+        raise ConfigError(f"sweep.lambda_rule gives lam = {lam!r} at sweep point "
+                          f"{index + 1}, outside (0, 1]", key="sweep.lambda_rule")
     return lam
 
 

@@ -36,16 +36,12 @@ class PropagatorTable:
 
     Grid values are the magnus_propagate products on the magnus_grid of
     `intervals` equal intervals of [0, t_end], so times[::sub] are the
-    interval ends; an off-grid query inside [times[0], times[-1]] takes one
-    extra Magnus step from the nearest lower node, so every returned matrix
-    is a product of step exponentials and stays unitary. U_eps(t, s) is
-    at(t) @ at(s)^H.
+    interval ends. at(t) reads the table at one of its times; U_eps(t, s)
+    is at(t) @ at(s)^H.
     """
 
     def __init__(self, atom: AtomPath, eps: float, t_end: float, intervals: int = 1):
         self.times, self.sub = magnus_grid(atom, eps, t_end, intervals)
-        self.eps = eps
-        self.atom = atom
         self.table = magnus_propagate(atom.matrix, self.times, -1j / eps)
         u_end = self.table[-1]
         defect = np.abs(u_end @ u_end.conj().T - np.eye(atom.dim)).max()
@@ -53,16 +49,12 @@ class PropagatorTable:
             raise IntegratorError(f"propagator unitarity drift {defect:.2e}")
 
     def at(self, t: float) -> np.ndarray:
-        """U_eps(t, 0); ValueError for t outside [times[0], times[-1]]."""
-        lo, hi = self.times[0], self.times[-1]
-        if not lo <= t <= hi:
-            raise ValueError(f"t = {t:g} lies outside the table's range [{lo:g}, {hi:g}]")
+        """U_eps(t, 0) for a time t of the table; ValueError for any other t."""
         k = int(np.searchsorted(self.times, t + 1e-14) - 1)
-        t0 = self.times[k]
-        if abs(t - t0) < 1e-13:
-            return self.table[k]
-        step = magnus_propagate(self.atom.matrix, [t0, t], -1j / self.eps)[-1]
-        return step @ self.table[k]
+        if k < 0 or abs(t - self.times[k]) >= 1e-13:
+            raise ValueError(f"t = {t!r} is not a node of the table ({len(self.times)} "
+                             f"nodes on [{self.times[0]:g}, {self.times[-1]:g}])")
+        return self.table[k]
 
 
 def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
@@ -189,13 +181,6 @@ class EffectiveGenerator:
         vals = [bath_mod.half_line_transform(bath, alphas, t / eps)
                 for t, alphas in zip(ts, frame.energies_at(ts))]
         self.transforms = CubicSpline(ts, vals, axis=0)
-
-    def gamma_op(self, t) -> np.ndarray:
-        """Gamma_eps(t); norm bounded by the L1 norm of the correlation.
-
-        A scalar t gives a (d, d) matrix, an array of times the (..., d, d) stack.
-        """
-        return _gamma_op(self.frame, t, self.transforms(t))
 
     def __call__(self, t) -> np.ndarray:
         """G_{eps,lam}(t) for a scalar t, or the (..., d, d) stack for an array."""

