@@ -20,7 +20,6 @@ from .errors import WellCouplednessError
 
 __all__ = [
     "AsymptoticTables",
-    "tables_for",
     "leading_order_z",
     "RegimeReport",
     "regime_classify",
@@ -29,35 +28,24 @@ __all__ = [
 
 STRONG_RATIO = 10.0   # lam^2/eps where the strong regime begins: a convention
 DAVIES_RATIO = 0.1    # lam^2/eps where the davies regime begins: a convention
-RATE_POINTS = 201     # times at which AsymptoticTables samples beta_j and shift_j
+RATE_POINTS = 201     # times at which the golden-rule rate and shift are sampled
 
 
 class AsymptoticTables:
-    """Per-level running integrals int_0^t of frequency, decay rate and shift.
+    """Per-level running integrals int_0^t of frequency and decay rate.
 
-    int_alpha, int_beta and int_shift are splines in t, each the
-    antiderivative of a cubic spline: int_alpha of the frame's energies,
-    int_beta and int_shift of decay_and_shift at RATE_POINTS times, with the
-    couplings of frame.atom.
+    int_alpha and int_beta are splines in t, each the antiderivative of a
+    cubic spline: int_alpha of the frame's energies, int_beta of decay_rate
+    at the RATE_POINTS `times`, with the couplings of frame.atom. No
+    quadrature runs here; the Lamb shift is built by leading_order_z.
     """
 
     def __init__(self, frame: EigenFrame, bath: bath_mod.BathSpec):
         ts = np.linspace(frame.times[0], frame.times[-1], RATE_POINTS)
-        alpha = frame.energies_at(ts)
-        v = frame.atom.couplings(ts)
-        rates = np.array([bath_mod.decay_and_shift(bath, v_row, alpha_row)
-                          for v_row, alpha_row in zip(v, alpha)])   # (time, beta|shift, level)
-        self.frame, self.bath = frame, bath
+        beta = bath_mod.decay_rate(bath, frame.atom.couplings(ts), frame.energies_at(ts))
+        self.frame, self.bath, self.times = frame, bath, ts
         self.int_alpha = frame.energies_at.antiderivative()
-        self.int_beta = CubicSpline(ts, rates[:, 0], axis=0).antiderivative()
-        self.int_shift = CubicSpline(ts, rates[:, 1], axis=0).antiderivative()
-
-
-def tables_for(frame: EigenFrame, bath: bath_mod.BathSpec) -> AsymptoticTables:
-    """The AsymptoticTables of `bath`, kept in the frame's slot for them."""
-    if frame._asym_tables is None or frame._asym_tables.bath is not bath:
-        frame._asym_tables = AsymptoticTables(frame, bath)
-    return frame._asym_tables
+        self.int_beta = CubicSpline(ts, beta, axis=0).antiderivative()
 
 
 def leading_order_z(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
@@ -67,19 +55,23 @@ def leading_order_z(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
 
     Per level: dynamical phase with the Lamb-shift correction, exponential
     decay at rate beta_j/eps, and the geometric phase, all riding on the
-    instantaneous eigenvector. `atom` must be frame.atom, and `tables`, when
+    instantaneous eigenvector; the shift comes from one decay_and_shift call
+    at the tables' times. `atom` must be frame.atom, and `tables`, when
     given, must have been built for this frame and bath.
     """
     if atom is not frame.atom:
         raise ValueError("atom is not frame.atom, the path the frame was built from")
     if tables is None:
-        tables = tables_for(frame, bath)
+        tables = AsymptoticTables(frame, bath)
     elif tables.frame is not frame or tables.bath is not bath:
         raise ValueError("tables were built for another frame or bath")
     t = frame.check_times(t)
+    ts = tables.times
+    _, shift = bath_mod.decay_and_shift(bath, frame.atom.couplings(ts), frame.energies_at(ts))
+    int_shift = CubicSpline(ts, shift, axis=0).antiderivative()
     v0 = frame.vectors[0]
     z0_levels = v0.conj().T @ np.asarray(z0, dtype=complex)
-    phase = tables.int_alpha(t) + lam**2 * tables.int_shift(t)
+    phase = tables.int_alpha(t) + lam**2 * int_shift(t)
     decay = tables.int_beta(t)
     xi = np.stack([berry_phase(frame, j, t) for j in range(frame.dim)], axis=-1)
     amps = (np.exp(-1j * phase / eps)

@@ -7,7 +7,7 @@ same interaction re-expressed over the frozen t=0 eigenvectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 from typing import Callable, Optional
@@ -109,7 +109,6 @@ class EigenFrame:
     energies: np.ndarray       # (n, d) ascending in j
     vectors: np.ndarray        # (n, d, d), column j = phi_j(t_k)
     gap: float
-    _asym_tables: object = field(default=None, init=False, repr=False)  # tables_for's slot
 
     @property
     def dim(self) -> int:
@@ -369,10 +368,7 @@ def validate_coupling(atom: AtomPath, frame: EigenFrame, bath: "bath_mod.BathSpe
     vnorm2 = float(np.max(np.sum(np.abs(v) ** 2, axis=1)))
     g_l1 = bath_mod.correlation_l1_norm(bath)
     value = 4.0 * lam**2 * vnorm2 * g_l1 / frame.gap
-    alphas = frame.energies_at(ts)
-    # decay_and_shift's rate, without the shift's principal-value quadratures
-    beta = np.sqrt(np.pi / 2.0) * np.abs(v) ** 2 * bath_mod.fourier_hat(bath, alphas)
-    beta_min = np.min(beta, axis=0)
+    beta_min = np.min(bath_mod.decay_rate(bath, v, frame.energies_at(ts)), axis=0)
     return CouplingReport(
         smallness_value=float(value),
         smallness_ok=bool(value < 1.0),

@@ -32,6 +32,7 @@ __all__ = [
     "correlation",
     "fourier_hat",
     "half_line_transform",
+    "decay_rate",
     "decay_and_shift",
     "correlation_l1_norm",
     "check_decay_bound",
@@ -99,7 +100,7 @@ def reference_bath() -> BathSpec:
     |gamma(t)| = 2/(1+t^2)^{3/2} <= 6/(1+t)^3.
     Every call returns the same frozen instance: BathSpec hashes its
     functions by identity, so one instance is what lets correlation_l1_norm's
-    cache and tables_for's identity test hit.
+    cache hit.
     """
     return _REFERENCE_BATH
 
@@ -236,12 +237,12 @@ def fourier_hat(bath: BathSpec, alpha):
     return out[()] if out.ndim == 0 else out
 
 
-def _principal_value_hilbert(bath: BathSpec, alpha):
+def _principal_value_hilbert(bath: BathSpec, alpha, tol):
     """PV int_0^cutoff rho(omega)/(alpha - omega) domega, elementwise in alpha.
 
     Inside the support rho(alpha) is subtracted from the integrand and its
     integral added back as a logarithm; outside, the subtracted value is 0
-    and the integrand is regular as it stands.
+    and the integrand, which does not oscillate, is _osc_quad's at rate 0.
     """
     hi = bath.quad_cutoff
     rho = bath.rho
@@ -258,7 +259,7 @@ def _principal_value_hilbert(bath: BathSpec, alpha):
         return np.where(near, -drho_a[_LEVELS],
                         (rho(w) - rho_a[_LEVELS]) / np.where(near, 1.0, diff))
 
-    smooth = _panel_quad(regular, 0.0, hi, rate=8.0)[0]
+    smooth = _osc_quad(regular, 0.0, hi, rate=0.0, tol=tol)
     return smooth + rho_a * np.log(a_in / (hi - a_in))
 
 
@@ -267,11 +268,11 @@ def half_line_transform(bath: BathSpec, alpha, T: float, tol=1e-8):
 
     Finite T is computed in the frequency domain against the kernel
     (exp(iT(alpha-omega)) - 1)/(i(alpha-omega)); T = inf uses the boundary
-    value pi*rho(alpha) + i * PV int rho(omega)/(alpha-omega) domega.
+    value decay_rate(bath, 1, alpha) + i * PV int rho(omega)/(alpha-omega) domega.
     ``alpha`` may be an array of level frequencies; ``T`` is one scalar,
     and a scalar ``alpha`` gives a scalar.
 
-    For finite T the tolerance is ``tol * max(T, 1)``; it and
+    The tolerance is ``tol * max(T, 1)``, and ``tol`` at T = inf; it and
     ``QuadratureError.achieved`` bound the discretisation and roundoff error
     on ``[0, quad_cutoff]``. The truncation beyond ``quad_cutoff`` is not
     included; it is governed by the ``BathSpec.quad_cutoff`` contract (tail
@@ -280,7 +281,7 @@ def half_line_transform(bath: BathSpec, alpha, T: float, tol=1e-8):
     alpha = np.asarray(alpha, dtype=float)
     T = float(T)
     if np.isinf(T):
-        return (np.pi * bath.rho(alpha) + 1j * _principal_value_hilbert(bath, alpha))[()]
+        return (decay_rate(bath, 1.0, alpha) + 1j * _principal_value_hilbert(bath, alpha, tol))[()]
     if T < 0:
         raise ValueError("T must be >= 0 or inf")
     if T == 0.0:
@@ -296,11 +297,16 @@ def half_line_transform(bath: BathSpec, alpha, T: float, tol=1e-8):
     return _osc_quad(integrand, 0.0, bath.quad_cutoff, rate=T, tol=tol * max(T, 1.0))[()]
 
 
+def decay_rate(bath: BathSpec, v, alpha):
+    """Golden-rule decay rate beta = pi |v|^2 rho(alpha), elementwise over levels."""
+    return np.abs(v) ** 2 * (np.pi * bath.rho(alpha))
+
+
 def decay_and_shift(bath: BathSpec, v, alpha):
     """Golden-rule decay rate and level shift for coupling v at frequency alpha.
 
-    |v|^2 half_line_transform(bath, alpha, inf) = beta + i shift, so
-    beta = pi |v|^2 rho(alpha) and shift = |v|^2 PV int rho(omega)/(alpha-omega).
+    |v|^2 half_line_transform(bath, alpha, inf) = beta + i shift, so beta is
+    decay_rate's and shift = |v|^2 PV int rho(omega)/(alpha-omega).
     Elementwise over arrays of levels; returns the pair (beta, shift).
     """
     val = np.abs(v) ** 2 * half_line_transform(bath, alpha, np.inf)

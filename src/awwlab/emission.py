@@ -12,7 +12,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from . import bath as bath_mod
-from .asymptotics import tables_for
+from .asymptotics import AsymptoticTables
 from .atom import AtomPath, EigenFrame
 from .errors import WellCouplednessError
 from .exact import ModeGrid, Trajectory
@@ -61,7 +61,7 @@ def regime_B_limit(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
     ss = np.linspace(0.0, t, n_grid)
     alphas = frame.energies_at(ss)[:, j]
     v_j = atom.couplings(ss)[:, j]
-    decay = np.exp(-2.0 * r * tables_for(frame, bath).int_beta(ss)[:, j])
+    decay = np.exp(-2.0 * r * AsymptoticTables(frame, bath).int_beta(ss)[:, j])
     ghat_b = obs(alphas) * bath_mod.fourier_hat(bath, alphas)
     integrand = np.abs(v_j) ** 2 * decay * ghat_b
     return float(np.sqrt(2.0 * np.pi) * r * simpson(integrand, x=ss))

@@ -185,7 +185,7 @@ def point_metrics(scen: Scenario, eps: float, lam: float, **kw) -> dict:
     errors = {name: float(np.max(e))
               for name, e in _errors(tr_exact, tr_volt, tr_eff, tr_lead).items()}
     report = asymptotics.regime_classify(
-        eps, lam, tables=asymptotics.tables_for(frame, scen.bath), z0=scen.z0,
+        eps, lam, tables=asymptotics.AsymptoticTables(frame, scen.bath), z0=scen.z0,
         t=scen.t_end)
     return {"eps": eps, "lam": lam, **errors,
             "p_down": float(exact.de_excitation(tr_exact)[-1]),
@@ -335,6 +335,9 @@ def run_emission(cfg: dict, out_dir: str, override: bool = False) -> dict:
     scen = _scenario(rc)
     r = rc.emission_r
     eps = rc.sim_eps if rc.emission_eps is None else rc.emission_eps
+    if r * eps > 1.0:   # lam^2 = r eps, confined to (0, 1] as every other coupling
+        raise ConfigError(f"emission.r = {r!r} at eps = {eps!r} gives lam^2 = {r * eps!r}, "
+                          f"outside (0, 1]", key="emission.r")
     lam = float(np.sqrt(r * eps))
     obs = bath_mod.TestObservable(weight=_OBSERVABLE_WEIGHTS[rc.emission_observable])
     modes, traj = _oracle(scen, eps, lam, override, **_solver_kw(rc))
@@ -357,7 +360,7 @@ def run_regimes(cfg: dict, out_dir: str, override: bool = False) -> list:
     rc = RunConfig.from_dict(cfg)
     points = _sweep_points(rc)
     scen = _scenario(rc)
-    tables = asymptotics.tables_for(scen.frame(), scen.bath)
+    tables = asymptotics.AsymptoticTables(scen.frame(), scen.bath)
     rows = []
     out = []
     for eps, lam in points:

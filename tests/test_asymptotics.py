@@ -86,7 +86,7 @@ def test_population_approx_closed_form(ref_bath):
         coupling_func=lambda t: np.array([1.0, 1.0]),
     )
     frame = A.eigenframe(atom, np.linspace(0.0, 1.0, 201))
-    tables = Y.tables_for(frame, ref_bath)
+    tables = Y.AsymptoticTables(frame, ref_bath)
     eps, lam = 0.05, np.sqrt(0.05)
     survive = np.exp(-2.0 * np.pi * np.array([np.exp(-1.0), 4.0 * np.exp(-2.0)]))
     p_down = Y.regime_classify(eps, lam, tables, np.array([1.0, 0.0]), t=1.0).p_down
@@ -124,7 +124,7 @@ def test_regime_prediction_is_read_at_the_frames_end(ref_scenario, ref_tables, r
     at_start = Y.regime_classify(0.05, np.sqrt(0.05), ref_tables, z0, t=0.0)
     assert at_start.p_down == pytest.approx(0.0, abs=1e-14)
     const = H.builtin_scenario("ww-const-2level")
-    tables = Y.tables_for(const.frame(), ref_bath)
+    tables = Y.AsymptoticTables(const.frame(), ref_bath)
     default = Y.regime_classify(0.05, np.sqrt(0.05), tables=tables, z0=const.z0)
     at_end = Y.regime_classify(0.05, np.sqrt(0.05), tables=tables, z0=const.z0, t=20.0)
     assert default.p_down == at_end.p_down

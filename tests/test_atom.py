@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from awwlab import asymptotics as Y, atom as A
-from awwlab.errors import GapViolation
+from awwlab.errors import FrameSmoothnessError, GapViolation
 from awwlab.exact import Trajectory
 
 
@@ -43,8 +43,34 @@ def test_gap_violation_raises():
         theta_func=lambda t: 0.0,
         coupling_func=lambda t: np.array([1.0, 1.0]),
     )
-    with pytest.raises(GapViolation):
+    with pytest.raises(GapViolation) as err:
         A.eigenframe(crossing, np.linspace(0.0, 1.0, 101), gap_min=0.2)
+    # the gap 1 - 2t first falls below 0.2 at the grid point t = 0.4 (in floats)
+    assert err.value.time == pytest.approx(0.4, abs=1e-12)
+
+
+def test_provided_eigenvectors_must_be_orthonormal():
+    # the provider's columns are skewed from t = 0.5 on
+    def provider(t):
+        skew = 0.1 if t >= 0.5 else 0.0
+        return np.array([1.0, 2.0]), np.array([[1.0, skew], [0.0, 1.0]], dtype=complex)
+
+    atom = A.AtomPath(dim=2, hamiltonian=lambda t: np.diag([1.0, 2.0]),
+                      coupling=lambda t: np.array([1.0, 1.0]), eigvec_provider=provider)
+    with pytest.raises(FrameSmoothnessError, match="not orthonormal at t=0.5"):
+        A.eigenframe(atom, np.linspace(0.0, 1.0, 5))
+
+
+def test_fast_rotation_on_a_coarse_grid_is_a_phase_flip():
+    # theta = 3 pi t turns the eigenvectors by pi/2 between grid points 1/6
+    # apart, so tracked columns lose their overlap at the first step
+    fast = A.diag_rotation_atom(
+        level_funcs=(lambda t: 1.0, lambda t: 2.0),
+        theta_func=lambda t: 3.0 * np.pi * t,
+        coupling_func=lambda t: np.array([1.0, 1.0]),
+    )
+    with pytest.raises(FrameSmoothnessError, match="phase flip at t=0.1666"):
+        A.eigenframe(fast, np.linspace(0.0, 1.0, 7))
 
 
 def test_projections_resolve_identity(ref_frame):

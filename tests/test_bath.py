@@ -180,6 +180,8 @@ def test_quadrature_error_carries_estimate(quad_bath):
       for t in (0.0, 0.3, 1.0, 4.0, 11.0)],
     pytest.param(lambda b: B.half_line_transform(b, 1.0, 20.0, tol=1e-18),
                  id="half_line_transform"),
+    pytest.param(lambda b: B.half_line_transform(b, 1.0, np.inf, tol=1e-30),
+                 id="half_line_transform-inf"),
 ])
 def test_quadrature_error_estimate_never_zero(quad_bath, call):
     # the two panel resolutions can agree to the last bit; the roundoff

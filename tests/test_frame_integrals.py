@@ -68,7 +68,7 @@ def test_three_level_leading_order_norm_formula(d3_frame, ref_bath, d3_z0):
     ts = np.linspace(0.0, 1.0, 11)
     z = Y.leading_order_z(d3_frame, ref_bath, d3_frame.atom, eps, lam, d3_z0, ts)
     weights = np.abs(d3_frame.vectors_at(0.0).conj().T @ d3_z0) ** 2
-    decay = np.exp(-2.0 * (lam**2 / eps) * Y.tables_for(d3_frame, ref_bath).int_beta(ts))
+    decay = np.exp(-2.0 * (lam**2 / eps) * Y.AsymptoticTables(d3_frame, ref_bath).int_beta(ts))
     assert np.max(np.abs(np.sum(np.abs(z) ** 2, axis=1) - decay @ weights)) < 1e-10
     assert np.all(decay[-1] < 1.0)    # every level decays on this path
 

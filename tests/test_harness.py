@@ -166,24 +166,18 @@ def test_run_emission_passes_solver_keys(tmp_path, monkeypatch):
     assert seen == {"tol_corr": 0.01, "rtol": 1e-6, "dt_out": 0.01}
 
 
-def test_serial_sweep_builds_frame_and_tables_once(tmp_path, monkeypatch):
-    frames, tables = [], []
-    real_eigenframe, real_tables = H.eigenframe, H.asymptotics.AsymptoticTables.__init__
+def test_serial_sweep_builds_frame_once(tmp_path, monkeypatch):
+    frames = []
+    real_eigenframe = H.eigenframe
 
     def counting_eigenframe(*args, **kw):
         frames.append(real_eigenframe(*args, **kw))
         return frames[-1]
 
-    def counting_tables(self, *args, **kw):
-        tables.append(self)
-        real_tables(self, *args, **kw)
-
     monkeypatch.setattr(H, "eigenframe", counting_eigenframe)
-    monkeypatch.setattr(H.asymptotics.AsymptoticTables, "__init__", counting_tables)
     res = H.run_sweep(C.parse_config(BASE_CFG), str(tmp_path / "s"), override=True)
     assert not res["partial"] and len(res["results"]) == 3
     assert len(frames) == 1
-    assert len(tables) == 1
 
 
 def test_frame_state_is_declared():
@@ -197,7 +191,7 @@ def test_frame_state_is_declared():
         name for name, member in vars(A.EigenFrame).items()
         if isinstance(member, functools.cached_property)}
     assert set(vars(frame)) <= declared
-    assert {"_asym_tables", "_berry", "_kato", "vectors_at"} <= set(vars(frame))
+    assert {"_berry", "_kato", "vectors_at"} <= set(vars(frame))
 
 
 def test_sweep_rereads_a_rewritten_atom_table(tmp_path, monkeypatch):
@@ -270,6 +264,7 @@ def assert_config_error(tmp_path, text, key, commands):
     ("emission.r", "-1", ("emission",)),
     ("emission.r", "0", ("emission",)),
     ("emission.r", "inf", ("emission",)),
+    ("emission.r", "100", ("emission",)),       # lam^2 = r eps = 5 at emission.eps = 0.05
 ])
 def test_coupling_outside_range_is_config_error(tmp_path, key, value, commands):
     lines = [line for line in BASE_CFG.splitlines() if not line.startswith(key)]
@@ -440,6 +435,25 @@ def test_cli_validate_on_a_coarse_bath_table_exits_1(tmp_path, correlation_withi
                                f"bath.file = {table}\n"
                                "sim.lambda2 = 0.015625\n", "v.cfg")
     assert cli.main(["validate", "--config", path]) == 1
+
+
+def test_cli_regimes_on_a_coarse_bath_table_needs_no_shift(tmp_path):
+    # the regime table reads only int beta, so the Lamb-shift quadrature,
+    # which misses its tolerance on this table, never runs
+    table = write_density_table(tmp_path / "bath.csv", 241)
+    path = write_cfg(tmp_path, BASE_CFG + f"bath.file = {table}\n", "tab.cfg")
+    out = str(tmp_path / "re_out")
+    assert cli.main(["regimes", "--config", path, "--out", out]) == 0
+    with open(os.path.join(out, "regimes.csv")) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()]
+    assert rows[0] == ["eps", "lambda", "ratio", "regime", "p_down_pred"]
+    assert [row[:4] for row in rows[1:]] == [
+        [eps, lam, "1.000000000000e+00", "davies"]
+        for eps, lam in (("2.000000000000e-01", "4.472135955000e-01"),
+                         ("1.000000000000e-01", "3.162277660168e-01"),
+                         ("5.000000000000e-02", "2.236067977500e-01"))]
+    for row in rows[1:]:
+        assert float(row[4]) == pytest.approx(9.008875800403e-01, rel=1e-12)
 
 
 def test_cli_validate_reports(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from awwlab import asymptotics as Y, atom as A, bath as B, reduced as R, spectral as S
+from awwlab import (asymptotics as Y, atom as A, bath as B, emission as E, reduced as R,
+                    spectral as S)
 from awwlab.errors import ContourError, MatchingError
 from test_magnus import three_level_atom
 
@@ -163,11 +164,21 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def test_golden_rule_tables_take_one_transform_per_time(d3_frame, ref_bath, monkeypatch):
-    rates = count_calls(monkeypatch, "decay_and_shift")
+def test_only_the_leading_order_runs_the_shift_quadrature(d3_frame, ref_bath, monkeypatch):
+    # the tables and their decay-only readers take the rate from decay_rate;
+    # the Lamb shift, a quadrature per level, is run by leading_order_z alone,
+    # in one decay_and_shift call on all RATE_POINTS times
+    z0 = np.eye(3, dtype=complex)[0]
+    shifts = count_calls(monkeypatch, "decay_and_shift")
     transforms = count_calls(monkeypatch, "half_line_transform")
-    Y.AsymptoticTables(d3_frame, ref_bath)
-    assert (len(rates), len(transforms)) == (Y.RATE_POINTS, Y.RATE_POINTS)
+    tables = Y.AsymptoticTables(d3_frame, ref_bath)
+    Y.regime_classify(0.05, 0.125, tables, z0)
+    E.regime_B_limit(d3_frame, ref_bath, d3_frame.atom,
+                     B.TestObservable(weight=np.ones_like), 0, 1.0, 1.0)
+    assert (shifts, transforms) == ([], [])
+    Y.leading_order_z(d3_frame, ref_bath, d3_frame.atom, 0.05, 0.125, z0,
+                      np.linspace(0.0, 1.0, 11), tables=tables)
+    assert len(shifts) == 1
 
 
 def test_diagnostic_reads_the_generators_table(d3_frame, ref_bath, monkeypatch):
@@ -180,7 +191,7 @@ def test_diagnostic_reads_the_generators_table(d3_frame, ref_bath, monkeypatch):
     # the level corrections come from the table: level j keeps the golden-rule
     # norm exp(-(lam^2/eps) int beta_j) up to O(lam^2) (about 4e-3 here)
     norms = np.linalg.norm(v @ d3_frame.vectors_at(0.0), axis=0)
-    predicted = np.exp(-(lam**2 / eps) * Y.tables_for(d3_frame, ref_bath).int_beta(0.5))
+    predicted = np.exp(-(lam**2 / eps) * Y.AsymptoticTables(d3_frame, ref_bath).int_beta(0.5))
     assert np.all(np.abs(norms / predicted - 1.0) < 1e-2)
 
 
