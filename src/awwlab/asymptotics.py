@@ -28,7 +28,7 @@ __all__ = [
 
 STRONG_RATIO = 10.0   # lam^2/eps where the strong regime begins: a convention
 DAVIES_RATIO = 0.1    # lam^2/eps where the davies regime begins: a convention
-RATE_POINTS = 201     # times at which the golden-rule rate and shift are sampled
+RATE_POINTS = 201     # times at which leading_order_z samples the Lamb shift
 
 
 class AsymptoticTables:
@@ -36,16 +36,15 @@ class AsymptoticTables:
 
     int_alpha and int_beta are splines in t, each the antiderivative of a
     cubic spline: int_alpha of the frame's energies, int_beta of decay_rate
-    at the RATE_POINTS `times`, with the couplings of frame.atom. No
-    quadrature runs here; the Lamb shift is built by leading_order_z.
+    at the frame's nodes, with the couplings of frame.atom. No quadrature
+    runs here; the Lamb shift is built by leading_order_z.
     """
 
     def __init__(self, frame: EigenFrame, bath: bath_mod.BathSpec):
-        ts = np.linspace(frame.times[0], frame.times[-1], RATE_POINTS)
-        beta = bath_mod.decay_rate(bath, frame.atom.couplings(ts), frame.energies_at(ts))
-        self.frame, self.bath, self.times = frame, bath, ts
+        beta = bath_mod.decay_rate(bath, frame.atom.couplings(frame.times), frame.energies)
+        self.frame, self.bath = frame, bath
         self.int_alpha = frame.energies_at.antiderivative()
-        self.int_beta = CubicSpline(ts, beta, axis=0).antiderivative()
+        self.int_beta = CubicSpline(frame.times, beta, axis=0).antiderivative()
 
 
 def leading_order_z(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
@@ -56,8 +55,8 @@ def leading_order_z(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
     Per level: dynamical phase with the Lamb-shift correction, exponential
     decay at rate beta_j/eps, and the geometric phase, all riding on the
     instantaneous eigenvector; the shift comes from one decay_and_shift call
-    at the tables' times. `atom` must be frame.atom, and `tables`, when
-    given, must have been built for this frame and bath.
+    at RATE_POINTS equally spaced times. `atom` must be frame.atom, and
+    `tables`, when given, must have been built for this frame and bath.
     """
     if atom is not frame.atom:
         raise ValueError("atom is not frame.atom, the path the frame was built from")
@@ -66,7 +65,7 @@ def leading_order_z(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
     elif tables.frame is not frame or tables.bath is not bath:
         raise ValueError("tables were built for another frame or bath")
     t = frame.check_times(t)
-    ts = tables.times
+    ts = np.linspace(frame.times[0], frame.times[-1], RATE_POINTS)
     _, shift = bath_mod.decay_and_shift(bath, frame.atom.couplings(ts), frame.energies_at(ts))
     int_shift = CubicSpline(ts, shift, axis=0).antiderivative()
     v0 = frame.vectors[0]

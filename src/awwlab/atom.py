@@ -28,6 +28,7 @@ __all__ = [
     "kato_intertwiner",
     "magnus_propagate",
     "magnus_grid",
+    "refined_grid",
     "validate_coupling",
     "CouplingReport",
     "diag_rotation_atom",
@@ -39,7 +40,6 @@ HERMITICITY_TOL = 1e-12
 PHASE_PER_STEP = 0.1       # target rad of fast phase per Magnus step
 PHASE_PER_NODE = 0.5       # most rad of fast phase per node a trapezoid history sum takes
 KATO_UNITARITY_TOL = 1e-8      # largest entry of |W^H W - 1| for a Kato transport
-COUPLING_CHECK_POINTS = 64     # sample times of validate_coupling
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 # diagonal Pade degrees m and the largest 1-norm at which each one's backward
 # error stays below double precision (Higham, SIAM J. Matrix Anal. Appl. 26
@@ -173,15 +173,20 @@ class EigenFrame:
         return xi
 
     @cached_property
+    def u_at(self) -> CubicSpline:
+        """u(t) = sum_l v_l(t) phi_l(t), the cubic spline through its node values."""
+        u = self.vectors @ self.atom.couplings(self.times)[..., None]
+        return CubicSpline(self.times, u[..., 0], axis=0)
+
+    @cached_property
     def _kato(self) -> Callable[[np.ndarray], np.ndarray]:
-        """K(t) = sum_j [d/dt P_j(t)] P_j(t), anti-hermitized, as a spline in t."""
-        v = self.vectors
-        proj = np.einsum("kij,klj->kjil", v, v.conj())   # (n, d, d, d) as in projections(k)
-        spline = CubicSpline(self.times, proj, axis=0)
-        dspline = spline.derivative()
+        """K(t) = sum_j dP_j P_j = sum_j (dphi_j + phi_j <dphi_j, phi_j>) phi_j^H."""
+        dvectors_at = self.vectors_at.derivative()
 
         def kato(t):
-            k_mat = np.einsum("...jab,...jbc->...ac", dspline(t), spline(t))
+            v, dv = self.vectors_at(t), dvectors_at(t)
+            overlap = np.einsum("...ij,...ij->...j", dv.conj(), v)   # <dphi_j, phi_j>
+            k_mat = (dv + v * overlap[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
             return 0.5 * (k_mat - np.swapaxes(k_mat.conj(), -1, -2))
 
         return kato
@@ -239,12 +244,11 @@ def eigenframe(atom: AtomPath, times: np.ndarray, gap_min: float = 1e-8) -> Eige
 
 
 def coupling_in_working_basis(atom: AtomPath, frame: EigenFrame, t) -> np.ndarray:
-    """The interaction vector sum_l v_l(t) phi_l(t) in the working basis.
-
-    A scalar t gives a (d,) vector, an array of times the (..., d) stack.
-    """
-    t = frame.check_times(t)
-    return (frame.vectors_at(t) @ atom.couplings(t)[..., None])[..., 0]
+    """The interaction vector u(t) in the working basis, frame.u_at(t); `atom`
+    must be frame.atom. A scalar t gives a (d,) vector, an array the (..., d) stack."""
+    if atom is not frame.atom:
+        raise ValueError("atom is not frame.atom, the path the frame was built from")
+    return frame.u_at(frame.check_times(t))
 
 
 def berry_phase(frame: EigenFrame, j: int, t):
@@ -334,16 +338,17 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def magnus_grid(atom: AtomPath, eps: float, t_end: float, intervals: int = 1):
-    """Uniform grid on [0, t_end] for magnus_propagate of A(t)/eps.
-
-    Each of `intervals` equal intervals is split into the fewest `sub` equal
-    steps that keep the fast phase ||A|| h / eps at or below PHASE_PER_STEP,
-    with ||A|| the largest of 33 samples. Returns (grid, sub), so that
-    grid[::sub] is the grid of `intervals` intervals.
-    """
+    """The refined_grid of `intervals` equal intervals of [0, t_end] for
+    magnus_propagate of A(t)/eps: a step keeps the fast phase ||A|| h / eps
+    at or below PHASE_PER_STEP, with ||A|| the largest of 33 samples."""
     a_norm = np.max(np.linalg.norm(atom.matrix(np.linspace(0.0, t_end, 33)), 2,
                                    axis=(-2, -1)))
-    h_max = PHASE_PER_STEP * eps / max(a_norm, 1e-12)
+    return refined_grid(t_end, intervals, PHASE_PER_STEP * eps / max(a_norm, 1e-12))
+
+
+def refined_grid(t_end: float, intervals: int, h_max: float):
+    """(grid, sub): `intervals` equal intervals of [0, t_end], each split into the
+    fewest `sub` equal steps no longer than h_max; grid[::sub] are their ends."""
     sub = max(int(np.ceil(t_end / intervals / h_max)), 1)
     return np.linspace(0.0, t_end, intervals * sub + 1), sub
 
@@ -362,13 +367,12 @@ class CouplingReport:
 
 def validate_coupling(atom: AtomPath, frame: EigenFrame, bath: "bath_mod.BathSpec",
                       lam: float) -> CouplingReport:
-    """Check the coupling-smallness condition and per-level well-coupledness."""
-    ts = np.linspace(frame.times[0], frame.times[-1], COUPLING_CHECK_POINTS)
-    v = atom.couplings(ts)
+    """Coupling smallness and per-level well-coupledness at the frame's nodes."""
+    v = atom.couplings(frame.times)
     vnorm2 = float(np.max(np.sum(np.abs(v) ** 2, axis=1)))
     g_l1 = bath_mod.correlation_l1_norm(bath)
     value = 4.0 * lam**2 * vnorm2 * g_l1 / frame.gap
-    beta_min = np.min(bath_mod.decay_rate(bath, v, frame.energies_at(ts)), axis=0)
+    beta_min = np.min(bath_mod.decay_rate(bath, v, frame.energies), axis=0)
     return CouplingReport(
         smallness_value=float(value),
         smallness_ok=bool(value < 1.0),

@@ -49,13 +49,13 @@ def regime_B_limit(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
 
     sqrt(2 pi) r int_0^t |v_j(s)|^2 e^{-2 r int_0^s beta_j} ghat_B(alpha_j(s)) ds.
     The grid refines with r so the depleting exponential stays resolved.
-    `atom` must be frame.atom.
+    `atom` must be frame.atom, and t must lie in the frame's range.
     """
     if atom is not frame.atom:
         raise ValueError("atom is not frame.atom, the path the frame was built from")
     if r <= 0.0:
         raise ValueError("r must be positive")
-    if t == 0.0:
+    if frame.check_times(t) == 0.0:
         return 0.0
     n_grid = int(min(max(201, 40 * r), 40001)) | 1
     ss = np.linspace(0.0, t, n_grid)

@@ -21,7 +21,7 @@ from scipy.special import roots_legendre
 
 from . import bath as bath_mod
 from .atom import (PHASE_PER_NODE, PHASE_PER_STEP, AtomPath, EigenFrame,
-                   _broadcast_times, coupling_in_working_basis, validate_coupling)
+                   _broadcast_times, refined_grid, validate_coupling)
 from .errors import (CouplingValidationError, DiscretizationError,
                      IntegratorError, ResolutionError, StiffnessError)
 
@@ -29,6 +29,7 @@ __all__ = [
     "ModeGrid",
     "Trajectory",
     "discretize_bath",
+    "output_grid",
     "propagate_exact",
     "populations",
     "de_excitation",
@@ -40,7 +41,6 @@ ODE_ATOL = 1e-12        # absolute tolerance of the exact oracle's DOP853 steppe
 DT_OUT = 1.0 / 200      # output grid spacing of the oracle and the effective solve
 TOL_CORR = 1e-4         # largest |gamma_N - gamma| a mode grid may leave
 NORM_TOL = 1e-6         # largest allowed |norm^2 - 1| of the oracle's state
-U_SPLINE_POINTS = 1601  # times on [0, t_end] of the oracle's spline of u(t)
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,9 @@ class Trajectory:
         return CubicSpline(self.times, self.z, axis=0)(t)
 
 
-def _coupling_spline(atom: AtomPath, frame: EigenFrame, t_end: float):
-    ts = np.linspace(0.0, t_end, U_SPLINE_POINTS)
-    return CubicSpline(ts, coupling_in_working_basis(atom, frame, ts), axis=0)
+def output_grid(t_end: float, dt_out: float = DT_OUT) -> np.ndarray:
+    """The output times: max(1, round(t_end/dt_out)) equal steps of [0, t_end]."""
+    return np.linspace(0.0, t_end, max(1, round(t_end / dt_out)) + 1)
 
 
 class _CoupledRhs:
@@ -311,7 +311,8 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
     i eps dz/dt = A(t) z + lam u(t) <g, f>
     i eps df_i/dt = w_i f_i + lam <u(t), z> g_i
     in the field interaction picture F_i = exp(i w_i t / eps) f_i, stepped by
-    _Dop853, which takes scipy.integrate.DOP853's steps to the last bit.
+    _Dop853 (scipy.integrate.DOP853's steps to the last bit) with u = frame.u_at.
+    The state is sampled on output_grid(t_end, dt_out), <u, z> on a refined_grid.
     meta records nfev and the accepted and rejected steps.
     The grid must certify the kernel over the whole run: ResolutionError if
     t_end/eps exceeds modes.horizon.
@@ -332,29 +333,26 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
                 "pass override_smallness=True to force the run")
 
     d, n_modes = atom.dim, modes.size
-    u_spline = _coupling_spline(atom, frame, t_end)
     omegas = modes.omegas
     inv_eps = 1.0 / eps
 
-    n_out = int(round(t_end / dt_out)) + 1
-    t_eval = np.linspace(0.0, t_end, n_out)
-    y_out = np.empty((n_out, d + n_modes), dtype=complex)
+    t_eval = output_grid(t_end, dt_out)
+    y_out = np.empty((len(t_eval), d + n_modes), dtype=complex)
     # (times, buffer, state columns) read from each step's dense output: the
     # full state on the output grid, only z on the source grid, so nothing of
     # size N x n_src is ever held
     samples = [(t_eval, y_out, slice(None))]
     if record_source:
-        # phase per source step <= PHASE_PER_STEP, well inside the
-        # PHASE_PER_NODE that the closed-form reconstruction's trapezoid takes
-        dt_src = PHASE_PER_STEP * eps / max(float(omegas[-1]), 1.0)
-        n_src = int(np.ceil(t_end / dt_src)) + 1
-        t_src = np.linspace(0.0, t_end, n_src)
-        z_src = np.empty((n_src, d), dtype=complex)
+        # every output time is a source time, and the phase per source step is
+        # <= PHASE_PER_STEP, well inside the reconstruction's PHASE_PER_NODE
+        t_src, _ = refined_grid(t_end, len(t_eval) - 1,
+                                PHASE_PER_STEP * eps / max(float(omegas[-1]), 1.0))
+        z_src = np.empty((len(t_src), d), dtype=complex)
         samples.append((t_src, z_src, slice(0, d)))
     filled = [0] * len(samples)
 
     y0 = np.concatenate([z0, np.zeros(n_modes, dtype=complex)])
-    rhs = _CoupledRhs(atom, u_spline, modes, eps, lam)
+    rhs = _CoupledRhs(atom, frame.u_at, modes, eps, lam)
     solver = _Dop853(rhs, y0, t_end, rtol, ODE_ATOL)
     while solver.t < t_end:
         solver.step()
@@ -377,7 +375,7 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
     )
     if record_source:
         traj.source_times = t_src
-        traj.source_vals = np.einsum("kj,kj->k", u_spline(t_src).conj(), z_src)
+        traj.source_vals = np.einsum("kj,kj->k", frame.u_at(t_src).conj(), z_src)
     return traj
 
 

@@ -17,7 +17,7 @@ from . import bath as bath_mod
 from .atom import (PHASE_PER_NODE, PHASE_PER_STEP, AtomPath, EigenFrame,
                    coupling_in_working_basis, magnus_grid, magnus_propagate)
 from .errors import IntegratorError, ResolutionError
-from .exact import DT_OUT, Trajectory
+from .exact import DT_OUT, Trajectory, output_grid
 
 __all__ = [
     "PropagatorTable",
@@ -216,14 +216,13 @@ def effective_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
     """Integrate i eps dz/dt = G_{eps,lam}(t) z by stepped Magnus exponentials.
 
     magnus_propagate of the non-Hermitian generator on the magnus_grid that
-    refines the output grid of spacing dt_out.
+    refines output_grid(t_end, dt_out).
     """
     t_end = frame.check_end(t_end)
     z0 = np.asarray(z0, dtype=complex)
     gen = EffectiveGenerator(atom, frame, bath, eps, lam, t_end)
-    n_out = int(round(t_end / dt_out)) + 1
-    t_out = np.linspace(0.0, t_end, n_out)
-    fine, sub = magnus_grid(atom, eps, t_end, n_out - 1)
+    t_out = output_grid(t_end, dt_out)
+    fine, sub = magnus_grid(atom, eps, t_end, len(t_out) - 1)
     z = magnus_propagate(gen, fine, -1j / eps)[::sub] @ z0
     return Trajectory(times=t_out, z=z,
                       meta={"eps": eps, "lam": lam, "scheme": "effective-magnus"})

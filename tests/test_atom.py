@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.interpolate import CubicSpline
 
 from awwlab import asymptotics as Y, atom as A
 from awwlab.errors import FrameSmoothnessError, GapViolation
@@ -82,15 +83,39 @@ def test_projections_resolve_identity(ref_frame):
 
 
 def test_coupling_in_working_basis(ref_frame):
-    atom = rotation_atom()
     t = 0.6
     th = np.pi * t / 4.0
     want = np.array([np.cos(th) - np.sin(th), np.sin(th) + np.cos(th)])
-    got = A.coupling_in_working_basis(atom, ref_frame, t)
+    got = A.coupling_in_working_basis(ref_frame.atom, ref_frame, t)
     # frame columns may carry a sign gauge; compare projections onto them
     vt = ref_frame.vectors_at(t)
     assert np.allclose(np.abs(vt.conj().T @ got), np.abs([1.0, 1.0]), atol=1e-10)
     assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(want), abs=1e-10)
+    # an equal atom is still another path: u(t) belongs to the frame's own
+    with pytest.raises(ValueError, match="frame.atom"):
+        A.coupling_in_working_basis(rotation_atom(), ref_frame, t)
+
+
+def _frame_of_path(name, ref_frame):
+    """The reference frame, or the frame of the seeded three-level smooth path."""
+    if name == "ref":
+        return ref_frame
+    from test_properties import frame_of, smooth_path
+    return frame_of(smooth_path(3, 7))
+
+
+@pytest.mark.parametrize("path", ["ref", "d3"])
+def test_coupling_spline_reproduces_the_frame_product(path, ref_frame):
+    # u(t) is one spline through vectors @ couplings at the nodes; between
+    # them it stays with the product of the eigenvector spline and v(t)
+    frame = _frame_of_path(path, ref_frame)
+    atom = frame.atom
+    nodes = frame.times
+    want = (frame.vectors @ atom.couplings(nodes)[..., None])[..., 0]
+    assert np.max(np.abs(A.coupling_in_working_basis(atom, frame, nodes) - want)) <= 1e-15
+    mid = 0.5 * (nodes[1:] + nodes[:-1])
+    product = (frame.vectors_at(mid) @ atom.couplings(mid)[..., None])[..., 0]
+    assert np.max(np.abs(A.coupling_in_working_basis(atom, frame, mid) - product)) <= 1e-11
 
 
 def test_berry_phase_real_rotation_vanishes(ref_frame):
@@ -151,6 +176,32 @@ def test_frame_quantities_refuse_times_outside_the_frame(ref_scenario, ref_frame
     A.kato_intertwiner(ref_frame, 0.0, 1.0)
     assert A.berry_phase(ref_frame, 0, ends).shape == (2,)
     assert Y.leading_order_z(ref_frame, bath, atom, 0.05, 0.1, z0, ends).shape == (2, 2)
+
+
+def projection_spline_kato(frame):
+    """K(t) = sum_j [d/dt P_j] P_j from a cubic spline of the (n, d, d, d)
+    spectral projections at the nodes, anti-hermitized."""
+    proj = np.einsum("kij,klj->kjil", frame.vectors, frame.vectors.conj())
+    spline = CubicSpline(frame.times, proj, axis=0)
+    dspline = spline.derivative()
+
+    def kato(t):
+        k_mat = np.einsum("...jab,...jbc->...ac", dspline(t), spline(t))
+        return 0.5 * (k_mat - np.swapaxes(k_mat.conj(), -1, -2))
+
+    return kato
+
+
+@pytest.mark.parametrize("path", ["ref", "d3"])
+def test_kato_generator_agrees_with_a_projection_spline(path, ref_frame):
+    # the generator formed from vectors_at transports as one formed from a
+    # spline of the projections themselves, on the same Magnus steps
+    frame = _frame_of_path(path, ref_frame)
+    kato = projection_spline_kato(frame)
+    for t in (0.25, 0.5, 1.0):
+        n_steps = max(1, int(np.ceil(t / frame.step)))
+        want = A.magnus_propagate(kato, np.linspace(0.0, t, n_steps + 1))[-1]
+        assert np.max(np.abs(A.kato_intertwiner(frame, t) - want)) <= 1e-12
 
 
 def test_kato_intertwines_projections(ref_frame):

@@ -57,6 +57,12 @@ def test_regime_B_zero_time(ref_scenario, ref_frame):
                             ONE, 0, 1.0, 0.0) == 0.0
 
 
+def test_regime_B_refuses_times_past_the_frame(ref_scenario, ref_frame):
+    # past t = 1 the frame's splines would extrapolate
+    with pytest.raises(ValueError, match="outside the frame's range"):
+        E.regime_B_limit(ref_frame, ref_scenario.bath, ref_scenario.atom, ONE, 0, 1.0, 1.5)
+
+
 def test_regime_B_monotone_and_bounded(ref_scenario, ref_frame):
     vals = [E.regime_B_limit(ref_frame, ref_scenario.bath, ref_scenario.atom,
                              ONE, 0, 1.0, t) for t in (0.25, 0.5, 0.75, 1.0)]

@@ -187,6 +187,22 @@ def test_blocked_reconstruction_matches_dense_trapezoid(exact_runner):
         assert np.max(np.abs(blocked - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
+def test_every_output_time_is_a_source_time(exact_runner):
+    # the source grid refines the output grid, so the closed-form field
+    # matches the oracle's at odd output times (t = 0.105, ...) as at even ones
+    eps = 0.02
+    lam = float(np.sqrt(eps))          # r = lam^2 / eps = 1
+    traj, modes = exact_runner(eps, lam, record_source=True)
+    steps, src_steps = len(traj.times) - 1, len(traj.source_times) - 1
+    assert src_steps % steps == 0
+    sub = src_steps // steps
+    assert np.max(np.abs(traj.source_times[::sub] - traj.times)) <= 1e-15
+    for k in np.nonzero(traj.times >= 0.1)[0]:
+        f_rec = X.field_amplitude_closed_form(traj, modes, eps, lam, traj.times[k])
+        scale = np.max(np.abs(traj.field[k]))
+        assert np.max(np.abs(f_rec - traj.field[k])) <= 1e-5 * scale, traj.times[k]
+
+
 def test_recording_the_source_leaves_the_run_unchanged(exact_runner):
     eps, lam = 0.05, float(np.sqrt(0.05))
     plain, _ = exact_runner(eps, lam)
@@ -224,7 +240,7 @@ def scipy_oracle(atom, frame, modes, z0, eps, lam, record_source=False):
     """
     t_end = frame.check_end()
     d, n_modes = atom.dim, modes.size
-    u_spline = X._coupling_spline(atom, frame, t_end)
+    u_spline = frame.u_at
     omegas, g = modes.omegas, modes.couplings
     inv_eps = 1.0 / eps
 
@@ -238,10 +254,10 @@ def scipy_oracle(atom, frame, modes, z0, eps, lam, record_source=False):
         df = -1j * inv_eps * lam * s_atom * (g * np.conj(phase))
         return np.concatenate([dz, df])
 
-    grids = [np.linspace(0.0, t_end, int(round(t_end / X.DT_OUT)) + 1)]
+    grids = [X.output_grid(t_end)]
     if record_source:
-        dt_src = X.PHASE_PER_STEP * eps / max(float(omegas[-1]), 1.0)
-        grids.append(np.linspace(0.0, t_end, int(np.ceil(t_end / dt_src)) + 1))
+        h_src = X.PHASE_PER_STEP * eps / max(float(omegas[-1]), 1.0)
+        grids.append(X.refined_grid(t_end, len(grids[0]) - 1, h_src)[0])
     rows = [[] for _ in grids]
     filled = [0] * len(grids)
     y0 = np.concatenate([z0, np.zeros(n_modes, dtype=complex)])

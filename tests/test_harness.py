@@ -428,6 +428,20 @@ def test_cli_regimes_and_emission(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "spectrum.csv"))
 
 
+def test_output_step_past_the_run(tmp_path, capsys):
+    # solver.dt_out = 2 on [0, 1] still gives one output step, ending at t_end
+    for dt_out in ("1", "2"):
+        path = write_cfg(tmp_path, BASE_CFG + f"solver.dt_out = {dt_out}\n", f"dt{dt_out}.cfg")
+        assert cli.main(["emission", "--config", path, "--out", str(tmp_path / dt_out),
+                         "--override-smallness"]) == 0
+    assert "<B>_t = 0.000000" not in capsys.readouterr().out
+    spectrum = [(tmp_path / dt_out / "spectrum.csv").read_bytes() for dt_out in ("1", "2")]
+    assert spectrum[0] == spectrum[1]
+    for command in ("simulate", "sweep"):
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / command),
+                         "--override-smallness"]) == 0
+
+
 def test_cli_validate_on_a_coarse_bath_table_exits_1(tmp_path, correlation_within_decay_t_max):
     table = write_density_table(tmp_path / "bath.csv", 241)
     path = write_cfg(tmp_path, "atom.name = ww-ref-2level\n"

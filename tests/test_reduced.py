@@ -170,3 +170,14 @@ def test_solvers_refuse_an_empty_span(ref_scenario, ref_frame, solver):
     }[solver]
     with pytest.raises(ValueError, match="empty span"):
         solve()
+
+
+def test_output_step_past_the_run_gives_one_step(ref_scenario, ref_frame):
+    # round(t_end/dt_out) is 0 for dt_out = 2; the grid still takes one step to t_end
+    atom, bath, z0 = ref_scenario.atom, ref_scenario.bath, ref_scenario.z0
+    eps = 0.1
+    lam = float(np.sqrt(eps))
+    long_step = R.effective_solve(atom, ref_frame, bath, eps, lam, z0, dt_out=2.0)
+    one_step = R.effective_solve(atom, ref_frame, bath, eps, lam, z0, dt_out=1.0)
+    assert np.array_equal(long_step.times, [0.0, 1.0])
+    assert np.array_equal(long_step.z, one_step.z)
