@@ -367,7 +367,10 @@ class CouplingReport:
 
 def validate_coupling(atom: AtomPath, frame: EigenFrame, bath: "bath_mod.BathSpec",
                       lam: float) -> CouplingReport:
-    """Coupling smallness and per-level well-coupledness at the frame's nodes."""
+    """Coupling smallness and per-level well-coupledness at the frame's nodes;
+    `atom` must be frame.atom."""
+    if atom is not frame.atom:
+        raise ValueError("atom is not frame.atom, the path the frame was built from")
     v = atom.couplings(frame.times)
     vnorm2 = float(np.max(np.sum(np.abs(v) ** 2, axis=1)))
     g_l1 = bath_mod.correlation_l1_norm(bath)

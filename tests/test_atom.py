@@ -215,18 +215,21 @@ def test_kato_intertwines_projections(ref_frame):
 
 
 def test_validate_coupling_reference_value(ref_frame, ref_bath):
-    atom = rotation_atom()
-    report = A.validate_coupling(atom, ref_frame, ref_bath, np.sqrt(1.0 / 64))
+    report = A.validate_coupling(ref_frame.atom, ref_frame, ref_bath, np.sqrt(1.0 / 64))
     # 4 * (1/64) * 2 * 4 / 1 = 1/2
     assert report.smallness_value == pytest.approx(0.5, abs=1e-6)
     assert report.smallness_ok and report.well_coupled.all() and report.ok
+    # an equal path that is not the frame's own is refused
+    with pytest.raises(ValueError, match="frame.atom"):
+        A.validate_coupling(rotation_atom(), ref_frame, ref_bath, np.sqrt(1.0 / 64))
 
 
 def test_validate_coupling_flags_large_lambda(ref_frame, ref_bath):
-    atom = rotation_atom()
-    report = A.validate_coupling(atom, ref_frame, ref_bath, 0.5)
+    report = A.validate_coupling(ref_frame.atom, ref_frame, ref_bath, 0.5)
     assert not report.smallness_ok
     assert not report.ok
+    with pytest.raises(ValueError, match="frame.atom"):
+        A.validate_coupling(rotation_atom(), ref_frame, ref_bath, 0.5)
 
 
 def test_tabulated_atom_roundtrip(tmp_path, ref_frame):

@@ -16,16 +16,18 @@ import awwlab
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CALLERS = ("src", "demos", "bench")    # tests do not count as callers
 
-# Public functions that only tests call and that stay: the acceptance
-# battery's references, and parse_config, the text entry of load_config.
+# Public functions and methods that only tests call and that stay: the
+# acceptance battery's references, parse_config, the text entry of
+# load_config, and EigenFrame.projections, which tests/test_acceptance.py reads.
 TEST_ONLY = ("effective_generator", "residue_integral", "semigroup_time_independent",
-             "parse_config")
+             "parse_config", "EigenFrame.projections")
 
 
 def public_surface(mod):
     """(qualified name, pattern of a use) for each public function of `mod`
     and each public method or property of the classes it exports; a method
-    counts as used when it is read as an attribute or named as a string."""
+    counts as used when it is called, a property when it is read as an
+    attribute, and either when it is named as a string (getattr, a tracer)."""
     for name in getattr(mod, "__all__", ()):
         obj = getattr(mod, name)
         if not isinstance(obj, type):
@@ -33,10 +35,11 @@ def public_surface(mod):
                 yield name, rf"\b{re.escape(name)}\b"
             continue
         for attr, member in vars(obj).items():
-            if not attr.startswith("_") and (
-                    inspect.isfunction(member)
-                    or isinstance(member, (property, functools.cached_property,
-                                           classmethod, staticmethod))):
+            if attr.startswith("_"):
+                continue
+            if inspect.isfunction(member) or isinstance(member, (classmethod, staticmethod)):
+                yield f"{name}.{attr}", rf"\.{attr}\(|[\"']{attr}[\"']"
+            elif isinstance(member, (property, functools.cached_property)):
                 yield f"{name}.{attr}", rf"\.{attr}\b|[\"']{attr}[\"']"
 
 
