@@ -28,7 +28,6 @@ __all__ = [
 
 STRONG_RATIO = 10.0   # lam^2/eps where the strong regime begins: a convention
 DAVIES_RATIO = 0.1    # lam^2/eps where the davies regime begins: a convention
-RATE_POINTS = 201     # times at which leading_order_z samples the Lamb shift
 
 
 class AsymptoticTables:
@@ -55,7 +54,8 @@ def leading_order_z(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
     Per level: dynamical phase with the Lamb-shift correction, exponential
     decay at rate beta_j/eps, and the geometric phase, all riding on the
     instantaneous eigenvector; the shift comes from one decay_and_shift call
-    at RATE_POINTS equally spaced times. `atom` must be frame.atom, and
+    at the frame's nodes, integrated as the antiderivative of its cubic
+    spline, as int_beta is. `atom` must be frame.atom, and
     `tables`, when given, must have been built for this frame and bath.
     """
     if atom is not frame.atom:
@@ -65,9 +65,8 @@ def leading_order_z(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
     elif tables.frame is not frame or tables.bath is not bath:
         raise ValueError("tables were built for another frame or bath")
     t = frame.check_times(t)
-    ts = np.linspace(frame.times[0], frame.times[-1], RATE_POINTS)
-    _, shift = bath_mod.decay_and_shift(bath, frame.atom.couplings(ts), frame.energies_at(ts))
-    int_shift = CubicSpline(ts, shift, axis=0).antiderivative()
+    _, shift = bath_mod.decay_and_shift(bath, frame.atom.couplings(frame.times), frame.energies)
+    int_shift = CubicSpline(frame.times, shift, axis=0).antiderivative()
     v0 = frame.vectors[0]
     z0_levels = v0.conj().T @ np.asarray(z0, dtype=complex)
     phase = tables.int_alpha(t) + lam**2 * int_shift(t)

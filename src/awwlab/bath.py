@@ -25,12 +25,14 @@ from .errors import QuadratureError
 
 __all__ = [
     "BathSpec",
+    "ExpSum",
     "TestObservable",
     "reference_bath",
     "bath_from_csv",
     "bath_from_name",
     "correlation",
     "fourier_hat",
+    "exp_sum",
     "half_line_transform",
     "decay_rate",
     "decay_and_shift",
@@ -41,6 +43,10 @@ __all__ = [
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 DECAY_T_MAX = 1e3     # check_decay_bound's last time
 DECAY_POINTS = 60     # check_decay_bound's log-spaced times after t = 0
+CERT_POINTS = 400     # equally spaced points per interval on which a fit of gamma is checked
+EXPSUM_PANEL = 1.5    # width in log s of exp_sum's 16-node Gauss-Legendre panels
+EXPSUM_TAIL = 1e-9    # envelope mass past exp_sum's x_max
+EXPSUM_CHUNK = 128    # level values per block of half_line_transform's (n, K) sum
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,10 @@ class BathSpec:
                   density tail beyond it must be negligible (< 1e-8 mass)
     decay_amplitude, decay_power:  certify |gamma(t)| <= C/(1+t)^m, m > 2
     closed_form_correlation:  optional analytic gamma(t), vectorized
+    analytic:     the density continues analytically to complex omega with
+                  -pi/4 <= arg omega <= 0, decays there, and ``density``
+                  accepts complex arguments; exp_sum then rotates the
+                  frequency contour onto that edge
     """
 
     density: Callable[[np.ndarray], np.ndarray]
@@ -61,6 +71,7 @@ class BathSpec:
     decay_amplitude: float
     decay_power: float
     closed_form_correlation: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    analytic: bool = False
 
     def rho(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -90,6 +101,7 @@ _REFERENCE_BATH = BathSpec(
     decay_amplitude=6.0,
     decay_power=3.0,
     closed_form_correlation=lambda t: 2.0 / (1.0 + 1j * np.asarray(t)) ** 3,
+    analytic=True,
 )
 
 
@@ -151,6 +163,16 @@ _GL_NODES, _GL_WEIGHTS = leggauss(16)
 _LEVELS = (..., None, None)   # indexes level axes against _panel_quad's (panel, node) axes
 
 
+def _gl_panels(a, b, width, min_panels=1):
+    """Nodes and weights, each shaped (n_panels, 16), of composite 16-point
+    Gauss-Legendre on [a, b] with panels no wider than ``width``."""
+    n_panels = max(min_panels, int(np.ceil((b - a) / width)))
+    edges = np.linspace(a, b, n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    return mid[:, None] + half[:, None] * _GL_NODES[None, :], half[:, None] * _GL_WEIGHTS[None, :]
+
+
 def _panel_quad(f, a, b, rate):
     """Composite 16-point Gauss-Legendre with panel width <= pi/(4*rate).
 
@@ -160,13 +182,8 @@ def _panel_quad(f, a, b, rate):
     quadrature of ``|f|`` on the same nodes, the scale of the roundoff in
     ``value``.
     """
-    width = np.pi / (4.0 * max(abs(rate), 0.25))
-    n_panels = max(4, int(np.ceil((b - a) / width)))
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    terms = half[:, None] * _GL_WEIGHTS[None, :] * f(x)
+    x, w = _gl_panels(a, b, np.pi / (4.0 * max(abs(rate), 0.25)), min_panels=4)
+    terms = w * f(x)
     return np.sum(terms, axis=(-2, -1)), np.sum(np.abs(terms), axis=(-2, -1))
 
 
@@ -263,29 +280,71 @@ def _principal_value_hilbert(bath: BathSpec, alpha, tol):
     return smooth + rho_a * np.log(a_in / (hi - a_in))
 
 
-def half_line_transform(bath: BathSpec, alpha, T: float, tol=1e-8):
-    """int_0^T exp(i x alpha) gamma(x) dx, elementwise in alpha.
+def half_line_transform(bath: BathSpec, alpha, T, tol=1e-8):
+    """int_0^T exp(i x alpha) gamma(x) dx, elementwise over alpha and T.
 
-    Finite T is computed in the frequency domain against the kernel
-    (exp(iT(alpha-omega)) - 1)/(i(alpha-omega)); T = inf uses the boundary
-    value decay_rate(bath, 1, alpha) + i * PV int rho(omega)/(alpha-omega) domega.
-    ``alpha`` may be an array of level frequencies; ``T`` is one scalar,
-    and a scalar ``alpha`` gives a scalar.
+    ``alpha`` (level frequencies) and ``T`` (horizons, each >= 0 or inf)
+    broadcast against each other; scalars give a scalar. At T = inf the real
+    part is decay_rate(bath, 1, alpha) on either path below, and the
+    imaginary part PV int rho(omega)/(alpha - omega) domega.
 
-    The tolerance is ``tol * max(T, 1)``, and ``tol`` at T = inf; it and
-    ``QuadratureError.achieved`` bound the discretisation and roundoff error
-    on ``[0, quad_cutoff]``. The truncation beyond ``quad_cutoff`` is not
-    included; it is governed by the ``BathSpec.quad_cutoff`` contract (tail
-    mass < 1e-8).
+    When the bath has an exp_sum whose l1_error is at most ``tol``, the
+    transform is its closed form
+    sum_k c_k (1 - exp(-(lam_k - i alpha) T)) / (lam_k - i alpha),
+    formed in blocks of EXPSUM_CHUNK values; its error is at most l1_error
+    at every T, T = inf included.
+
+    Otherwise it is computed by quadrature, one per distinct T for all the
+    levels at that T: finite T in the frequency domain against the kernel
+    (exp(iT(alpha-omega)) - 1)/(i(alpha-omega)), T = inf by the principal
+    value. The tolerance is ``tol * max(T, 1)``, and ``tol`` at T = inf; it
+    and ``QuadratureError.achieved`` bound the discretisation and roundoff
+    error on ``[0, quad_cutoff]``. The truncation beyond ``quad_cutoff`` is
+    not included; it is governed by the ``BathSpec.quad_cutoff`` contract
+    (tail mass < 1e-8).
     """
-    alpha = np.asarray(alpha, dtype=float)
-    T = float(T)
-    if np.isinf(T):
-        return (decay_rate(bath, 1.0, alpha) + 1j * _principal_value_hilbert(bath, alpha, tol))[()]
-    if T < 0:
+    alpha, T = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(T, dtype=float))
+    if not np.all(T >= 0.0):
         raise ValueError("T must be >= 0 or inf")
-    if T == 0.0:
-        return np.zeros(alpha.shape, dtype=complex)[()]
+    kern = exp_sum(bath)
+    if kern is not None and tol >= kern.l1_error:
+        out = _in_blocks(functools.partial(_sum_transform, kern), alpha.ravel(), T.ravel())
+        out = out.reshape(alpha.shape)
+    else:
+        out = np.zeros(alpha.shape, dtype=complex)
+        for t in np.unique(T[T > 0.0]):
+            at = T == t
+            out[at] = _quad_transform(bath, alpha[at], t, tol)
+    inf = np.isinf(T)
+    out.real[inf] = decay_rate(bath, 1.0, alpha[inf])
+    return out[()]
+
+
+def _sum_transform(kern: "ExpSum", alpha, T):
+    """The exp_sum transform at 1-D alpha and T of one length, its real part at
+    T = inf to be replaced.
+
+    It is sum_k c_k (1 - e^{i alpha T} e^{-lam_k T}) / (lam_k - i alpha). The
+    exponentials e^{-lam_k T}, the bulk of the work, are taken once per run
+    of equal T, so levels at one time share them: a horizon of shape (n, 1)
+    broadcast against (n, d) levels puts each time's d levels side by side.
+    """
+    finite = np.isfinite(T)
+    T = np.where(finite, T, 0.0)
+    new = np.ones(len(T), dtype=bool)
+    new[1:] = T[1:] != T[:-1]
+    starts = np.flatnonzero(new)
+    run = np.searchsorted(starts, np.arange(len(T)), side="right") - 1
+    decay = np.exp(-np.outer(T[starts], kern.lam))[run]
+    phase = np.where(finite, np.exp(1j * alpha * T), 0.0)
+    return ((1.0 - phase[:, None] * decay) / (kern.lam - 1j * alpha[:, None])) @ kern.c
+
+
+def _quad_transform(bath: BathSpec, alpha, T: float, tol):
+    """The quadrature transform at 1-D alpha and one T > 0; at T = inf the
+    imaginary part alone."""
+    if np.isinf(T):
+        return 1j * _principal_value_hilbert(bath, alpha, tol)
 
     def integrand(w):
         delta = alpha[_LEVELS] - w
@@ -294,7 +353,7 @@ def half_line_transform(bath: BathSpec, alpha, T: float, tol=1e-8):
         kern = np.where(small, T, (np.exp(1j * T * d) - 1.0) / (1j * d))
         return bath.rho(w) * kern
 
-    return _osc_quad(integrand, 0.0, bath.quad_cutoff, rate=T, tol=tol * max(T, 1.0))[()]
+    return _osc_quad(integrand, 0.0, bath.quad_cutoff, rate=T, tol=tol * max(T, 1.0))
 
 
 def decay_rate(bath: BathSpec, v, alpha):
@@ -314,6 +373,80 @@ def decay_and_shift(bath: BathSpec, v, alpha):
 
 
 # ---------------------------------------------------------------------------
+# the correlation as a sum of exponentials
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ExpSum:
+    """gamma(x) ~ sum_k c_k exp(-lam_k x) for x >= 0, with every Re lam_k > 0.
+
+    sup_error is the largest |sum - gamma| at the certification points of
+    [0, x_max]; l1_error bounds int_0^inf |sum - gamma| dx, and with it the
+    error of every half-line transform of the sum, T = inf included.
+    """
+
+    c: np.ndarray
+    lam: np.ndarray
+    l1_error: float
+    x_max: float
+    sup_error: float
+
+
+@functools.lru_cache(maxsize=None)
+def exp_sum(bath: BathSpec) -> Optional[ExpSum]:
+    """The bath's certified ExpSum, built on first use; None unless bath.analytic.
+
+    On the ray omega = e^{-i pi/4} s the kernel exp(-i omega x) is
+    exp(-e^{i pi/4} s x), which decays for x > 0, so rotating the contour
+    onto it gives gamma(x) = e^{-i pi/4} int_0^inf rho(e^{-i pi/4} s)
+    exp(-e^{i pi/4} s x) ds, an integrand that decays instead of oscillating.
+    Gauss-Legendre panels of width EXPSUM_PANEL in log s on
+    [1/x_max, 2 quad_cutoff] make it the sum: the slowest rate follows gamma
+    out to x_max, and the ray, on which a density like exp(-omega) decays
+    only as exp(-s cos(pi/4)), is followed past quad_cutoff/cos(pi/4).
+
+    x_max is where the envelope C/(1+x)^m leaves EXPSUM_TAIL of mass (at most
+    DECAY_T_MAX without a closed-form correlation, as in correlation_l1_norm).
+    The sum is compared with ``correlation`` on CERT_POINTS equally spaced
+    points of [0, x_max/10^k], the first such interval shorter than 1, and
+    of each decade [h/10, h] from there up to h = x_max: the points thin out
+    as x grows, as the scale of the fit's error does. l1_error is the
+    trapezoid of |sum - gamma| on them plus the tails past x_max of the
+    envelope and of sum_k |c_k| exp(-Re lam_k x). The arrays are read-only,
+    as every caller shares them.
+    """
+    if not bath.analytic:
+        return None
+    x_max = _envelope_horizon(bath, EXPSUM_TAIL)
+    u, w = _gl_panels(-np.log(x_max), np.log(2.0 * bath.quad_cutoff), EXPSUM_PANEL)
+    s = np.exp(u.ravel())
+    ray = np.exp(-0.25j * np.pi)
+    c = ray * bath.density(ray * s) * s * w.ravel()
+    lam = np.conj(ray) * s
+    c.setflags(write=False)
+    lam.setflags(write=False)
+
+    edges = x_max / 10.0 ** np.arange(int(np.log10(x_max)) + 1, -1, -1)
+    xs = np.concatenate([np.linspace(0.0, edges[0], CERT_POINTS)] + [
+        np.linspace(a, b, CERT_POINTS)[1:] for a, b in zip(edges[:-1], edges[1:])])
+    fit = _in_blocks(lambda x: np.exp(-np.outer(x, lam)) @ c, xs)
+    err = np.abs(fit - correlation(bath, xs))
+    tail = (_envelope_tail(bath, x_max)
+            + np.sum(np.abs(c) * np.exp(-lam.real * x_max) / lam.real))
+    return ExpSum(c=c, lam=lam, l1_error=float(np.trapezoid(err, xs) + tail),
+                  x_max=float(x_max), sup_error=float(np.max(err)))
+
+
+def _in_blocks(fn, *args):
+    """fn over blocks of EXPSUM_CHUNK entries of the equal-length 1-D args,
+    joined: the (block, K) temporaries of a sum over the K terms stay small."""
+    out = np.empty(len(args[0]), dtype=complex)
+    for lo in range(0, len(out), EXPSUM_CHUNK):
+        out[lo:lo + EXPSUM_CHUNK] = fn(*(a[lo:lo + EXPSUM_CHUNK] for a in args))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # integral norms and certified decay
 # ---------------------------------------------------------------------------
 
@@ -327,18 +460,28 @@ def correlation_l1_norm(bath: BathSpec, tol=1e-8) -> float:
     envelope's tail, not tol: 1.7e-4 per half line for bath_from_csv's
     default envelope on a table of w^2 e^-w.
     """
-    m, c = bath.decay_power, bath.decay_amplitude
-    # choose the truncation so the tail bound is below tol/10
-    x_max = (c / ((m - 1.0) * tol / 10.0)) ** (1.0 / (m - 1.0)) - 1.0
-    x_max = max(x_max, 10.0)
+    x_max = _envelope_horizon(bath, tol / 10.0)
     if bath.closed_form_correlation is not None:
         f = lambda x: abs(complex(bath.closed_form_correlation(x)))
     else:
-        x_max = min(x_max, DECAY_T_MAX)
         f = lambda x: abs(correlation(bath, x))
     body, _ = quad(f, 0.0, x_max, limit=500)
-    tail = c / ((m - 1.0) * (1.0 + x_max) ** (m - 1.0))
-    return 2.0 * (body + tail)
+    return 2.0 * (body + _envelope_tail(bath, x_max))
+
+
+def _envelope_horizon(bath: BathSpec, tail: float) -> float:
+    """The x (at least 10) past which the envelope C/(1+x)^m holds ``tail`` of
+    mass; at most DECAY_T_MAX, the last time check_decay_bound certifies, for
+    a bath whose correlation is a quadrature with a cost that grows with x."""
+    m, c = bath.decay_power, bath.decay_amplitude
+    x_max = max((c / ((m - 1.0) * tail)) ** (1.0 / (m - 1.0)) - 1.0, 10.0)
+    return x_max if bath.closed_form_correlation is not None else min(x_max, DECAY_T_MAX)
+
+
+def _envelope_tail(bath: BathSpec, x: float) -> float:
+    """int_x^inf C/(1+y)^m dy."""
+    m, c = bath.decay_power, bath.decay_amplitude
+    return c / ((m - 1.0) * (1.0 + x) ** (m - 1.0))
 
 
 def check_decay_bound(bath: BathSpec) -> bool:

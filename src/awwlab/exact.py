@@ -73,7 +73,7 @@ def discretize_bath(bath: bath_mod.BathSpec, eps: float, tol_corr: float = TOL_C
     which die off once n passes k by a few k^{1/3}, and an n-node Gauss rule
     is exact to degree 2n - 1. So the node count starts at
     max(32, k/2 + 6 k^{1/3}) and doubles until the discrete correlation
-    matches gamma to tol_corr on 400 points of [0, horizon]; the doubling
+    matches gamma to tol_corr on CERT_POINTS points of [0, horizon]; the doubling
     also catches a density that is not smooth.
     """
     if not 0.0 < eps <= 1.0:
@@ -83,7 +83,7 @@ def discretize_bath(bath: bath_mod.BathSpec, eps: float, tol_corr: float = TOL_C
     cutoff = bath.quad_cutoff
     k = 0.5 * cutoff * horizon
     n = max(32, math.ceil(0.5 * k + 6.0 * k ** (1.0 / 3.0)))
-    xs = np.linspace(0.0, horizon, 400)
+    xs = np.linspace(0.0, horizon, bath_mod.CERT_POINTS)
     gamma_ref = bath_mod.correlation(bath, xs)
     for _ in range(max_doublings + 1):
         nodes, wts = roots_legendre(n)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import bath as bath_mod
 from .atom import (PHASE_PER_NODE, PHASE_PER_STEP, AtomPath, EigenFrame,
@@ -27,7 +26,6 @@ __all__ = [
     "effective_solve",
 ]
 
-TRANSFORM_GRID = 121   # times at which EffectiveGenerator tabulates the half-line transforms
 HISTORY_BLOCK = 32     # Volterra history lags summed directly; older lags come by FFT
 
 
@@ -166,48 +164,42 @@ class EffectiveGenerator:
     """t -> G_{eps,lam}(t) = A(t) - i lam^2 |u(t)><u(t)| Gamma_eps(t).
 
     Gamma_eps(t) = sum_j I(t/eps, alpha_j(t)) P_j(t) where I is the finite
-    half-line transform of the bath correlation. `transforms` is the cubic
-    spline of the d values I(t/eps, alpha_j(t)) through TRANSFORM_GRID times
-    of [0, t_end], one transform call per time; everything else is
-    evaluated spectrally at call time.
+    half-line transform of the bath correlation. Everything is evaluated at
+    call time: `transforms` makes one half_line_transform call for all the
+    times and levels asked for, in closed form when the bath has an exp_sum
+    and by one quadrature per distinct time when it has not. `t_end`, when
+    given, is checked as a solver's last time (EigenFrame.check_end); every
+    time of the frame can be asked for.
     """
 
     def __init__(self, atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
                  eps: float, lam: float, t_end: Optional[float] = None):
-        t_end = frame.check_end(t_end)
+        frame.check_end(t_end)
         self.atom, self.frame, self.bath = atom, frame, bath
         self.eps, self.lam = eps, lam
-        ts = np.linspace(0.0, t_end, TRANSFORM_GRID)
-        vals = [bath_mod.half_line_transform(bath, alphas, t / eps)
-                for t, alphas in zip(ts, frame.energies_at(ts))]
-        self.transforms = CubicSpline(ts, vals, axis=0)
+
+    def transforms(self, t) -> np.ndarray:
+        """The d values I(t/eps, alpha_j(t)) at a scalar t, or the (..., d) stack."""
+        t = self.frame.check_times(t)
+        return bath_mod.half_line_transform(self.bath, self.frame.energies_at(t),
+                                            t[..., None] / self.eps)
 
     def __call__(self, t) -> np.ndarray:
         """G_{eps,lam}(t) for a scalar t, or the (..., d, d) stack for an array."""
-        return _generator(self.atom, self.frame, self.lam, t, self.transforms)
+        a = self.atom.matrix(t)
+        if self.lam == 0.0:
+            return a
+        u = coupling_in_working_basis(self.atom, self.frame, t)
+        vecs = self.frame.vectors_at(t)
+        gamma = (vecs * self.transforms(t)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+        row = (u.conj()[..., None, :] @ gamma)[..., 0, :]
+        return a - 1j * self.lam**2 * (u[..., :, None] * row[..., None, :])
 
 
 def effective_generator(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
                         eps: float, lam: float, t: float) -> np.ndarray:
-    """Single evaluation of G_{eps,lam}(t) without grid caching."""
-    return _generator(atom, frame, lam, t, lambda s: bath_mod.half_line_transform(
-        bath, frame.energies_at(s), s / eps))
-
-
-def _gamma_op(frame: EigenFrame, t, i_vals) -> np.ndarray:
-    """sum_j I_j P_j(t) from the level values i_vals = (..., d) at t."""
-    vecs = frame.vectors_at(t)
-    return (vecs * i_vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
-
-
-def _generator(atom: AtomPath, frame: EigenFrame, lam: float, t, transforms) -> np.ndarray:
-    """A(t) - i lam^2 |u(t)><u(t)| sum_j I_j P_j(t) with I_j = transforms(t)."""
-    a = atom.matrix(t)
-    if lam == 0.0:
-        return a
-    u = coupling_in_working_basis(atom, frame, t)
-    row = (u.conj()[..., None, :] @ _gamma_op(frame, t, transforms(t)))[..., 0, :]
-    return a - 1j * lam**2 * (u[..., :, None] * row[..., None, :])
+    """G_{eps,lam}(t) at one time: EffectiveGenerator(atom, frame, bath, eps, lam)(t)."""
+    return EffectiveGenerator(atom, frame, bath, eps, lam)(t)
 
 
 def effective_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,

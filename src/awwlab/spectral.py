@@ -109,19 +109,16 @@ def adiabatic_evolution_diagnostic(atom: AtomPath, frame: EigenFrame,
     W transports the perturbed projections (generator sum_j dP_j P_j, with
     dP_j from centered differences checked under step halving); Psi carries
     the dynamical phases with the second-order level corrections
-    -i|v_j|^2 I_j, read from the transform table of `gen`, which must have
-    been built for this frame, bath, eps and lam, on a table that covers
-    [s, t]; ValueError if not. Used as a diagnostic against the stepped
-    effective propagator.
+    -i|v_j|^2 I_j, read from gen.transforms at the times of [s, t]. `gen`
+    must have been built for this frame, bath, eps and lam, and [s, t] must
+    lie in the frame (EigenFrame.check_times); ValueError if not. Used as a
+    diagnostic against the stepped effective propagator.
     """
     if s > t:
         raise ValueError("require s <= t")
     if gen.frame is not frame or gen.bath is not bath or (gen.eps, gen.lam) != (eps, lam):
         raise ValueError("gen was built for another frame, bath, eps or lam")
-    table = gen.transforms
-    if s < table.x[0] or t > table.x[-1]:
-        raise ValueError(f"gen's transform table covers [{table.x[0]:g}, {table.x[-1]:g}], "
-                         f"not [{s:g}, {t:g}]")
+    frame.check_times([s, t])
     if t == s:
         return np.eye(atom.dim, dtype=complex)
 
@@ -144,6 +141,6 @@ def adiabatic_evolution_diagnostic(atom: AtomPath, frame: EigenFrame,
     w = magnus_propagate(k_spline, ts)[-1]
 
     # dynamical phases: Simpson of alpha_j + lam^2 alpha'_j over [s, t]
-    corr = -1j * np.abs(atom.couplings(ts)) ** 2 * table(ts)
+    corr = -1j * np.abs(atom.couplings(ts)) ** 2 * gen.transforms(ts)
     phases = simpson(frame.energies_at(ts) + lam**2 * corr, x=ts, axis=0)
     return w @ np.einsum("j,jab->ab", np.exp(-1j * phases / eps), p_tab[0])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from awwlab import asymptotics, bath as bath_mod, exact
+from awwlab import asymptotics, atom, bath as bath_mod, exact
 from awwlab.harness import builtin_scenario
+from test_magnus import three_level_atom
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +24,13 @@ def ref_frame(ref_scenario):
 @pytest.fixture(scope="session")
 def ref_tables(ref_scenario, ref_frame):
     return asymptotics.AsymptoticTables(ref_frame, ref_scenario.bath)
+
+
+@pytest.fixture(scope="session")
+def d3_frame(tmp_path_factory):
+    """Eigenframe of the seeded three-level path on 801 nodes of [0, 1]."""
+    path = three_level_atom(tmp_path_factory.mktemp("d3") / "atom.csv")
+    return atom.eigenframe(path, np.linspace(0.0, 1.0, 801))
 
 
 @pytest.fixture

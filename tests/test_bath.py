@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -231,13 +235,13 @@ def test_batched_decay_and_shift_equals_stacked_scalar_calls(ref_bath):
 
 
 @pytest.mark.parametrize("alpha", [-0.7, 0.0, 31.0])
-def test_principal_value_outside_the_support_matches_quad(ref_bath, alpha):
+def test_principal_value_outside_the_support_matches_quad(quad_bath, alpha):
     # no singularity on [0, quad_cutoff]: plain adaptive quadrature is a reference
-    want = quad(lambda w: w**2 * np.exp(-w) / (alpha - w), 0.0, ref_bath.quad_cutoff,
+    want = quad(lambda w: w**2 * np.exp(-w) / (alpha - w), 0.0, quad_bath.quad_cutoff,
                 epsabs=1e-13, limit=200)[0]
-    assert B.half_line_transform(ref_bath, alpha, np.inf).imag == pytest.approx(
+    assert B.half_line_transform(quad_bath, alpha, np.inf).imag == pytest.approx(
         want, abs=1e-12)
-    assert B.decay_and_shift(ref_bath, 1.0, alpha)[1] == pytest.approx(want, abs=1e-12)
+    assert B.decay_and_shift(quad_bath, 1.0, alpha)[1] == pytest.approx(want, abs=1e-12)
 
 
 def test_one_failing_level_reports_its_own_estimate(ref_bath):
@@ -258,3 +262,95 @@ def test_one_failing_level_reports_its_own_estimate(ref_bath):
     with pytest.raises(QuadratureError) as err:
         B.half_line_transform(ref_bath, alphas, T, tol=tol)
     assert err.value.achieved == worst
+
+
+# ---------------------------------------------------------------------------
+# the exponential-sum kernel
+# ---------------------------------------------------------------------------
+
+def test_reference_sum_is_certified(ref_bath, quad_bath):
+    kern = B.exp_sum(ref_bath)
+    assert B.exp_sum(ref_bath) is kern                 # built once per bath
+    assert B.exp_sum(quad_bath) is None                # not marked analytic
+    assert kern.l1_error < 1e-8
+    assert np.all(kern.lam.real > 0.0)
+    # a grid ten times denser than the certificate's, out to the longest
+    # horizon of the reference ladder, finds no larger error
+    xs = np.linspace(0.0, 320.0, 32001)
+    err = np.abs(np.exp(-np.outer(xs, kern.lam)) @ kern.c - B.correlation(ref_bath, xs))
+    assert np.max(err) <= 1.01 * kern.sup_error
+    assert np.trapezoid(err, xs) <= kern.l1_error
+    # T = inf is covered: the certificate holds the envelope 6/(1+x)^3's
+    # mass past x_max, where no point checks the fit
+    assert kern.l1_error >= 3.0 / (1.0 + kern.x_max) ** 2
+
+
+def test_the_sum_is_built_on_first_use_not_at_import():
+    code = ("import awwlab, awwlab.cli, awwlab.harness; from awwlab import bath; "
+            "assert bath.exp_sum.cache_info().currsize == 0")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def cutoff_tail_bound(alpha, T, cutoff=25.0):
+    """Bound on the part of the transform of w^2 e^-w past ``cutoff``, which
+    quad_bath's quadrature leaves out.
+
+    The kernel K_T(d) = (e^{iTd} - 1)/(id), d = alpha - w, has |K_T| <= T and
+    <= 2/|d|; at T = inf it is 1/d, and a level beyond the cutoff takes the
+    principal value, bounded by subtracting rho(alpha) on [cutoff, 2 alpha -
+    cutoff], where |rho'| <= (cutoff^2 - 2 cutoff) e^-cutoff.
+    """
+    mass = (cutoff**2 + 2.0 * cutoff + 2.0) * np.exp(-cutoff)   # int_cutoff^inf rho
+    dist = abs(cutoff - alpha)
+    if alpha < cutoff:
+        return mass * (1.0 / dist if np.isinf(T) else min(T, 2.0 / dist))
+    if np.isfinite(T):
+        return mass * T
+    slope = (cutoff**2 - 2.0 * cutoff) * np.exp(-cutoff)
+    return 2.0 * dist * slope + mass / dist
+
+
+@pytest.mark.parametrize("T", [0.0, 0.5, 20.0, 80.0, 320.0, np.inf])
+def test_sum_agrees_with_the_quadrature(ref_bath, quad_bath, T):
+    # |sum - quadrature| <= the sum's certificate + the quadrature's own
+    # estimate + what the quadrature leaves out past quad_cutoff
+    kern = B.exp_sum(ref_bath)
+    got = B.half_line_transform(ref_bath, LEVELS, T)
+    want = B.half_line_transform(quad_bath, LEVELS, T)
+    if T == 0.0:
+        assert np.all(got == 0.0) and np.all(want == 0.0)
+        return
+    for a, g, w in zip(LEVELS, got, want):
+        with pytest.raises(QuadratureError) as err:     # tol = 0 reports the estimate
+            B.half_line_transform(quad_bath, a, T, tol=0.0)
+        bound = kern.l1_error + err.value.achieved + cutoff_tail_bound(a, T)
+        assert abs(g - w) <= bound, (a, abs(g - w), bound)
+
+
+@pytest.mark.parametrize("bath_name", ["ref_bath", "quad_bath"], ids=["sum", "quadrature"])
+def test_array_T_equals_stacked_scalar_calls(request, bath_name):
+    bath = request.getfixturevalue(bath_name)
+    horizons = np.array([0.0, 0.5, 20.0, 80.0, np.inf])
+    grid = B.half_line_transform(bath, LEVELS[None, :], horizons[:, None])
+    stacked = np.array([[B.half_line_transform(bath, a, T) for a in LEVELS] for T in horizons])
+    assert grid.shape == (len(horizons), len(LEVELS))
+    np.testing.assert_allclose(grid, stacked, rtol=1e-14, atol=1e-14)
+    # one horizon per level, repeated horizons included
+    pairs = B.half_line_transform(bath, LEVELS[:6], horizons[[0, 1, 2, 2, 3, 4]])
+    np.testing.assert_allclose(pairs, stacked[[0, 1, 2, 2, 3, 4], np.arange(6)],
+                               rtol=1e-14, atol=1e-14)
+    with pytest.raises(ValueError):
+        B.half_line_transform(bath, LEVELS, np.array([1.0, -1.0, 2.0, 0.0, 1.0, 1.0, 1.0]))
+
+
+def test_a_tolerance_below_the_certificate_takes_the_quadrature(ref_bath, quad_bath):
+    tol = B.exp_sum(ref_bath).l1_error / 10.0
+    for T in (20.0, np.inf):
+        assert np.array_equal(B.half_line_transform(ref_bath, LEVELS, T, tol=tol),
+                              B.half_line_transform(quad_bath, LEVELS, T, tol=tol))
+
+
+def test_infinite_horizon_real_part_is_the_decay_rate(ref_bath):
+    got = B.half_line_transform(ref_bath, LEVELS, np.inf)
+    assert np.array_equal(got.real, B.decay_rate(ref_bath, 1.0, LEVELS))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -91,6 +93,39 @@ def test_gamma_operator_norm_bound(ref_scenario, ref_frame):
         assert np.linalg.norm(gamma, 2) <= B.correlation_l1_norm(ref_scenario.bath) + 1e-10
 
 
+def test_generator_on_a_d3_path_equals_per_level_transforms(d3_frame, ref_bath):
+    # off the frame's nodes, G is A - i lam^2 |u><u| sum_j I_j P_j with each
+    # I_j one scalar half_line_transform call
+    eps, lam = 0.0125, 0.125
+    atom = d3_frame.atom
+    gen = R.EffectiveGenerator(atom, d3_frame, ref_bath, eps, lam)
+    ts = d3_frame.times[:-1:50] + 0.37 * d3_frame.step
+    for t, g in zip(ts, gen(ts)):
+        vecs = d3_frame.vectors_at(t)
+        i_vals = [B.half_line_transform(ref_bath, a, t / eps) for a in d3_frame.energies_at(t)]
+        gamma = sum(i_j * np.outer(vecs[:, j], vecs[:, j].conj())
+                    for j, i_j in enumerate(i_vals))
+        u = A.coupling_in_working_basis(atom, d3_frame, t)
+        want = atom.matrix(t) - 1j * lam**2 * np.outer(u, u.conj() @ gamma)
+        assert np.max(np.abs(g - want)) < 1e-13
+
+
+def test_transforms_run_in_blocks(d3_frame, ref_bath):
+    # 15 000 times of 3 levels: all at once, the sum's (45 000, K) temporaries
+    # would take 45 000 * K * 16 bytes each (115 MB at K = 160)
+    gen = R.EffectiveGenerator(d3_frame.atom, d3_frame, ref_bath, 0.003125, 0.125)
+    ts = np.linspace(0.0, 1.0, 15000)
+    gen.transforms(ts[:2])                      # the sum is built on first use
+    tracemalloc.start()
+    try:
+        vals = gen.transforms(ts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (15000, 3)
+    assert peak < 8 * vals.nbytes
+
+
 def test_effective_solve_lambda_zero(ref_scenario, ref_frame):
     traj = R.effective_solve(ref_scenario.atom, ref_frame, ref_scenario.bath,
                              0.1, 0.0, ref_scenario.z0)
@@ -148,7 +183,10 @@ def test_solvers_run_over_the_frame_and_not_past_it(ref_scenario, ref_frame):
     with pytest.raises(ValueError, match="outside the frame"):
         R.EffectiveGenerator(atom, ref_frame, bath, eps, lam, t_end=1.5)
     gen = R.EffectiveGenerator(atom, ref_frame, bath, eps, lam)
-    assert gen.transforms.x[-1] == 1.0
+    assert np.array_equal(gen.transforms(1.0), B.half_line_transform(
+        bath, ref_frame.energies_at(1.0), 1.0 / eps))
+    with pytest.raises(ValueError, match="outside the frame"):
+        gen.transforms(1.5)
     with pytest.raises(ValueError, match="outside the frame"):
         A.coupling_in_working_basis(atom, ref_frame, 1.5)
     with pytest.raises(ValueError, match="outside the frame"):

@@ -4,7 +4,6 @@ import pytest
 from awwlab import (asymptotics as Y, atom as A, bath as B, emission as E, reduced as R,
                     spectral as S)
 from awwlab.errors import ContourError, MatchingError
-from test_magnus import three_level_atom
 
 
 @pytest.fixture(scope="module")
@@ -146,18 +145,13 @@ def test_adiabatic_diagnostic_identity_and_convergence(ref_scenario, ref_frame):
     assert gaps[1] < gaps[0]
 
 
-@pytest.fixture(scope="module")
-def d3_frame(tmp_path_factory):
-    atom = three_level_atom(tmp_path_factory.mktemp("d3") / "atom.csv")
-    return A.eigenframe(atom, np.linspace(0.0, 1.0, 801))
-
-
 def count_calls(monkeypatch, name):
+    """The positional arguments of every call to bath.<name>, in order."""
     calls = []
     real = getattr(B, name)
 
     def counting(*args, **kw):
-        calls.append(name)
+        calls.append(args)
         return real(*args, **kw)
 
     monkeypatch.setattr(B, name, counting)
@@ -166,8 +160,8 @@ def count_calls(monkeypatch, name):
 
 def test_only_the_leading_order_runs_the_shift_quadrature(d3_frame, ref_bath, monkeypatch):
     # the tables and their decay-only readers take the rate from decay_rate;
-    # the Lamb shift, a quadrature per level, is run by leading_order_z alone,
-    # in one decay_and_shift call on all RATE_POINTS times
+    # the Lamb shift is computed by leading_order_z alone, in one
+    # decay_and_shift call on the frame's nodes
     z0 = np.eye(3, dtype=complex)[0]
     shifts = count_calls(monkeypatch, "decay_and_shift")
     transforms = count_calls(monkeypatch, "half_line_transform")
@@ -179,17 +173,26 @@ def test_only_the_leading_order_runs_the_shift_quadrature(d3_frame, ref_bath, mo
     Y.leading_order_z(d3_frame, ref_bath, d3_frame.atom, 0.05, 0.125, z0,
                       np.linspace(0.0, 1.0, 11), tables=tables)
     assert len(shifts) == 1
+    assert np.array_equal(shifts[0][2], d3_frame.energies)
 
 
 def test_diagnostic_reads_the_generators_table(d3_frame, ref_bath, monkeypatch):
+    # the level corrections are gen.transforms at call time: one batched
+    # half_line_transform call over the diagnostic's grid, besides the one
+    # inside gen(ts) for the projections
     eps, lam = 0.1, 0.125
     gen = R.EffectiveGenerator(d3_frame.atom, d3_frame, ref_bath, eps, lam)
     transforms = count_calls(monkeypatch, "half_line_transform")
     v = S.adiabatic_evolution_diagnostic(d3_frame.atom, d3_frame, ref_bath, eps, lam,
                                          0.5, gen=gen)
-    assert transforms == []
-    # the level corrections come from the table: level j keeps the golden-rule
-    # norm exp(-(lam^2/eps) int beta_j) up to O(lam^2) (about 4e-3 here)
+    grid = np.linspace(0.0, 0.5, S.DIAGNOSTIC_GRID)
+    assert len(transforms) == 2
+    for bath, alphas, horizons in transforms:
+        assert bath is ref_bath
+        np.testing.assert_array_equal(alphas, d3_frame.energies_at(grid))
+        np.testing.assert_array_equal(horizons, grid[:, None] / eps)
+    # level j keeps the golden-rule norm exp(-(lam^2/eps) int beta_j) up to
+    # O(lam^2) (about 4e-3 here)
     norms = np.linalg.norm(v @ d3_frame.vectors_at(0.0), axis=0)
     predicted = np.exp(-(lam**2 / eps) * Y.AsymptoticTables(d3_frame, ref_bath).int_beta(0.5))
     assert np.all(np.abs(norms / predicted - 1.0) < 1e-2)
@@ -199,8 +202,11 @@ def test_diagnostic_rejects_a_generator_that_does_not_fit(ref_scenario, ref_fram
     atom, bath = ref_scenario.atom, ref_scenario.bath
     eps, lam = 0.1, 0.1
     short = R.EffectiveGenerator(atom, ref_frame, bath, eps, lam, t_end=0.5)
-    with pytest.raises(ValueError, match="covers"):
-        S.adiabatic_evolution_diagnostic(atom, ref_frame, bath, eps, lam, 0.8, gen=short)
+    for s, t in ((0.0, 1.5), (1.5, 1.5)):     # an empty span past the frame too
+        with pytest.raises(ValueError, match="outside the frame"):
+            S.adiabatic_evolution_diagnostic(atom, ref_frame, bath, eps, lam, t, s, gen=short)
     with pytest.raises(ValueError, match="another"):
         S.adiabatic_evolution_diagnostic(atom, ref_frame, bath, 0.05, lam, 0.4, gen=short)
-    S.adiabatic_evolution_diagnostic(atom, ref_frame, bath, eps, lam, 0.5, 0.1, gen=short)
+    # the generator evaluates its transforms at call time, so its t_end does
+    # not bound the times it serves
+    S.adiabatic_evolution_diagnostic(atom, ref_frame, bath, eps, lam, 0.8, 0.1, gen=short)
