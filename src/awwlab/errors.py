@@ -29,7 +29,8 @@ class FrameSmoothnessError(AwwlabError):
 
 
 class DiscretizationError(AwwlabError):
-    """Field mode grid could not reproduce the correlation function to tolerance."""
+    """The field mode grid could not reproduce the correlation function to
+    tolerance, or a solver needs the bath's exponential sum and it has none."""
 
     def __init__(self, message, achieved=None):
         super().__init__(message)

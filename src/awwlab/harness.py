@@ -330,7 +330,11 @@ _OBSERVABLE_WEIGHTS = {"one": lambda w: np.ones_like(w),
 
 
 def run_emission(cfg: dict, out_dir: str, override: bool = False) -> dict:
-    """Emitted-spectrum CSV plus mode-sum average vs the applicable limit law."""
+    """Emitted-spectrum CSV plus mode-sum average vs the applicable limit law.
+
+    The limit is each level's regime_B_limit weighted by |<phi_j(0), z0>|^2,
+    as regime_classify weights its survival law.
+    """
     rc = RunConfig.from_dict(cfg)
     scen = _scenario(rc)
     r = rc.emission_r
@@ -342,8 +346,11 @@ def run_emission(cfg: dict, out_dir: str, override: bool = False) -> dict:
     obs = bath_mod.TestObservable(weight=_OBSERVABLE_WEIGHTS[rc.emission_observable])
     modes, traj = _oracle(scen, eps, lam, override, **_solver_kw(rc))
     avg = float(emission.observable_average(traj, modes, obs)[-1])
-    limit = emission.regime_B_limit(scen.frame(), scen.bath, scen.atom, obs, 0, r,
-                                    scen.t_end)
+    frame = scen.frame()
+    weights = np.abs(frame.vectors[0].conj().T @ scen.z0) ** 2
+    limit = float(sum(w * emission.regime_B_limit(frame, scen.bath, scen.atom, obs, j, r,
+                                                  scen.t_end)
+                      for j, w in enumerate(weights) if w > 0.0))
 
     os.makedirs(out_dir, exist_ok=True)
     t_fin = traj.times[-1]

@@ -15,7 +15,7 @@ import numpy as np
 from . import bath as bath_mod
 from .atom import (PHASE_PER_NODE, PHASE_PER_STEP, AtomPath, EigenFrame,
                    coupling_in_working_basis, magnus_grid, magnus_propagate)
-from .errors import IntegratorError, ResolutionError
+from .errors import DiscretizationError, IntegratorError, ResolutionError
 from .exact import DT_OUT, Trajectory, output_grid
 
 __all__ = [
@@ -25,9 +25,6 @@ __all__ = [
     "effective_generator",
     "effective_solve",
 ]
-
-HISTORY_BLOCK = 32     # Volterra history lags summed directly; older lags come by FFT
-
 
 class PropagatorTable:
     """Free atomic propagator U_eps(t, 0) cached on a uniform grid.
@@ -64,10 +61,17 @@ def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
     dy/dt = -(lam/eps)^2 beta(t) int_0^t <beta(s), y(s)> gamma((t-s)/eps) ds
     with beta(t) = U_eps(t)^{-1} u(t). Heun stepping with a product-trapezoid
     history on n = t_end / (x_step eps) equal steps, where x_step, the node
-    spacing in x = (t-s)/eps, defaults to min(1/20, eps/2). The history sum
-    is one discrete convolution of <beta, y> with gamma at the nodes, formed
-    once per step by _History in O(n log^2 n) over the whole run.
+    spacing in x = (t-s)/eps, defaults to min(1/20, eps/2). gamma is the
+    bath's exp_sum, sum_k c_k exp(-lam_k x), so at node m the history sum is
+    terms @ c with terms = sum_{j<m} w_j <beta_j, y_j> rho^{m-j}, one entry
+    per exponential, rho = exp(-lam h/eps) and the trapezoid weights w_0 = 1/2,
+    w_j = 1: the update terms <- rho (terms + w_m <beta_m, y_m>) costs O(K)
+    per step. A bath without an exp_sum raises DiscretizationError.
     """
+    kern = bath_mod.exp_sum(bath)
+    if kern is None:
+        raise DiscretizationError("volterra_solve needs the bath's exp_sum, which only "
+                                  "an analytic bath has")
     t_end = frame.check_end(t_end)
     z0 = np.asarray(z0, dtype=complex)
     d = atom.dim
@@ -90,14 +94,15 @@ def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
     beta = (np.swapaxes(u_all.conj(), 1, 2)
             @ coupling_in_working_basis(atom, frame, ts)[:, :, None])[:, :, 0]
 
-    kernel = bath_mod.correlation(bath, ts / eps)   # gamma(x) at x = k*h/eps
     rate = (lam / eps) ** 2
+    rho = np.exp(-kern.lam * (h / eps))             # gamma at lag m is rho^m @ kern.c
 
     # memory(k) = h * trapezoid of inner[j] gamma((t_k - s_j)/eps) over j = 0..k.
     # Its sum over j < k serves both step k-1's corrector and step k's
-    # predictor, so history forms it once. Heun's inner products with y all
-    # follow from p = <beta_{k+1}, y_k>, cross_k = <beta_{k+1}, beta_k> and
-    # norm2_k = |beta_k|^2.
+    # predictor. terms starts at -inner[0]/2, so that the first update gives
+    # the trapezoid's j = 0 end its half weight.
+    # Heun's inner products with y all follow from p = <beta_{k+1}, y_k>,
+    # cross_k = <beta_{k+1}, beta_k> and norm2_k = |beta_k|^2.
     cross = np.einsum("ki,ki->k", beta[1:].conj(), beta[:-1])
     norm2 = np.einsum("ki,ki->k", beta.conj(), beta)
     c = rate * h
@@ -105,13 +110,13 @@ def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
     y[0] = z0
     inner = np.empty(n + 1, dtype=complex)          # <beta(s_k), y(s_k)>
     inner[0] = np.vdot(beta[0], z0)
-    history = _History(inner, kernel)
-    first = 0.5 * inner[0] * kernel                 # the trapezoid's j = 0 end
-    half_g0 = 0.5 * kernel[0]                       # and its j = k end
+    terms = np.full(len(rho), -0.5 * inner[0])
+    half_g0 = 0.5 * kern.c.sum()                    # the trapezoid's j = k end
     mem = 0.0
     for k in range(n):
+        terms = rho * (terms + inner[k])
+        past = terms @ kern.c
         p = np.vdot(beta[k + 1], y[k])
-        past = history(k + 1) - first[k + 1]
         mem_pred = h * (past + half_g0 * (p - c * mem * cross[k]))
         a, b = -0.5 * c * mem, -0.5 * c * mem_pred
         y[k + 1] = y[k] + a * beta[k] + b * beta[k + 1]
@@ -122,42 +127,6 @@ def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
     return Trajectory(times=ts, z=z,
                       meta={"eps": eps, "lam": lam, "scheme": "volterra-heun",
                             "x_step": x_step})
-
-
-class _History:
-    """Running sums S_m = sum_{j<m} a[j] g[m-j] while a is filled in order.
-
-    The blocked convolution of Hairer, Lubich & Schlichte (SIAM J. Sci.
-    Stat. Comput. 6, 1985): the node axis is cut into blocks of
-    HISTORY_BLOCK, and blocks pair up into blocks twice their size. A pair
-    (j, m) in one block is summed directly when S_m is asked for. Every
-    other pair is added to far[m] ahead of time: when a[:e] is final at a
-    block end e, the last s values of a, with s the block size at which e
-    ends a left half, reach far[e:e+s] through one FFT convolution of
-    length 2s with g[:2s]. Over m = 1..n that is O(n log^2 n) work.
-    """
-
-    def __init__(self, a: np.ndarray, g: np.ndarray):
-        self.a, self.g = a, g
-        self.far = np.zeros(len(g), dtype=complex)
-        self._spectra = {}          # block size s -> FFT of g[:2s]
-
-    def __call__(self, m: int) -> complex:
-        """S_m, once a[:m] is final; call with m = 1, 2, ... in order."""
-        lo = m - m % HISTORY_BLOCK
-        if m == lo:
-            self._push(m)
-        return self.far[m] + np.dot(self.a[lo:m], self.g[m - lo:0:-1])
-
-    def _push(self, e: int):
-        blocks = e // HISTORY_BLOCK
-        s = HISTORY_BLOCK * (blocks & -blocks)
-        spec = self._spectra.get(s)
-        if spec is None:
-            spec = self._spectra[s] = np.fft.fft(self.g[:2 * s], 2 * s)
-        stop = min(e + s, len(self.far))
-        conv = np.fft.ifft(np.fft.fft(self.a[e - s:e], 2 * s) * spec)
-        self.far[e:stop] += conv[s:s + stop - e]
 
 
 class EffectiveGenerator:

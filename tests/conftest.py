@@ -29,8 +29,8 @@ def ref_tables(ref_scenario, ref_frame):
 @pytest.fixture(scope="session")
 def d3_frame(tmp_path_factory):
     """Eigenframe of the seeded three-level path on 801 nodes of [0, 1]."""
-    path = three_level_atom(tmp_path_factory.mktemp("d3") / "atom.csv")
-    return atom.eigenframe(path, np.linspace(0.0, 1.0, 801))
+    d3_atom = three_level_atom(tmp_path_factory.mktemp("d3") / "atom.csv")
+    return atom.eigenframe(d3_atom, np.linspace(0.0, 1.0, 801))
 
 
 @pytest.fixture

@@ -7,13 +7,6 @@ import numpy as np
 import pytest
 
 from awwlab import asymptotics as Y, atom as A, bath as B, emission as E
-from test_magnus import three_level_atom
-
-
-@pytest.fixture(scope="module")
-def d3_frame(tmp_path_factory):
-    atom = three_level_atom(tmp_path_factory.mktemp("d3") / "atom.csv")
-    return A.eigenframe(atom, np.linspace(0.0, 1.0, 801))
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from awwlab import atom as A, cli, config as C, exact as X, harness as H, reduced as R
+from awwlab import (atom as A, bath as B, cli, config as C, emission as E, exact as X,
+                    harness as H, reduced as R)
 from awwlab.errors import ConfigError
 from test_bath import write_density_table
 
@@ -164,6 +165,18 @@ def test_run_emission_passes_solver_keys(tmp_path, monkeypatch):
     with pytest.raises(_StopEmission):
         H.run_emission(cfg, str(tmp_path / "e"), override=True)
     assert seen == {"tol_corr": 0.01, "rtol": 1e-6, "dt_out": 0.01}
+
+
+def test_emission_limit_follows_the_populated_level(tmp_path, ref_scenario, ref_frame):
+    cfg = C.parse_config(BASE_CFG + "sim.z0 = 0, 1\n")
+    res = H.run_emission(cfg, str(tmp_path), override=True)
+    summary = (tmp_path / "spectrum.csv").read_text().splitlines()[-1].split(",")
+    level1 = E.regime_B_limit(ref_frame, ref_scenario.bath, ref_scenario.atom,
+                              B.TestObservable(weight=np.ones_like), 1, res["r"],
+                              ref_scenario.t_end)
+    assert summary[0] == "summary"
+    assert float(summary[2]) == pytest.approx(level1, rel=1e-12)
+    assert res["limit"] == pytest.approx(level1, rel=1e-12)
 
 
 def test_serial_sweep_builds_frame_once(tmp_path, monkeypatch):

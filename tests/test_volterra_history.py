@@ -1,4 +1,7 @@
-"""The blocked-FFT Volterra history against a direct O(n^2) product-trapezoid loop."""
+"""The Volterra history summed by the bath's exponential-sum recursion, against
+a direct O(n^2) product-trapezoid loop."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,11 +10,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 
 from awwlab import atom as A, bath as B, reduced as R
+from awwlab.errors import AwwlabError
 from test_properties import DIMS, PROPERTY, SEEDS, frame_of, smooth_path, unit_z0
 
 
-def direct_volterra(atom, frame, bath, eps, lam, z0, x_step):
-    """The same Heun / product-trapezoid scheme with each history sum formed directly."""
+def sum_kernel(bath):
+    """x -> gamma(x) from the bath's exp_sum, the kernel volterra_solve steps on."""
+    kern = B.exp_sum(bath)
+    return lambda x: np.exp(-np.outer(x, kern.lam)) @ kern.c
+
+
+def direct_volterra(atom, frame, gamma, eps, lam, z0, x_step):
+    """The same Heun / product-trapezoid scheme with each history sum formed
+    directly from the kernel gamma(x), a vectorized callable."""
     h = x_step * eps
     n = int(np.ceil(1.0 / h))
     ts = np.linspace(0.0, 1.0, n + 1)
@@ -20,7 +31,7 @@ def direct_volterra(atom, frame, bath, eps, lam, z0, x_step):
     u_all = free.table[::free.sub]
     u = A.coupling_in_working_basis(atom, frame, ts)
     beta = np.einsum("kji,kj->ki", u_all.conj(), u)
-    kernel = B.correlation(bath, ts / eps)
+    kernel = gamma(ts / eps)
     rate = (lam / eps) ** 2
     y = np.empty((n + 1, atom.dim), dtype=complex)
     y[0] = z0
@@ -42,24 +53,12 @@ def direct_volterra(atom, frame, bath, eps, lam, z0, x_step):
     return np.einsum("kij,kj->ki", u_all, y)
 
 
-def test_history_sums_equal_the_direct_convolution():
-    rng = np.random.default_rng(4)
-    n = 37 * R.HISTORY_BLOCK + 5
-    a = rng.normal(size=n) + 1j * rng.normal(size=n)
-    g = rng.normal(size=n) + 1j * rng.normal(size=n)
-    history = R._History(a, g)
-    got = np.array([history(m) for m in range(1, n)])
-    want = np.convolve(a, g)[1:n] - a[1:n] * g[0]      # sum over j < m only
-    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
-
-
 def test_reference_volterra_matches_the_direct_sum(ref_scenario, ref_frame):
     eps = 0.05
     traj = R.volterra_solve(ref_scenario.atom, ref_frame, ref_scenario.bath, eps,
                             np.sqrt(eps), ref_scenario.z0)
-    assert len(traj.times) - 1 >= 8 * R.HISTORY_BLOCK   # three or more FFT block sizes
-    want = direct_volterra(ref_scenario.atom, ref_frame, ref_scenario.bath, eps,
-                           np.sqrt(eps), ref_scenario.z0, traj.meta["x_step"])
+    want = direct_volterra(ref_scenario.atom, ref_frame, sum_kernel(ref_scenario.bath),
+                           eps, np.sqrt(eps), ref_scenario.z0, traj.meta["x_step"])
     assert np.max(np.abs(traj.z - want)) <= 1e-12
 
 
@@ -71,5 +70,27 @@ def test_seeded_volterra_matches_the_direct_sum(d, seed):
     z0 = unit_z0(d, seed)
     eps, lam, x_step = 0.1, np.sqrt(0.1), 0.01       # 1000 steps
     traj = R.volterra_solve(atom, frame, B.reference_bath(), eps, lam, z0, x_step=x_step)
-    want = direct_volterra(atom, frame, B.reference_bath(), eps, lam, z0, x_step)
+    want = direct_volterra(atom, frame, sum_kernel(B.reference_bath()), eps, lam, z0, x_step)
     assert np.max(np.abs(traj.z - want)) <= 1e-12
+
+
+def test_reference_volterra_is_within_the_sum_certificate_of_the_closed_form(
+        ref_scenario, ref_frame):
+    """The sum's kernel moves z by at most (lam^2/eps) max|u|^2 t_end l1_error
+    from the direct loop on the closed-form correlation."""
+    bath, eps = ref_scenario.bath, 0.05
+    lam = np.sqrt(eps)
+    traj = R.volterra_solve(ref_scenario.atom, ref_frame, bath, eps, lam, ref_scenario.z0)
+    want = direct_volterra(ref_scenario.atom, ref_frame, lambda x: B.correlation(bath, x),
+                           eps, lam, ref_scenario.z0, traj.meta["x_step"])
+    u = A.coupling_in_working_basis(ref_scenario.atom, ref_frame, traj.times)
+    bound = ((lam**2 / eps) * np.max(np.sum(np.abs(u) ** 2, axis=1)) * traj.times[-1]
+             * B.exp_sum(bath).l1_error)
+    assert np.max(np.abs(traj.z - want)) <= bound
+
+
+def test_volterra_refuses_a_bath_without_an_exp_sum(ref_scenario, ref_frame):
+    bath = dataclasses.replace(ref_scenario.bath, analytic=False)
+    with pytest.raises(AwwlabError, match="exp_sum"):
+        R.volterra_solve(ref_scenario.atom, ref_frame, bath, 0.1, np.sqrt(0.1),
+                         ref_scenario.z0)
