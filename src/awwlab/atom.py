@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
+from math import factorial, isqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -300,12 +300,27 @@ def magnus_propagate(matfun: Callable[[np.ndarray], np.ndarray], grid,
     m = scale * np.broadcast_to(m, nodes.shape + m.shape[-2:])
     b1, b2 = m[:len(h)], m[len(h):]
     h = h[:, None, None]
-    steps = _expm(0.5 * h * (b1 + b2) + (np.sqrt(3.0) / 12.0) * h * h * (b2 @ b1 - b1 @ b2))
-    u = np.empty((len(grid),) + steps.shape[1:], dtype=complex)
-    u[0] = np.eye(steps.shape[1])
-    for k, step in enumerate(steps):
-        np.matmul(step, u[k], out=u[k + 1])
-    return u
+    return _running_product(
+        _expm(0.5 * h * (b1 + b2) + (np.sqrt(3.0) / 12.0) * h * h * (b2 @ b1 - b1 @ b2)))
+
+
+def _running_product(steps: np.ndarray) -> np.ndarray:
+    """(n + 1, d, d) products steps[k-1] ... steps[0] of an (n, d, d) stack,
+    the identity first, in blocks of b = floor(sqrt(n)) steps: b - 1 batched
+    products form every block's own running product, then one product per
+    block carries in all the steps before it, about 2 sqrt(n) calls in all."""
+    n, d = steps.shape[0], steps.shape[-1]
+    b = max(isqrt(n), 1)
+    blocks = -(-n // b)
+    u = np.empty((1 + blocks * b, d, d), dtype=complex)
+    u[0] = u[n + 1:] = np.eye(d)                  # the last block is padded with identities
+    u[1:n + 1] = steps
+    within = u[1:].reshape(blocks, b, d, d)
+    for j in range(1, b):
+        np.matmul(within[:, j], within[:, j - 1], out=within[:, j])
+    for i in range(1, blocks):
+        np.matmul(within[i], within[i - 1, -1], out=within[i])
+    return u[:n + 1]
 
 
 def _expm(a: np.ndarray) -> np.ndarray:

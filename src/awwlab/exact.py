@@ -5,7 +5,9 @@ equations are stepped with the field in the interaction picture of each
 step's start, where the fast mode phases exp(-i omega t / eps) appear in the
 coupling terms instead of as stiff diagonal frequencies. The field enters
 each stage in rank-one form, and the phases come from one table per step
-size.
+size. What depends on time alone, A(t) and u(t), is evaluated once for a
+run of up to MAP_STEPS equal steps, and the source history is read from
+the dense output of blocks of kept steps, not step by step.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
 ODE_RTOL = 1e-10        # relative tolerance of the exact oracle's DOP853 stepper
 ODE_ATOL = 1e-12        # absolute tolerance of the exact oracle's DOP853 stepper
 STEP_BITS = 8           # significant bits of each oracle step: steps of one size share a table
+MAP_STEPS = 16          # most steps of one size whose stage maps one A(t), u(t) evaluation covers
 DT_OUT = 1.0 / 200      # output grid spacing of the oracle and the effective solve
 TOL_CORR = 1e-4         # largest |gamma_N - gamma| a mode grid may leave
 NORM_TOL = 1e-6         # largest allowed |norm^2 - 1| of the oracle's state
@@ -139,9 +142,12 @@ _UPDATE = np.array([_A[_STAGES, :_STAGES + 1], _dop853.E5, _dop853.E3])  # y_new
 _DENSE = np.vstack([_A[_STAGES], -_A[_STAGES], 2 * _A[_STAGES], _dop853.D])
 _DENSE[1, 0] += 1.0
 _DENSE[2, [0, _STAGES]] -= 1.0
+# scipy's nested form weights row k of F by x^(k//2 + 1) (1 - x)^((k + 1)//2)
+_DENSE_POWERS = np.arange(len(_DENSE)) // 2 + 1, (np.arange(len(_DENSE)) + 1) // 2
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0                                # -1/(error order 7 + 1)
 _MIN_RTOL = 100 * np.finfo(float).eps                       # scipy's floor on rtol
+_DENSE_BLOCK = 64                                           # steps per dense_z call
 
 
 def _rms(x: np.ndarray) -> float:
@@ -158,6 +164,26 @@ def _round_step(h: float) -> float:
     return math.ldexp(math.floor(math.ldexp(mantissa, STEP_BITS)), exponent - STEP_BITS)
 
 
+class _Step:
+    """One accepted step as its dense output reads it: its start t, size h and
+    z at t, the stage rows k (the interpolant's three once solved), and for
+    the interpolant's three stages the freely carried sigma, the maps and the
+    table's weights."""
+
+    __slots__ = ("t", "h", "z", "k", "sigma", "maps", "weights", "solved")
+
+    def __init__(self, t, h, z, k, sigma, maps, weights):
+        self.t, self.h, self.z, self.k = t, h, z, k
+        self.sigma, self.maps, self.weights = sigma, maps, weights
+        self.solved = False
+
+
+def _dense_basis(x: np.ndarray) -> np.ndarray:
+    """(len(x), 7) weights of the rows of F at the step fractions x."""
+    x = x[:, None]
+    return x ** _DENSE_POWERS[0] * (1 - x) ** _DENSE_POWERS[1]
+
+
 class _Dop853:
     """Adaptive DOP853 steps of the amplitude equations from (z0, f0) up to t_end.
 
@@ -170,9 +196,16 @@ class _Dop853:
     a step's stages solve one lower triangular system. The N-mode work of a
     step is a few products with its phase table. Steps are rounded down to
     STEP_BITS significant bits, so t + h is exact and consecutive steps share
-    one table; only the last table built is kept.
-    step() takes one accepted step or raises StiffnessError once the step
-    would fall below 10 ulp of t; dense(ts, field) reads that step's dense output.
+    one table; only the last table built is kept. The stage maps need A(t)
+    and u(t), which depend on time alone: one evaluation covers the stages of
+    the next MAP_STEPS steps of one size (fewer if t_end comes first), and a
+    step reads its row of that batch; a new size, or a step past the batch,
+    evaluates a new one.
+    step() takes one accepted step, described by `last`, or raises
+    StiffnessError once the step would fall below 10 ulp of t. dense(ts) reads
+    the last step's (z, f) at its times ts. dense_z(steps, ts) reads z from
+    kept steps, with the interpolant's three stages of all of them solved in
+    one batch: a step's own dense output needs f, which no step keeps.
     """
 
     def __init__(self, atom: AtomPath, u_spline: CubicSpline, modes: ModeGrid,
@@ -186,31 +219,31 @@ class _Dop853:
         self.atom, self.u_spline, self.eps, self.lam = atom, u_spline, eps, lam
         self.omegas, self.g = modes.omegas, modes.couplings
         self.t_end, self.rtol, self.atol = t_end, rtol, atol
-        # per stage: the map (z, sigma) -> (dz/dt, kappa), and its result
-        self.maps = np.zeros((len(_C), d + 1, d + 1), dtype=complex)
         self.k = np.empty((len(_C), d + 1), dtype=complex)
         self.nfev = self.steps = self.rejected = self.tables = 0
-        self.table_h = None
+        self.table_h = self.batch_h = None
+        self.batch_starts, self.batch_next = np.empty(0), 0
         self.t, self.z, self.f, self.abs_f = 0.0, z0, f0, np.abs(f0)
-        self._load(np.zeros(1), 0)
         # between steps, row _STAGES holds (dz/dt, kappa) at t
-        self.k[_STAGES] = self._rhs(0, z0, self.g @ f0)
+        self.k[_STAGES] = self._rhs(self._maps(np.zeros(1))[0], z0, self.g @ f0)
         self.h_abs = self._first_step()
 
-    def _load(self, ts: np.ndarray, first: int) -> None:
-        """The stage maps at the times ts, into the rows from `first` on:
-        dz/dt = -(i/eps) (A z + lam sigma u) and kappa = -i (lam/eps) <u, z>."""
-        rows = slice(first, first + len(ts))
+    def _maps(self, ts: np.ndarray) -> np.ndarray:
+        """The maps (z, sigma) -> (dz/dt, kappa) at the times ts, of shape
+        ts.shape + (d + 1, d + 1): dz/dt = -(i/eps) (A z + lam sigma u) and
+        kappa = -i (lam/eps) <u, z>."""
         d, to_dz = self.z.shape[0], -1j / self.eps
         u = self.u_spline(ts)
-        self.maps[rows, :d, :d] = to_dz * _broadcast_times(self.atom.hamiltonian(ts), ts,
-                                                           (d, d), "A")
-        self.maps[rows, :d, d] = (to_dz * self.lam) * u
-        self.maps[rows, d, :d] = (to_dz * self.lam) * u.conj()
+        maps = np.zeros(ts.shape + (d + 1, d + 1), dtype=complex)
+        maps[..., :d, :d] = to_dz * _broadcast_times(self.atom.hamiltonian(ts), ts,
+                                                     (d, d), "A")
+        maps[..., :d, d] = (to_dz * self.lam) * u
+        maps[..., d, :d] = (to_dz * self.lam) * u.conj()
+        return maps
 
-    def _rhs(self, s: int, z: np.ndarray, sigma: complex) -> np.ndarray:
+    def _rhs(self, maps: np.ndarray, z: np.ndarray, sigma: complex) -> np.ndarray:
         self.nfev += 1
-        return self.maps[s] @ np.append(z, sigma)
+        return maps @ np.append(z, sigma)
 
     def _first_step(self) -> float:
         """The starting step of Hairer, Norsett & Wanner, sec. II.4."""
@@ -224,8 +257,8 @@ class _Dop853:
         h0 = min(h0, self.t_end)
         # one Euler step: the field at h0 is exp(-i w h0/eps) (f0 + h0 kappa g)
         phase = np.exp(-1j * self.omegas * (h0 / self.eps))
-        self._load(np.array([h0]), 1)
-        k1 = self._rhs(1, z0 + h0 * k0[:d], (g * phase) @ (f0 + h0 * dy0[d:]))
+        k1 = self._rhs(self._maps(np.array([h0]))[0], z0 + h0 * k0[:d],
+                       (g * phase) @ (f0 + h0 * dy0[d:]))
         dy1 = np.concatenate([k1[:d], k1[d] * g * np.conj(phase)])
         d2 = _rms((dy1 - dy0) / scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
@@ -244,33 +277,55 @@ class _Dop853:
         self.table_h, self.tables = h, self.tables + 1
         phase = np.exp(np.outer(_C * (-1j * h / self.eps), self.omegas))
         self.g_phase, self.step_phase = self.g * phase, phase[_STAGES].copy()
-        self.weights = np.empty(self.k.shape[:1] + self.k.shape, dtype=complex)
-        self.weights[..., :-1] = (h * _A)[..., None]
-        self.weights[..., -1] = h * _A * (self.g_phase @ self.g_phase.conj().T)
+        weights = np.empty(self.k.shape[:1] + self.k.shape, dtype=complex)
+        weights[..., :-1] = (h * _A)[..., None]
+        weights[..., -1] = h * _A * (self.g_phase @ self.g_phase.conj().T)
+        main = slice(1, _STAGES + 1)
+        self.weights = weights
+        # -W_sj of stages 1 .. 12, shaped to multiply their maps into the
+        # (s, k, j, l) layout of _stages' triangular system
+        self.system_weights = -weights[main, None, main]
+        # a kept step holds the interpolant's rows, not the whole table
+        self.dense_weights = weights[_STAGES + 1:].copy()
 
-    def _stages(self, first: int, last: int, z: np.ndarray) -> None:
-        """Stages first .. last-1 of the step from z, given the earlier ones.
+    def _stage_maps(self, t: float, h: float) -> np.ndarray:
+        """The (16, d + 1, d + 1) stage maps of the step of size h from t: its
+        row of the held batch, or of a new batch for the next MAP_STEPS steps
+        of size h that end by t_end."""
+        j = self.batch_next
+        if h != self.batch_h or j >= len(self.batch_starts) or self.batch_starts[j] != t:
+            n = max(1, min(MAP_STEPS, int((self.t_end - t) / h)))
+            # t + j h is exact, so these are the times the steps will start from
+            self.batch_starts, self.batch_h, j = t + h * np.arange(n), h, 0
+            self.batch = self._maps(self.batch_starts[:, None] + _C * h)
+        self.batch_next = j + 1
+        return self.batch[j]
+
+    def _stages(self, z: np.ndarray) -> None:
+        """Stages 1 .. 12 of the step from z, given k_0.
 
         Stage s solves k_s = M_s (x_s + sum_j W_sj k_j), x_s = (z, (g E_s) . f),
         for its map M_s and the table's weights W: with A strictly lower
         triangular, that is one unit lower triangular system in the k_s.
         """
-        n, w, maps = last - first, self.weights[first:last], self.maps[first:last]
-        x = np.empty((n, len(z) + 1), dtype=complex)
+        rows = slice(1, _STAGES + 1)
+        w, maps = self.weights[rows], self.maps[rows]
+        x = np.empty((_STAGES, len(z) + 1), dtype=complex)
         x[:, :-1] = z
-        x[:, -1] = self.sigma_free[first:last]
-        x += np.einsum("sjl,jl->sl", w[:, :first], self.k[:first])
-        coupled = (maps[:, None] * w[:, first:last, None, :]).transpose(0, 2, 1, 3)
-        self.k[first:last] = ztrtrs(-coupled.reshape(n * x.shape[1], -1),
-                                    np.einsum("skl,sl->sk", maps, x).reshape(-1, 1),
-                                    lower=True, unitdiag=True)[0].reshape(n, -1)
-        self.nfev += n
+        x[:, -1] = self.sigma_free[rows]
+        x += np.einsum("sjl,jl->sl", w[:, :1], self.k[:1])
+        coupled = maps[:, :, None, :] * self.system_weights
+        self.k[rows] = ztrtrs(coupled.reshape(_STAGES * x.shape[1], -1),
+                              np.einsum("skl,sl->sk", maps, x).reshape(-1, 1),
+                              lower=True, unitdiag=True)[0].reshape(_STAGES, -1)
+        self.nfev += _STAGES
 
     def step(self) -> None:
         t, z, f = self.t, self.z, self.f
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(self.h_abs, min_step)
-        self.k[0] = self.k[_STAGES]
+        k = np.empty_like(self.k)        # a new array: the last step keeps its rows
+        k[0], self.k = self.k[_STAGES], k
         rejected = False
         while True:
             if h_abs < min_step:
@@ -279,13 +334,13 @@ class _Dop853:
             t_new = min(t + _round_step(h_abs), self.t_end)
             h_abs = h = t_new - t
             self._tabulate(h)
-            self._load(t + _C[1:] * h, 1)
+            self.maps = self._stage_maps(t, h)
             self.sigma_free = self.g_phase @ f              # <g, f> carried freely to c h
-            self._stages(1, _STAGES + 1, z)
+            self._stages(z)
             # rows: the update, then the fifth- and third-order error estimates;
             # those of f are conjugated, as they sum rows g conj(E)
-            z_rows = _UPDATE @ self.k[:_STAGES + 1, :-1]
-            f_rows = np.conj(_UPDATE * self.k[:_STAGES + 1, -1]) @ self.g_phase[:_STAGES + 1]
+            z_rows = _UPDATE @ k[:_STAGES + 1, :-1]
+            f_rows = np.conj(_UPDATE * k[:_STAGES + 1, -1]) @ self.g_phase[:_STAGES + 1]
             z_new = z + h * z_rows[0]
             f_new = self.step_phase * (f + h * np.conj(f_rows[0]))
             abs_f_new = np.abs(f_new)
@@ -311,31 +366,58 @@ class _Dop853:
         if rejected:
             factor = min(1, factor)
         self.steps += 1
-        self.t_old, self.z_old, self.f_old, self.h = t, z, f, h
+        dense = slice(_STAGES + 1, None)
+        self.last = _Step(t, h, z, k, self.sigma_free[dense].copy(), self.maps[dense].copy(),
+                          self.dense_weights)
+        self.f_old = f
         self.t, self.z, self.f, self.abs_f = t_new, z_new, f_new, abs_f_new
         self.h_abs = h_abs * factor
-        self.interpolated = False
 
-    def dense(self, ts: np.ndarray, field: bool) -> np.ndarray:
-        """The last step's dense output at its times ts: the rows of z, or of
-        (z, f) if field, (len(ts), d) or (len(ts), d + N).
+    def _interpolants(self, steps: list) -> np.ndarray:
+        """The (m, 16, d + 1) stage rows of the steps, after solving the dense
+        interpolant's three stages of those that lack them in one batch: as
+        in _stages, k_s = M_s x_s with x_s = (z, sigma_s) + sum_j W_sj k_j,
+        one stage s at a time for all steps."""
+        todo = [s for s in steps if not s.solved]
+        if todo:
+            k = np.array([s.k for s in todo])
+            maps = np.array([s.maps for s in todo])
+            w = np.array([s.weights for s in todo])
+            x = np.empty(maps.shape[:-1], dtype=complex)
+            x[..., :-1] = np.array([s.z for s in todo])[:, None]
+            x[..., -1] = [s.sigma for s in todo]
+            x += np.einsum("msjl,mjl->msl", w[:, :, :_STAGES + 1], k[:, :_STAGES + 1])
+            for i, s in enumerate(range(_STAGES + 1, len(_C))):
+                k[:, s] = (maps[:, i] @ x[:, i, :, None])[..., 0]
+                x[:, i + 1:] += w[:, i + 1:, s] * k[:, None, s]
+            for step, rows in zip(todo, k):
+                step.k, step.solved = rows, True
+            self.nfev += (len(_C) - _STAGES - 1) * len(todo)
+        return np.array([s.k for s in steps])
 
-        The interpolant costs three more stages: a step runs them on its first
-        call only, and a step without a sampled time never does.
-        """
-        if not self.interpolated:
-            self._stages(_STAGES + 1, len(_C), self.z_old)
-            self.interpolated = True
-        # scipy's nested form weights row k of F by x^(k//2 + 1) (1 - x)^((k + 1)//2)
-        x = ((ts - self.t_old) / self.h)[:, None]
-        k = np.arange(len(_DENSE))
-        w = self.h * (x ** (k // 2 + 1) * (1 - x) ** ((k + 1) // 2)) @ _DENSE
-        z = self.z_old + w @ self.k[:, :-1]
-        if not field:
-            return z
-        big_f = self.f_old + np.conj(np.conj(w * self.k[:, -1]) @ self.g_phase)
-        return np.hstack([z, np.exp(np.outer(ts - self.t_old, -1j / self.eps * self.omegas))
+    def dense(self, ts: np.ndarray) -> np.ndarray:
+        """The last step's dense output (z, f) at its times ts, (len(ts), d + N)."""
+        step = self.last
+        k = self._interpolants([step])[0]
+        w = step.h * _dense_basis((ts - step.t) / step.h) @ _DENSE
+        z = step.z + w @ k[:, :-1]
+        big_f = self.f_old + np.conj(np.conj(w * k[:, -1]) @ self.g_phase)
+        return np.hstack([z, np.exp(np.outer(ts - step.t, -1j / self.eps * self.omegas))
                           * big_f])
+
+    def dense_z(self, steps: list, ts: np.ndarray) -> np.ndarray:
+        """z at the ascending times ts from consecutive kept steps that cover
+        them, (len(ts), d), with the interpolant's stages of the steps that
+        hold a time solved in one batch. A time is read from the step whose
+        span (t, t + h] holds it; the first step's span holds its start too."""
+        starts = np.array([s.t for s in steps])
+        owner = np.maximum(np.searchsorted(starts, ts, side="left") - 1, 0)
+        held, pos = np.unique(owner, return_inverse=True)
+        steps = [steps[i] for i in held]
+        h = np.array([s.h for s in steps])[pos]
+        coef = _DENSE @ self._interpolants(steps)[..., :-1]     # (m, 7, d) in _dense_basis
+        basis = h[:, None] * _dense_basis((ts - starts[owner]) / h)
+        return np.array([s.z for s in steps])[pos] + np.einsum("ik,ikl->il", basis, coef[pos])
 
 
 def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
@@ -351,7 +433,12 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
     with u = frame.u_at, stepped by _Dop853: scipy.integrate.DOP853's tableau,
     error norm and controller on steps rounded down to STEP_BITS significant
     bits; its results lie within about 1e-12 of scipy's, on at most 1 % more steps.
-    The state is sampled on output_grid(t_end, dt_out), <u, z> on a refined_grid.
+    The state is sampled on output_grid(t_end, dt_out) as each step ends.
+    With record_source, <u, z> is also sampled on a refined_grid of it that
+    holds every output time exactly: the output samples give z there, and
+    the other source times are read from the dense output of _DENSE_BLOCK
+    steps at a time, so no more than that many steps, and nothing of size N
+    per source time, are ever held.
     meta records nfev, the accepted and rejected steps and the phase tables built.
     The grid must certify the kernel over the whole run: ResolutionError if
     t_end/eps exceeds modes.horizon. `atom` must be frame.atom.
@@ -374,32 +461,32 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
                 "pass override_smallness=True to force the run")
 
     d, n_modes = atom.dim, modes.size
-    omegas = modes.omegas
-
     t_eval = output_grid(t_end, dt_out)
     y_out = np.empty((len(t_eval), d + n_modes), dtype=complex)
-    # (times, buffer, whether it holds f) read from each step's dense output:
-    # the full state on the output grid, only z on the source grid, so nothing
-    # of size N x n_src is ever held
-    samples = [(t_eval, y_out, True)]
     if record_source:
         # every output time is a source time, and the phase per source step is
         # <= PHASE_PER_STEP, well inside the reconstruction's PHASE_PER_NODE
-        t_src, _ = refined_grid(t_end, len(t_eval) - 1,
-                                PHASE_PER_STEP * eps / max(float(omegas[-1]), 1.0))
+        t_src, sub = refined_grid(t_end, len(t_eval) - 1,
+                                  PHASE_PER_STEP * eps / max(float(modes.omegas[-1]), 1.0))
+        t_src[::sub] = t_eval
         z_src = np.empty((len(t_src), d), dtype=complex)
-        samples.append((t_src, z_src, False))
-    filled = [0] * len(samples)
-
     solver = _Dop853(atom, frame.u_at, modes, eps, lam, z0,
                      np.zeros(n_modes, dtype=complex), t_end, rtol, ODE_ATOL)
+    kept, filled, src_filled = [], 0, 0
     while solver.t < t_end:
         solver.step()
-        for k, (ts, buf, field) in enumerate(samples):
-            stop = int(np.searchsorted(ts, solver.t, side="right"))
-            if stop > filled[k]:
-                buf[filled[k]:stop] = solver.dense(ts[filled[k]:stop], field)
-                filled[k] = stop
+        stop = int(np.searchsorted(t_eval, solver.t, side="right"))
+        if stop > filled:
+            y_out[filled:stop] = solver.dense(t_eval[filled:stop])
+            filled = stop
+        if record_source:
+            # z on the source grid, read from _DENSE_BLOCK steps at a time
+            kept.append(solver.last)
+            if len(kept) == _DENSE_BLOCK or solver.t >= t_end:
+                stop = int(np.searchsorted(t_src, solver.t, side="right"))
+                if stop > src_filled:
+                    z_src[src_filled:stop] = solver.dense_z(kept, t_src[src_filled:stop])
+                src_filled, kept = stop, []
 
     defect = np.abs(np.sum(np.abs(y_out) ** 2, axis=1) - 1.0)
     if np.max(defect) > NORM_TOL:
@@ -413,6 +500,7 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
               "tables": solver.tables},
     )
     if record_source:
+        z_src[::sub] = traj.z          # the output samples' z at the output times
         traj.source_times = t_src
         traj.source_vals = np.einsum("kj,kj->k", frame.u_at(t_src).conj(), z_src)
     return traj

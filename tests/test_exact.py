@@ -216,6 +216,34 @@ def test_recording_the_source_leaves_the_run_unchanged(exact_runner):
     assert extra >= 0 and extra % 3 == 0
 
 
+def test_stage_maps_are_evaluated_once_per_run_of_equal_steps(ref_scenario, ref_frame):
+    # A(t) depends on time alone: one call covers the stages of up to
+    # MAP_STEPS steps of one size, so a run calls it far less often than it
+    # attempts steps
+    calls = []
+
+    def ham(t):
+        calls.append(np.shape(t))
+        return ref_scenario.atom.hamiltonian(t)
+
+    atom = dataclasses.replace(ref_scenario.atom, hamiltonian=ham)
+    frame = dataclasses.replace(ref_frame, atom=atom)
+    eps = 0.0125
+    modes = X.discretize_bath(ref_scenario.bath, eps)
+    traj = X.propagate_exact(atom, frame, modes, ref_scenario.z0, eps, np.sqrt(eps),
+                             record_source=True)
+    meta = traj.meta
+    assert len(calls) <= (meta["tables"] + meta["rejected"]
+                          + math.ceil(meta["steps"] / X.MAP_STEPS) + 2)
+    assert len(calls) < (meta["steps"] + meta["rejected"]) / 8
+    # the source grid holds the output times exactly, and there the output
+    # samples' z
+    sub = (len(traj.source_times) - 1) // (len(traj.times) - 1)
+    assert np.array_equal(traj.source_times[::sub], traj.times)
+    assert np.array_equal(traj.source_vals[::sub],
+                          np.einsum("kj,kj->k", frame.u_at(traj.times).conj(), traj.z))
+
+
 def test_field_reconstruction_checks_its_contract(exact_runner):
     eps, lam = 0.05, float(np.sqrt(0.05))
     traj, modes = exact_runner(eps, lam, record_source=True)
@@ -292,16 +320,19 @@ def _reference_case(case):
         atom = smooth_path(3, 7)
         return atom, frame_of(atom), B.reference_bath(), unit_z0(3, 7), EPS, np.sqrt(LAM2)
     scen = H.builtin_scenario("ww-ref-2level")
-    return scen.atom, scen.frame(), scen.bath, scen.z0, 0.05, float(np.sqrt(0.05))
+    eps, r = (0.02, 4.0) if case == "strong" else (0.05, 1.0)
+    return scen.atom, scen.frame(), scen.bath, scen.z0, eps, float(np.sqrt(r * eps))
 
 
 @pytest.mark.parametrize("case, record_source", [("ref", False), ("ref", True),
-                                                 ("d3", True)])
+                                                 ("d3", True), ("strong", True)])
 def test_oracle_agrees_with_scipy_dop853(case, record_source):
     # the in-module stepper uses scipy's tableau, error norm and controller on
     # steps rounded down to STEP_BITS bits: its numbers lie within 5e-12 of
     # scipy's, on at most 1 % more steps; on the seeded d = 3 path the
-    # controller also rejects a step
+    # controller also rejects a step. At lam^2 = 4 eps the step size changes
+    # every few steps, so stage maps evaluated ahead for MAP_STEPS steps of
+    # one size are mostly thrown away unused
     atom, frame, bath, z0, eps, lam = _reference_case(case)
     modes = X.discretize_bath(bath, eps)
     traj = X.propagate_exact(atom, frame, modes, z0, eps, lam, bath=bath,

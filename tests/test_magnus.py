@@ -177,6 +177,20 @@ def test_magnus_propagate_calls_matfun_once(ref_scenario):
     assert np.max(np.abs(u[-1] @ u[-1].conj().T - np.eye(2))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1000])
+def test_blocked_running_product_matches_the_step_by_step_product(n):
+    # magnus_propagate's products come in blocks of floor(sqrt(n)) steps; with
+    # a damping term the steps are not unitary, as for the effective generator
+    rng = np.random.default_rng(n)
+    x, y = (rng.normal(size=(2, n, 3, 3)) + 1j * rng.normal(size=(2, n, 3, 3)))
+    steps = A._expm(0.05 * (x - np.swapaxes(x.conj(), 1, 2))
+                    - 0.01 * y @ np.swapaxes(y.conj(), 1, 2))
+    want = [np.eye(3)]
+    for step in steps:
+        want.append(step @ want[-1])
+    assert np.max(np.abs(A._running_product(steps) - np.array(want))) <= 1e-13
+
+
 def test_three_level_frame_keeps_the_scipy_gauge_at_t0(tmp_path):
     # the coupling amplitudes are defined against these columns
     atom = three_level_atom(tmp_path / "atom.csv")
