@@ -6,8 +6,9 @@ step's start, where the fast mode phases exp(-i omega t / eps) appear in the
 coupling terms instead of as stiff diagonal frequencies. The field enters
 each stage in rank-one form, and the phases come from one table per step
 size. What depends on time alone, A(t) and u(t), is evaluated once for a
-run of up to MAP_STEPS equal steps, and the source history is read from
-the dense output of blocks of kept steps, not step by step.
+run of up to MAP_STEPS equal steps, and every sample, on the output grid or
+in the source history, is read from the dense output of blocks of kept
+steps, not step by step.
 """
 
 from __future__ import annotations
@@ -147,7 +148,9 @@ _DENSE_POWERS = np.arange(len(_DENSE)) // 2 + 1, (np.arange(len(_DENSE)) + 1) //
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0                                # -1/(error order 7 + 1)
 _MIN_RTOL = 100 * np.finfo(float).eps                       # scipy's floor on rtol
-_DENSE_BLOCK = 64                                           # steps per dense_z call
+# kept steps per dense call: a block holds their start fields and phase
+# tables, so its size bounds what the reader holds
+_DENSE_BLOCK = 16
 
 
 def _rms(x: np.ndarray) -> float:
@@ -165,17 +168,16 @@ def _round_step(h: float) -> float:
 
 
 class _Step:
-    """One accepted step as its dense output reads it: its start t, size h and
-    z at t, the stage rows k (the interpolant's three once solved), and for
-    the interpolant's three stages the freely carried sigma, the maps and the
-    table's weights."""
+    """One accepted step as its dense output reads it: its start t, size h, z
+    and f at t, the stage rows k, the phase table's rows g E, and for the
+    interpolant's three stages the freely carried sigma, the maps and the
+    table's weights. f and the table are references, not copies."""
 
-    __slots__ = ("t", "h", "z", "k", "sigma", "maps", "weights", "solved")
+    __slots__ = ("t", "h", "z", "f", "k", "g_phase", "sigma", "maps", "weights")
 
-    def __init__(self, t, h, z, k, sigma, maps, weights):
-        self.t, self.h, self.z, self.k = t, h, z, k
+    def __init__(self, t, h, z, f, k, g_phase, sigma, maps, weights):
+        self.t, self.h, self.z, self.f, self.k, self.g_phase = t, h, z, f, k, g_phase
         self.sigma, self.maps, self.weights = sigma, maps, weights
-        self.solved = False
 
 
 def _dense_basis(x: np.ndarray) -> np.ndarray:
@@ -196,16 +198,17 @@ class _Dop853:
     a step's stages solve one lower triangular system. The N-mode work of a
     step is a few products with its phase table. Steps are rounded down to
     STEP_BITS significant bits, so t + h is exact and consecutive steps share
-    one table; only the last table built is kept. The stage maps need A(t)
+    one table; the solver holds only the last table built, and each returned
+    step references its own. The stage maps need A(t)
     and u(t), which depend on time alone: one evaluation covers the stages of
     the next MAP_STEPS steps of one size (fewer if t_end comes first), and a
     step reads its row of that batch; a new size, or a step past the batch,
     evaluates a new one.
-    step() takes one accepted step, described by `last`, or raises
-    StiffnessError once the step would fall below 10 ulp of t. dense(ts) reads
-    the last step's (z, f) at its times ts. dense_z(steps, ts) reads z from
-    kept steps, with the interpolant's three stages of all of them solved in
-    one batch: a step's own dense output needs f, which no step keeps.
+    step() takes one accepted step and returns it as a _Step, or raises
+    StiffnessError once the step would fall below 10 ulp of t. dense(steps,
+    ts, rows) reads z at the times ts, and f at ts[rows], from kept steps,
+    with the interpolant's three stages of all the steps that hold a time
+    solved in one batch.
     """
 
     def __init__(self, atom: AtomPath, u_spline: CubicSpline, modes: ModeGrid,
@@ -320,7 +323,7 @@ class _Dop853:
                               lower=True, unitdiag=True)[0].reshape(_STAGES, -1)
         self.nfev += _STAGES
 
-    def step(self) -> None:
+    def step(self) -> _Step:
         t, z, f = self.t, self.z, self.f
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(self.h_abs, min_step)
@@ -366,58 +369,51 @@ class _Dop853:
         if rejected:
             factor = min(1, factor)
         self.steps += 1
-        dense = slice(_STAGES + 1, None)
-        self.last = _Step(t, h, z, k, self.sigma_free[dense].copy(), self.maps[dense].copy(),
-                          self.dense_weights)
-        self.f_old = f
         self.t, self.z, self.f, self.abs_f = t_new, z_new, f_new, abs_f_new
         self.h_abs = h_abs * factor
+        dense = slice(_STAGES + 1, None)
+        return _Step(t, h, z, f, k, self.g_phase, self.sigma_free[dense].copy(),
+                     self.maps[dense].copy(), self.dense_weights)
 
     def _interpolants(self, steps: list) -> np.ndarray:
-        """The (m, 16, d + 1) stage rows of the steps, after solving the dense
-        interpolant's three stages of those that lack them in one batch: as
-        in _stages, k_s = M_s x_s with x_s = (z, sigma_s) + sum_j W_sj k_j,
-        one stage s at a time for all steps."""
-        todo = [s for s in steps if not s.solved]
-        if todo:
-            k = np.array([s.k for s in todo])
-            maps = np.array([s.maps for s in todo])
-            w = np.array([s.weights for s in todo])
-            x = np.empty(maps.shape[:-1], dtype=complex)
-            x[..., :-1] = np.array([s.z for s in todo])[:, None]
-            x[..., -1] = [s.sigma for s in todo]
-            x += np.einsum("msjl,mjl->msl", w[:, :, :_STAGES + 1], k[:, :_STAGES + 1])
-            for i, s in enumerate(range(_STAGES + 1, len(_C))):
-                k[:, s] = (maps[:, i] @ x[:, i, :, None])[..., 0]
-                x[:, i + 1:] += w[:, i + 1:, s] * k[:, None, s]
-            for step, rows in zip(todo, k):
-                step.k, step.solved = rows, True
-            self.nfev += (len(_C) - _STAGES - 1) * len(todo)
-        return np.array([s.k for s in steps])
+        """The (m, 16, d + 1) stage rows of the steps, with the dense
+        interpolant's three stages solved in one batch: as in _stages,
+        k_s = M_s x_s with x_s = (z, sigma_s) + sum_j W_sj k_j, one stage s
+        at a time for all steps."""
+        k = np.array([s.k for s in steps])
+        maps = np.array([s.maps for s in steps])
+        w = np.array([s.weights for s in steps])
+        x = np.empty(maps.shape[:-1], dtype=complex)
+        x[..., :-1] = np.array([s.z for s in steps])[:, None]
+        x[..., -1] = [s.sigma for s in steps]
+        x += np.einsum("msjl,mjl->msl", w[:, :, :_STAGES + 1], k[:, :_STAGES + 1])
+        for i, s in enumerate(range(_STAGES + 1, len(_C))):
+            k[:, s] = (maps[:, i] @ x[:, i, :, None])[..., 0]
+            x[:, i + 1:] += w[:, i + 1:, s] * k[:, None, s]
+        self.nfev += (len(_C) - _STAGES - 1) * len(steps)
+        return k
 
-    def dense(self, ts: np.ndarray) -> np.ndarray:
-        """The last step's dense output (z, f) at its times ts, (len(ts), d + N)."""
-        step = self.last
-        k = self._interpolants([step])[0]
-        w = step.h * _dense_basis((ts - step.t) / step.h) @ _DENSE
-        z = step.z + w @ k[:, :-1]
-        big_f = self.f_old + np.conj(np.conj(w * k[:, -1]) @ self.g_phase)
-        return np.hstack([z, np.exp(np.outer(ts - step.t, -1j / self.eps * self.omegas))
-                          * big_f])
-
-    def dense_z(self, steps: list, ts: np.ndarray) -> np.ndarray:
-        """z at the ascending times ts from consecutive kept steps that cover
-        them, (len(ts), d), with the interpolant's stages of the steps that
-        hold a time solved in one batch. A time is read from the step whose
-        span (t, t + h] holds it; the first step's span holds its start too."""
+    def dense(self, steps: list, ts: np.ndarray, rows: np.ndarray):
+        """(z, f): z at the ascending times ts, (len(ts), d), and f at ts[rows],
+        (len(rows), N), from consecutive kept steps that cover them. A time is
+        read from the step whose span (t, t + h] holds it; the first step's
+        span holds its start too. z takes each step's rows of F = h _DENSE @ K,
+        f only the rows of the steps that hold ts[rows], with their tables."""
         starts = np.array([s.t for s in steps])
         owner = np.maximum(np.searchsorted(starts, ts, side="left") - 1, 0)
         held, pos = np.unique(owner, return_inverse=True)
         steps = [steps[i] for i in held]
+        k = self._interpolants(steps)
+        dt = ts - starts[owner]
         h = np.array([s.h for s in steps])[pos]
-        coef = _DENSE @ self._interpolants(steps)[..., :-1]     # (m, 7, d) in _dense_basis
-        basis = h[:, None] * _dense_basis((ts - starts[owner]) / h)
-        return np.array([s.z for s in steps])[pos] + np.einsum("ik,ikl->il", basis, coef[pos])
+        basis = h[:, None] * _dense_basis(dt / h)
+        coef = _DENSE @ k[..., :-1]                     # (m, 7, d) in _dense_basis
+        z = np.array([s.z for s in steps])[pos] + np.einsum("ik,ikl->il", basis, coef[pos])
+        f = np.empty((len(rows), len(self.omegas)), dtype=complex)
+        for r, i in enumerate(rows):
+            step, w = steps[pos[i]], basis[i] @ _DENSE
+            f[r] = step.f + np.conj(np.conj(w * k[pos[i], :, -1]) @ step.g_phase)
+        return z, f * np.exp(np.outer(dt[rows], -1j / self.eps * self.omegas))
 
 
 def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
@@ -433,12 +429,12 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
     with u = frame.u_at, stepped by _Dop853: scipy.integrate.DOP853's tableau,
     error norm and controller on steps rounded down to STEP_BITS significant
     bits; its results lie within about 1e-12 of scipy's, on at most 1 % more steps.
-    The state is sampled on output_grid(t_end, dt_out) as each step ends.
-    With record_source, <u, z> is also sampled on a refined_grid of it that
-    holds every output time exactly: the output samples give z there, and
-    the other source times are read from the dense output of _DENSE_BLOCK
-    steps at a time, so no more than that many steps, and nothing of size N
-    per source time, are ever held.
+    The state is sampled on output_grid(t_end, dt_out); with record_source,
+    z is sampled on a refined_grid of it that holds every output time exactly,
+    for the history <u, z>. Both are read from the dense output of
+    _DENSE_BLOCK kept steps at a time, and each output time takes z from the
+    same samples and f from its step's start field and table: no more than
+    that many steps, and nothing of size N per source time, are ever held.
     meta records nfev, the accepted and rejected steps and the phase tables built.
     The grid must certify the kernel over the whole run: ResolutionError if
     t_end/eps exceeds modes.horizon. `atom` must be frame.atom.
@@ -462,47 +458,46 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
 
     d, n_modes = atom.dim, modes.size
     t_eval = output_grid(t_end, dt_out)
-    y_out = np.empty((len(t_eval), d + n_modes), dtype=complex)
+    t_samples, sub = t_eval, 1
     if record_source:
         # every output time is a source time, and the phase per source step is
         # <= PHASE_PER_STEP, well inside the reconstruction's PHASE_PER_NODE
-        t_src, sub = refined_grid(t_end, len(t_eval) - 1,
-                                  PHASE_PER_STEP * eps / max(float(modes.omegas[-1]), 1.0))
-        t_src[::sub] = t_eval
-        z_src = np.empty((len(t_src), d), dtype=complex)
+        t_samples, sub = refined_grid(t_end, len(t_eval) - 1,
+                                      PHASE_PER_STEP * eps / max(float(modes.omegas[-1]), 1.0))
+        t_samples[::sub] = t_eval
+    z = np.empty((len(t_samples), d), dtype=complex)
+    field = np.empty((len(t_eval), n_modes), dtype=complex)
     solver = _Dop853(atom, frame.u_at, modes, eps, lam, z0,
                      np.zeros(n_modes, dtype=complex), t_end, rtol, ODE_ATOL)
-    kept, filled, src_filled = [], 0, 0
+    kept, filled = [], 0
     while solver.t < t_end:
-        solver.step()
-        stop = int(np.searchsorted(t_eval, solver.t, side="right"))
-        if stop > filled:
-            y_out[filled:stop] = solver.dense(t_eval[filled:stop])
-            filled = stop
-        if record_source:
-            # z on the source grid, read from _DENSE_BLOCK steps at a time
-            kept.append(solver.last)
-            if len(kept) == _DENSE_BLOCK or solver.t >= t_end:
-                stop = int(np.searchsorted(t_src, solver.t, side="right"))
-                if stop > src_filled:
-                    z_src[src_filled:stop] = solver.dense_z(kept, t_src[src_filled:stop])
-                src_filled, kept = stop, []
+        kept.append(solver.step())
+        if len(kept) == _DENSE_BLOCK or solver.t >= t_end:
+            stop = int(np.searchsorted(t_samples, solver.t, side="right"))
+            if stop > filled:
+                # the output times among samples filled .. stop - 1
+                first = -(-filled // sub)
+                rows = np.arange(first * sub - filled, stop - filled, sub)
+                z[filled:stop], field[first:first + len(rows)] = solver.dense(
+                    kept, t_samples[filled:stop], rows)
+            filled, kept = stop, []
 
-    defect = np.abs(np.sum(np.abs(y_out) ** 2, axis=1) - 1.0)
+    z_out = z[::sub].copy()
+    defect = np.abs(np.sum(np.abs(z_out) ** 2, axis=1) + np.sum(np.abs(field) ** 2, axis=1)
+                    - 1.0)
     if np.max(defect) > NORM_TOL:
         raise IntegratorError(
             f"norm defect {np.max(defect):.2e} exceeds {NORM_TOL:.0e}")
 
     traj = Trajectory(
-        times=t_eval, z=y_out[:, :d].copy(), field=y_out[:, d:], norm_defect=defect,
+        times=t_eval, z=z_out, field=field, norm_defect=defect,
         meta={"eps": eps, "lam": lam, "modes": n_modes, "method": "DOP853",
               "nfev": solver.nfev, "steps": solver.steps, "rejected": solver.rejected,
               "tables": solver.tables},
     )
     if record_source:
-        z_src[::sub] = traj.z          # the output samples' z at the output times
-        traj.source_times = t_src
-        traj.source_vals = np.einsum("kj,kj->k", frame.u_at(t_src).conj(), z_src)
+        traj.source_times = t_samples
+        traj.source_vals = np.einsum("kj,kj->k", frame.u_at(t_samples).conj(), z)
     return traj
 
 

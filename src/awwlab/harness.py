@@ -264,9 +264,12 @@ def _pool_point(point: tuple) -> dict:
 
 
 def loglog_slope(xs, ys):
-    """Least-squares slope of log y vs log x with its standard error."""
+    """Least-squares slope of log y vs log x with its standard error; the xs
+    must hold at least two distinct values."""
     lx, ly = np.log(np.asarray(xs, dtype=float)), np.log(np.asarray(ys, dtype=float))
     n = len(lx)
+    if len(np.unique(lx)) < 2:
+        raise ValueError("a slope fit needs at least two distinct x values")
     coeffs, residuals, *_ = np.polyfit(lx, ly, 1, full=True)
     slope = float(coeffs[0])
     if n > 2 and len(residuals):
@@ -284,6 +287,11 @@ def run_sweep(cfg: dict, out_dir: str, override: bool = False,
     points = _sweep_points(rc)
     if len(points) < 3:
         raise ConfigError("need >= 3 points for slope fit", key="sweep.epsilons")
+    axis = 0 if rc.sweep_direction == "eps" else 1
+    if len({point[axis] for point in points}) < 2:
+        key = "sweep.epsilons" if axis == 0 else "sweep.lambda_rule"
+        raise ConfigError(f"{key} gives one {rc.sweep_direction} for every sweep point; "
+                          "a slope fit needs at least two", key=key)
     scen = _scenario(rc)     # an unreadable table raises here, before any worker starts
     kw = {"override": override, **_solver_kw(rc)}
 
@@ -311,9 +319,9 @@ def run_sweep(cfg: dict, out_dir: str, override: bool = False,
     _write_csv(os.path.join(out_dir, "sweep.csv"), header, rows)
 
     good = [res for res in results if "error" not in res]
+    xs = [res["eps"] if axis == 0 else res["lam"] for res in good]
     slopes = {}
-    if len(good) >= 3:
-        xs = [res["eps"] if rc.sweep_direction == "eps" else res["lam"] for res in good]
+    if len(good) >= 3 and len(set(xs)) >= 2:
         for metric in ("E_lead", "E_volt", "E_eff"):
             ys = [res[metric] for res in good]
             if min(ys) > 0.0:

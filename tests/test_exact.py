@@ -244,6 +244,26 @@ def test_stage_maps_are_evaluated_once_per_run_of_equal_steps(ref_scenario, ref_
                           np.einsum("kj,kj->k", frame.u_at(traj.times).conj(), traj.z))
 
 
+def test_samples_are_read_a_block_of_steps_at_a_time(ref_scenario, ref_frame,
+                                                      monkeypatch):
+    # one reader serves the output rows and the source history: it reads
+    # _DENSE_BLOCK kept steps at a time, not each step that holds an output time
+    calls = []
+    dense = X._Dop853.dense
+
+    def spy(self, *args):
+        calls.append(args)
+        return dense(self, *args)
+
+    monkeypatch.setattr(X._Dop853, "dense", spy)
+    eps = 0.0125
+    modes = X.discretize_bath(ref_scenario.bath, eps)
+    traj = X.propagate_exact(ref_scenario.atom, ref_frame, modes, ref_scenario.z0, eps,
+                             np.sqrt(eps))
+    assert len(traj.times) < traj.meta["steps"] / 4
+    assert len(calls) <= math.ceil(traj.meta["steps"] / X._DENSE_BLOCK)
+
+
 def test_field_reconstruction_checks_its_contract(exact_runner):
     eps, lam = 0.05, float(np.sqrt(0.05))
     traj, modes = exact_runner(eps, lam, record_source=True)

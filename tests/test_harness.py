@@ -8,7 +8,7 @@ import pytest
 
 from awwlab import (atom as A, bath as B, cli, config as C, emission as E, exact as X,
                     harness as H, reduced as R)
-from awwlab.errors import ConfigError
+from awwlab.errors import ConfigError, IntegratorError
 from test_bath import write_density_table
 
 BASE_CFG = """\
@@ -29,7 +29,7 @@ def write_cfg(tmp_path, text=BASE_CFG, name="run.cfg"):
     return str(path)
 
 
-def test_config_parses_and_rejects():
+def test_config_parses_and_rejects(tmp_path):
     cfg = C.parse_config(BASE_CFG + "# trailing comment\n")
     assert cfg["atom.name"] == "ww-ref-2level"
     rc = C.RunConfig.from_dict(cfg)
@@ -43,6 +43,14 @@ def test_config_parses_and_rejects():
         C.parse_config(BASE_CFG + "sim.eps = 0.2\n")    # duplicate
     with pytest.raises(ConfigError):
         C.RunConfig.from_dict({**cfg, "sim.eps": "abc"})
+    with pytest.raises(ConfigError) as err:
+        C.RunConfig.from_dict({**cfg, "sim.typo": "1"})
+    assert err.value.key == "sim.typo"
+    no_equals = "atom.name = ww-ref-2level\nbath.name reference\n"
+    with pytest.raises(ConfigError, match="line 2: expected key = value"):
+        C.parse_config(no_equals)
+    assert cli.main(["simulate", "--config", write_cfg(tmp_path, no_equals),
+                     "--out", str(tmp_path / "out")]) == 2
 
 
 def test_solver_defaults_are_stated_once():
@@ -314,6 +322,7 @@ def test_solver_and_initial_state_outside_range_is_config_error(tmp_path, key, v
     ("bath.file", None),
     ("bath.file", "omega,rho\n0,0\n2,1\n1,1\n"),  # omega not increasing
     ("bath.file", "omega,rho\n1,2\n"),          # one row reads as a 1-d array
+    ("bath.file", "omega,rho\n0,1\n1,-1\n2,1\n"),  # a negative density
 ])
 def test_unreadable_table_is_config_error(tmp_path, key, content):
     path = tmp_path / "table.csv"
@@ -359,6 +368,34 @@ def test_loglog_slope_recovers_power_law():
     slope, stderr = H.loglog_slope(xs, 3.0 * xs**1.7)
     assert slope == pytest.approx(1.7, abs=1e-12)
     assert stderr < 1e-10
+    with pytest.raises(ValueError):     # one distinct x: no slope to fit
+        H.loglog_slope([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("text, key", [
+    (BASE_CFG.replace("0.2, 0.1, 0.05", "0.1, 0.1, 0.1"), "sweep.epsilons"),
+    (BASE_CFG.replace("lambda2=eps", "list:0.1,0.1,0.1") + "sweep.direction = lambda\n",
+     "sweep.lambda_rule"),
+], ids=["eps", "lambda"])
+def test_slope_fit_over_a_constant_axis_is_config_error(tmp_path, monkeypatch, text, key):
+    ran = []
+    monkeypatch.setattr(H, "point_metrics", lambda *args, **kw: ran.append(args))
+    assert_config_error(tmp_path, text, key, ("sweep",))
+    assert ran == []
+
+
+def test_sweep_fits_no_slope_over_one_successful_eps(tmp_path, monkeypatch):
+    # the point at eps = 0.2 fails, and the three left share one eps
+    def metrics(scen, eps, lam, **kw):
+        if eps == 0.2:
+            raise IntegratorError("failed")
+        return {"eps": eps, "lam": lam, "E_lead": lam, "E_volt": lam, "E_eff": lam,
+                "p_down": 0.5, "p_down_pred": 0.5, "regime": "davies"}
+
+    monkeypatch.setattr(H, "point_metrics", metrics)
+    cfg = C.parse_config(BASE_CFG.replace("0.2, 0.1, 0.05", "0.2, 0.1, 0.1, 0.1"))
+    res = H.run_sweep(cfg, str(tmp_path / "out"), override=True)
+    assert res["partial"] and res["slopes"] == {}
 
 
 def test_simulate_writes_files(tmp_path):

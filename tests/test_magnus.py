@@ -165,6 +165,16 @@ def test_one_non_hermitian_matrix_fails_the_batch():
         atom.matrix(np.linspace(0.0, 1.0, 11))
 
 
+@pytest.mark.parametrize("ham, t", [
+    (lambda t: np.eye(3), 0.5),                                   # 3 x 3 for two levels
+    (lambda t: np.ones((1, 2, 2)), np.linspace(0.0, 1.0, 11)),    # one matrix for 11 times
+], ids=["three-levels", "one-for-many"])
+def test_a_hamiltonian_of_the_wrong_shape_fails(ham, t):
+    atom = A.AtomPath(dim=2, hamiltonian=ham, coupling=lambda t: np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="has shape"):
+        atom.matrix(t)
+
+
 def test_magnus_propagate_calls_matfun_once(ref_scenario):
     calls = []
 
