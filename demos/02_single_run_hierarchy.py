@@ -32,8 +32,8 @@ print(f"\n{'t':>5} {'p_1 exact':>10} {'p_down':>8} "
 p, p_down = exact.populations(traj, frame)
 for k in range(0, len(traj.times), 40):
     t = traj.times[k]
-    ev = np.linalg.norm(tr_volt.z_at(t) - traj.z[k])
-    ee = np.linalg.norm(tr_eff.z_at(t) - traj.z[k])
+    ev = np.linalg.norm(tr_volt.z[k] - traj.z[k])      # one output grid for all
+    ee = np.linalg.norm(tr_eff.z[k] - traj.z[k])
     el = np.linalg.norm(z_lead[k] - traj.z[k])
     print(f"{t:5.2f} {p[k, 0]:10.5f} {p_down[k]:8.4f} {ev:10.2e} {ee:9.2e} {el:10.2e}")
 

@@ -28,6 +28,7 @@ __all__ = [
     "kato_intertwiner",
     "magnus_propagate",
     "magnus_grid",
+    "magnus_step",
     "refined_grid",
     "validate_coupling",
     "CouplingReport",
@@ -38,7 +39,7 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 PHASE_PER_STEP = 0.1       # target rad of fast phase per Magnus step
-PHASE_PER_NODE = 0.5       # most rad of fast phase per node a trapezoid history sum takes
+PHASE_PER_NODE = 0.5       # most rad of fast phase per step of the Volterra stepper
 KATO_UNITARITY_TOL = 1e-8      # largest entry of |W^H W - 1| for a Kato transport
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 # diagonal Pade degrees m and the largest 1-norm at which each one's backward
@@ -354,11 +355,17 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def magnus_grid(atom: AtomPath, eps: float, t_end: float, intervals: int = 1):
     """The refined_grid of `intervals` equal intervals of [0, t_end] for
-    magnus_propagate of A(t)/eps: a step keeps the fast phase ||A|| h / eps
-    at or below PHASE_PER_STEP, with ||A|| the largest of 33 samples."""
+    magnus_propagate of A(t)/eps, with steps no longer than magnus_step."""
+    return refined_grid(t_end, intervals, magnus_step(atom, eps, t_end))
+
+
+def magnus_step(atom: AtomPath, eps: float, t_end: float) -> float:
+    """The longest step h of magnus_propagate of A(t)/eps on [0, t_end]: the fast
+    phase ||A|| h / eps stays at or below PHASE_PER_STEP, with ||A|| the largest
+    2-norm of A(t) at 33 samples."""
     a_norm = np.max(np.linalg.norm(atom.matrix(np.linspace(0.0, t_end, 33)), 2,
                                    axis=(-2, -1)))
-    return refined_grid(t_end, intervals, PHASE_PER_STEP * eps / max(a_norm, 1e-12))
+    return PHASE_PER_STEP * eps / max(a_norm, 1e-12)
 
 
 def refined_grid(t_end: float, intervals: int, h_max: float):

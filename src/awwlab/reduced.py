@@ -1,9 +1,12 @@
 """Reduced atomic dynamics: memory-kernel Volterra equation and effective generator.
 
 Both descriptions act on the d atomic amplitudes alone. The Volterra form
-keeps the full memory integral against the bath correlation; the effective
-form replaces it by a local non-Hermitian generator built from the half-line
-transform of the correlation at the instantaneous level frequencies.
+keeps the full memory integral against the bath correlation: the bath's
+exponential sum turns it into a linear system with one memory entry per
+exponential, stepped at fourth order by an exponential Runge-Kutta scheme.
+The effective form replaces it by a local non-Hermitian generator built from
+the half-line transform of the correlation at the instantaneous level
+frequencies.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from . import bath as bath_mod
 from .atom import (PHASE_PER_NODE, PHASE_PER_STEP, AtomPath, EigenFrame,
-                   coupling_in_working_basis, magnus_grid, magnus_propagate)
+                   coupling_in_working_basis, magnus_grid, magnus_propagate, magnus_step)
 from .errors import DiscretizationError, IntegratorError, ResolutionError
 from .exact import DT_OUT, Trajectory, output_grid
 
@@ -26,47 +29,98 @@ __all__ = [
     "effective_solve",
 ]
 
-class PropagatorTable:
-    """Free atomic propagator U_eps(t, 0) cached on a uniform grid.
+X_STEP_FACTOR = 0.5     # the Volterra step defaults to x_step = X_STEP_FACTOR sqrt(eps)
+# the unit circle's points on which _phi averages phi_k about a small z
+_CIRCLE = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
 
-    Grid values are the magnus_propagate products on the magnus_grid of
-    `intervals` equal intervals of [0, t_end], so times[::sub] are the
-    interval ends. at(t) reads the table at one of its times; U_eps(t, s)
-    is at(t) @ at(s)^H.
+
+class PropagatorTable:
+    """Free atomic propagator U_eps(t, 0) cached on a grid.
+
+    The grid holds the ends of `intervals` equal intervals of [0, t_end] and
+    every time of `marks`, times less than 1e-13 apart counting as one; each
+    gap between them is split into the fewest equal steps no longer than
+    magnus_step. Grid values are the magnus_propagate products. at(t) reads
+    the table at one of its times, or at an array of them; U_eps(t, s) is
+    at(t) @ at(s)^H.
     """
 
-    def __init__(self, atom: AtomPath, eps: float, t_end: float, intervals: int = 1):
-        self.times, self.sub = magnus_grid(atom, eps, t_end, intervals)
+    def __init__(self, atom: AtomPath, eps: float, t_end: float, intervals: int = 1,
+                 marks=()):
+        stops = np.union1d(np.linspace(0.0, t_end, intervals + 1), marks)
+        stops = stops[np.concatenate([[True], np.diff(stops) >= 1e-13])]
+        gaps = np.diff(stops)
+        sub = np.ceil(gaps / magnus_step(atom, eps, t_end)).astype(int)
+        start = np.repeat(np.cumsum(sub) - sub, sub)
+        gap = np.repeat(np.arange(len(gaps)), sub)
+        self.times = np.append(stops[gap] + (np.arange(len(gap)) - start) * (gaps / sub)[gap],
+                               stops[-1])
         self.table = magnus_propagate(atom.matrix, self.times, -1j / eps)
         u_end = self.table[-1]
         defect = np.abs(u_end @ u_end.conj().T - np.eye(atom.dim)).max()
         if defect > 1e-8:
             raise IntegratorError(f"propagator unitarity drift {defect:.2e}")
 
-    def at(self, t: float) -> np.ndarray:
-        """U_eps(t, 0) for a time t of the table; ValueError for any other t."""
-        k = int(np.searchsorted(self.times, t + 1e-14) - 1)
-        if k < 0 or abs(t - self.times[k]) >= 1e-13:
-            raise ValueError(f"t = {t!r} is not a node of the table ({len(self.times)} "
-                             f"nodes on [{self.times[0]:g}, {self.times[-1]:g}])")
+    def at(self, t) -> np.ndarray:
+        """U_eps(t, 0) for a time t of the table, or the (..., d, d) stack for an
+        array of them; ValueError for any other t."""
+        t = np.asarray(t, dtype=float)
+        k = np.searchsorted(self.times, t + 1e-14) - 1
+        off = (k < 0) | (np.abs(t - self.times[k]) >= 1e-13)
+        if np.any(off):
+            raise ValueError(f"t = {t[off].flat[0]!r} is not a node of the table "
+                             f"({len(self.times)} nodes on [{self.times[0]:g}, "
+                             f"{self.times[-1]:g}])")
         return self.table[k]
+
+
+def _phi(z: np.ndarray) -> np.ndarray:
+    """(3, ...) phi_1, phi_2, phi_3 at every entry of z: phi_1(z) = (e^z - 1)/z
+    and phi_{k+1}(z) = (phi_k(z) - 1/k!)/z.
+
+    That recursion cancels where |z| is small, so there each phi_k is instead
+    the mean of its values on the circle of radius 1 about z, on which
+    |w| >= 1/2 (Kassam & Trefethen, SIAM J. Sci. Comput. 26, 2005).
+    """
+    def recursion(w):
+        p1 = (np.exp(w) - 1.0) / w
+        p2 = (p1 - 1.0) / w
+        return np.stack([p1, p2, (p2 - 0.5) / w])
+
+    small = np.abs(z) < 0.5
+    out = np.empty((3,) + z.shape, dtype=complex)
+    out[:, ~small] = recursion(z[~small])
+    out[:, small] = recursion(z[small, None] + _CIRCLE).mean(axis=-1)
+    return out
 
 
 def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
                    eps: float, lam: float, z0: np.ndarray, t_end: Optional[float] = None,
-                   x_step: Optional[float] = None) -> Trajectory:
+                   x_step: Optional[float] = None, dt_out: float = DT_OUT) -> Trajectory:
     """Memory-kernel dynamics of the atomic amplitudes alone.
 
-    In the interaction picture y = U_eps^{-1} z the equation is
-    dy/dt = -(lam/eps)^2 beta(t) int_0^t <beta(s), y(s)> gamma((t-s)/eps) ds
-    with beta(t) = U_eps(t)^{-1} u(t). Heun stepping with a product-trapezoid
-    history on n = t_end / (x_step eps) equal steps, where x_step, the node
-    spacing in x = (t-s)/eps, defaults to min(1/20, eps/2). gamma is the
-    bath's exp_sum, sum_k c_k exp(-lam_k x), so at node m the history sum is
-    terms @ c with terms = sum_{j<m} w_j <beta_j, y_j> rho^{m-j}, one entry
-    per exponential, rho = exp(-lam h/eps) and the trapezoid weights w_0 = 1/2,
-    w_j = 1: the update terms <- rho (terms + w_m <beta_m, y_m>) costs O(K)
-    per step. A bath without an exp_sum raises DiscretizationError.
+    In the interaction picture y = U_eps^{-1} z and the fast time x = t/eps
+    the equation is
+    dy/dx = -lam^2 beta(x) int_0^x <beta(x'), y(x')> gamma(x - x') dx'
+    with beta = U_eps^{-1} u. With the bath's exp_sum gamma(x) = sum_k c_k
+    exp(-lam_k x) the memory is the vector m_k = int_0^x <beta, y>
+    exp(-lam_k (x - x')) dx', and (y, m) solve the linear system
+    dy/dx = -lam^2 beta (c . m), dm/dx = <beta, y> - lam_k m_k.
+    Cox & Matthews' fourth-order exponential Runge-Kutta scheme ETDRK4
+    (J. Comput. Phys. 176, 2002) steps it on n = ceil(t_end / (x_step eps))
+    equal steps and takes the decays exp(-lam_k x) exactly, so the fast
+    lam_k do not limit the step. x_step defaults to
+    min(X_STEP_FACTOR sqrt(eps), PHASE_PER_NODE / ||A||), so the error falls
+    as eps^2 on n ~ eps^-1.5 steps; a larger x_step raises ResolutionError.
+    The coupling has rank one, so a stage reads m only through the sums
+    c . m, (c e^{-lam h/2}) . m and (c e^{-lam h}) . m, and y only through
+    its inner products with beta at the step's start, middle and end.
+
+    z is returned on output_grid(t_end, dt_out): U_eps there times the cubic
+    Hermite interpolant of the slowly varying y through its values and slopes
+    at the step ends, fourth order as the step is. U_eps at the steps' ends
+    and middles and at the output times comes from one PropagatorTable. A bath
+    without an exp_sum raises DiscretizationError.
     """
     kern = bath_mod.exp_sum(bath)
     if kern is None:
@@ -74,59 +128,74 @@ def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
                                   "an analytic bath has")
     t_end = frame.check_end(t_end)
     z0 = np.asarray(z0, dtype=complex)
-    d = atom.dim
+    x_cap = PHASE_PER_NODE / PHASE_PER_STEP * magnus_step(atom, eps, t_end) / eps
     if x_step is None:
-        # second-order history quadrature: shrinking the x-grid with eps makes
-        # the discretization error fall alongside the model remainder
-        x_step = min(1.0 / 20, eps / 2.0)
-    h = x_step * eps
-    n = int(np.ceil(t_end / h))
-    ts = np.linspace(0.0, t_end, n + 1)
-    h = ts[1] - ts[0]
-
-    # U_eps at the solution nodes from Magnus steps on a refinement of them
-    free = PropagatorTable(atom, eps, t_end, intervals=n)
-    if free.sub * PHASE_PER_STEP > PHASE_PER_NODE:
+        # fourth order: the error goes as x_step^4 = eps^2 / 16
+        x_step = min(X_STEP_FACTOR * np.sqrt(eps), x_cap)
+    elif x_step > x_cap:
         raise ResolutionError(
-            f"history grid too coarse: over {PHASE_PER_NODE} rad of fast phase per node "
-            f"({free.sub} Magnus steps)")
-    u_all = free.table[::free.sub]
-    beta = (np.swapaxes(u_all.conj(), 1, 2)
-            @ coupling_in_working_basis(atom, frame, ts)[:, :, None])[:, :, 0]
+            f"Volterra step too coarse: x_step = {x_step:g} turns over {PHASE_PER_NODE} "
+            f"rad of fast phase per step (at most {x_cap:.3g})")
+    n = int(np.ceil(t_end / (x_step * eps)))
+    halves = np.linspace(0.0, t_end, 2 * n + 1)       # step ends and middles
+    t_out = output_grid(t_end, dt_out)
+    free = PropagatorTable(atom, eps, t_end, intervals=2 * n, marks=t_out)
+    beta = (np.swapaxes(free.at(halves).conj(), 1, 2)
+            @ coupling_in_working_basis(atom, frame, halves)[:, :, None])[:, :, 0]
+    # rows[k]: beta at the start, middle and end of step k
+    rows = np.stack([beta[:-1:2], beta[1::2], beta[2::2]], axis=1)
+    rows_h = rows.conj()
+    # <beta_mid, beta_start>, |beta_mid|^2, <beta_end, beta_mid>
+    gram = np.einsum("kji,kli->kjl", rows_h, rows)
+    g_ms, g_mm, g_em = (gram[:, 1, 0].tolist(), gram[:, 1, 1].real.tolist(),
+                        gram[:, 2, 1].tolist())
 
-    rate = (lam / eps) ** 2
-    rho = np.exp(-kern.lam * (h / eps))             # gamma at lag m is rho^m @ kern.c
+    h = t_end / n / eps                               # the step in x
+    half = np.exp(-kern.lam * (h / 2))
+    full = half * half
+    p1, p2, p3 = _phi(-kern.lam * h)
+    # Cox & Matthews' Q = (h/2) phi_1(z/2), and phi_1(z) = phi_1(z/2) (e^{z/2} + 1)/2
+    q = h * p1 / (half + 1.0)
+    # m <- full m + weights.T @ (p_start, p_a + p_b, p_c)
+    weights = h * np.stack([p1 - 3 * p2 + 4 * p3, 2 * (p2 - 2 * p3), 4 * p3 - p2])
+    sums = np.stack([kern.c, kern.c * half, kern.c * full])
+    cq, chq = complex(kern.c @ q), complex(kern.c @ (half * q))
+    r = lam**2
+    ra, rc, rs = 0.5 * r * h, r * h, -r * h / 6
 
-    # memory(k) = h * trapezoid of inner[j] gamma((t_k - s_j)/eps) over j = 0..k.
-    # Its sum over j < k serves both step k-1's corrector and step k's
-    # predictor. terms starts at -inner[0]/2, so that the first update gives
-    # the trapezoid's j = 0 end its half weight.
-    # Heun's inner products with y all follow from p = <beta_{k+1}, y_k>,
-    # cross_k = <beta_{k+1}, beta_k> and norm2_k = |beta_k|^2.
-    cross = np.einsum("ki,ki->k", beta[1:].conj(), beta[:-1])
-    norm2 = np.einsum("ki,ki->k", beta.conj(), beta)
-    c = rate * h
-    y = np.empty((n + 1, d), dtype=complex)
+    y = np.empty((n + 1, atom.dim), dtype=complex)
     y[0] = z0
-    inner = np.empty(n + 1, dtype=complex)          # <beta(s_k), y(s_k)>
-    inner[0] = np.vdot(beta[0], z0)
-    terms = np.full(len(rho), -0.5 * inner[0])
-    half_g0 = 0.5 * kern.c.sum()                    # the trapezoid's j = k end
-    mem = 0.0
-    for k in range(n):
-        terms = rho * (terms + inner[k])
-        past = terms @ kern.c
-        p = np.vdot(beta[k + 1], y[k])
-        mem_pred = h * (past + half_g0 * (p - c * mem * cross[k]))
-        a, b = -0.5 * c * mem, -0.5 * c * mem_pred
-        y[k + 1] = y[k] + a * beta[k] + b * beta[k + 1]
-        inner[k + 1] = p + a * cross[k] + b * norm2[k + 1]
-        mem = h * (past + half_g0 * inner[k + 1])
+    m = np.zeros(len(kern.c), dtype=complex)
+    s_ends = [0j] * (n + 1)                           # c . m at every step end
+    # s = c . m and p = <beta, y> of the step's start (0) and of Cox & Matthews'
+    # stages a and b (at the middle) and c (at the end); y and m then take the
+    # weighted sum of the four stages' derivatives
+    for k in range(n):                                # ndarray.dot: less call overhead than @
+        s0, s_half, s_full = sums.dot(m).tolist()
+        s_ends[k] = s0
+        p0, q_mid, q_end = rows_h[k].dot(y[k]).tolist()
+        sa = s_half + p0 * cq
+        pa = q_mid - ra * s0 * g_ms[k]
+        sb = s_half + pa * cq
+        pb = q_mid - ra * sa * g_mm[k]
+        sc = s_full + p0 * chq + (2 * pb - p0) * cq
+        pc = q_end - rc * sb * g_em[k]
+        y[k + 1] = y[k] + np.array([rs * s0, 2 * rs * (sa + sb), rs * sc]).dot(rows[k])
+        m = full * m + np.array([p0, pa + pb, pc]).dot(weights)
 
-    z = np.einsum("kij,kj->ki", u_all, y)
-    return Trajectory(times=ts, z=z,
-                      meta={"eps": eps, "lam": lam, "scheme": "volterra-heun",
-                            "x_step": x_step})
+    s_ends[n] = complex(kern.c @ m)
+    # y on the output grid: the cubic Hermite interpolant through y and its
+    # slope dy/dx = -lam^2 beta (c . m) at every step end (dy is slope times h)
+    dy = (-r * h) * np.array(s_ends)[:, None] * beta[::2]
+    pos = t_out * (n / t_end)
+    idx = np.minimum(pos.astype(int), n - 1)
+    th = (pos - idx)[:, None]
+    y_out = ((1 + 2 * th) * (1 - th) ** 2 * y[idx] + th * (1 - th) ** 2 * dy[idx]
+             + th ** 2 * (3 - 2 * th) * y[idx + 1] - th ** 2 * (1 - th) * dy[idx + 1])
+    z = np.einsum("kij,kj->ki", free.at(t_out), y_out)
+    return Trajectory(times=t_out, z=z,
+                      meta={"eps": eps, "lam": lam, "scheme": "volterra-etdrk4",
+                            "x_step": x_step, "steps": n})
 
 
 class EffectiveGenerator:

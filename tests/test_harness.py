@@ -412,6 +412,11 @@ def test_simulate_writes_files(tmp_path):
                       "p_1", "p_2", "p_down", "norm_defect"]
     # sim.z0 is normalized
     assert [float(x) for x in first[1:5]] == pytest.approx([0.6, 0.0, 0.8, 0.0], abs=1e-15)
+    # the oracle's norm defect, pure rounding, is printed to an absolute 1e-12
+    assert first[-1] == "0.000000000000"
+    # every description is written on the oracle's output grid
+    times = [np.loadtxt(path, delimiter=",", skiprows=1, usecols=0) for path in written]
+    assert all(np.array_equal(t, times[0]) for t in times[1:])
 
 
 def test_sweep_serial_parallel_identical(tmp_path):

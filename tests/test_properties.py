@@ -78,7 +78,7 @@ def test_propagator_table_is_unitary_and_at_composes(d, seed):
     defect = np.einsum("kij,klj->kil", tab.table, tab.table.conj()) - np.eye(d)
     assert np.max(np.abs(defect)) < 1e-10
     # the table at an interval end agrees with a table whose last node is that time
-    for t in tab.times[tab.sub:-1:tab.sub]:
+    for t in np.linspace(0.0, 1.0, 5)[1:-1]:
         assert np.linalg.norm(tab.at(t) - R.PropagatorTable(atom, EPS, t).at(t)) < 1e-7
 
 
@@ -137,14 +137,14 @@ def test_oracle_conserves_the_norm(d, seed):
 
 @PROPERTY
 @given(d=DIMS, seed=SEEDS)
-def test_volterra_converges_to_the_oracle_at_second_order(d, seed):
+def test_volterra_converges_to_the_oracle_at_fourth_order(d, seed):
     atom, frame, bath, oracle = oracle_run(d, seed)
     dist = []
     for x_step in (0.05, 0.025):
         traj = R.volterra_solve(atom, frame, bath, EPS, np.sqrt(LAM2), oracle.z[0],
                                 x_step=x_step)
         dist.append(np.max(np.linalg.norm(traj.z_at(oracle.times) - oracle.z, axis=1)))
-    assert dist[0] >= 3.0 * dist[1]
+    assert dist[0] >= 10.0 * dist[1]
 
 
 @PROPERTY
