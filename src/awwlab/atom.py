@@ -77,9 +77,7 @@ class AtomPath:
         """
         t = np.asarray(t, dtype=float)
         a = _broadcast_times(self.hamiltonian(t), t, (self.dim, self.dim), "A")
-        defect = np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)), axis=(-2, -1))
-        scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
-        bad = defect > HERMITICITY_TOL * scale
+        bad = _not_hermitian(a)
         if np.any(bad):
             raise ValueError(f"A({t[bad][0]}) is not Hermitian to tolerance")
         return a
@@ -88,6 +86,13 @@ class AtomPath:
         """v(t) for a scalar t, or the (..., d) stack for an array of times."""
         t = np.asarray(t, dtype=float)
         return _broadcast_times(self.coupling(t), t, (self.dim,), "v")
+
+
+def _not_hermitian(a: np.ndarray) -> np.ndarray:
+    """Which matrices of a (..., d, d) stack are not Hermitian to HERMITICITY_TOL
+    against their own scale, the largest of 1 and their largest entry."""
+    defect = np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)), axis=(-2, -1))
+    return defect > HERMITICITY_TOL * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
 
 
 def _broadcast_times(value, t: np.ndarray, shape: tuple, name: str) -> np.ndarray:
@@ -207,8 +212,11 @@ def eigenframe(atom: AtomPath, times: np.ndarray, gap_min: float = 1e-8) -> Eige
     points come from one batched eigh, each column phase-aligned so its
     overlap with the previous grid point is real and positive (a cumulative
     sum of the overlap phases).
+
+    The frame owns its times, energies and vectors and returns them
+    read-only, so a frame that several callers share cannot be changed by one.
     """
-    times = np.asarray(times, dtype=float)
+    times = np.array(times, dtype=float)
     n, d = len(times), atom.dim
     if atom.eigvec_provider is not None:
         pairs = [atom.eigvec_provider(t) for t in times]
@@ -241,6 +249,8 @@ def eigenframe(atom: AtomPath, times: np.ndarray, gap_min: float = 1e-8) -> Eige
         k = int(np.argmax(np.any(flip, axis=1)))
         raise FrameSmoothnessError(
             f"eigenvector phase flip at t={times[k + 1]}, levels {np.nonzero(flip[k])[0]}")
+    for array in (times, energies, vectors):
+        array.flags.writeable = False
     return EigenFrame(atom=atom, times=times, energies=energies, vectors=vectors, gap=gap)
 
 
@@ -464,7 +474,10 @@ def complex_phase_atom(theta0: float, omega: float, levels=(1.0, 2.0)) -> AtomPa
 def tabulated_atom(path) -> AtomPath:
     """Atom path from CSV: column t, then d^2 (re, im) matrix entries row-major,
     then d (re, im) coupling entries; cubic-spline interpolated. The coupling
-    is the CubicSpline itself, so coupling.x holds the table's times."""
+    is the CubicSpline itself, so coupling.x holds the table's times. `path`
+    is anything numpy.loadtxt reads. Every tabulated matrix must be Hermitian
+    to HERMITICITY_TOL against its own scale, as AtomPath.matrix requires;
+    ValueError otherwise."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     ts = data[:, 0]
     n_rest = data.shape[1] - 1
@@ -473,6 +486,9 @@ def tabulated_atom(path) -> AtomPath:
     if 2 * d * d + 2 * d != n_rest:
         raise ValueError("column count does not match any square dimension")
     mats = (data[:, 1:1 + 2 * d * d:2] + 1j * data[:, 2:2 + 2 * d * d:2]).reshape(-1, d, d)
+    bad = _not_hermitian(mats)
+    if np.any(bad):
+        raise ValueError(f"the matrix at t = {ts[bad][0]:g} is not Hermitian to tolerance")
     coups = data[:, 1 + 2 * d * d::2] + 1j * data[:, 2 + 2 * d * d::2]
     m_spline = CubicSpline(ts, mats, axis=0)
     c_spline = CubicSpline(ts, coups, axis=0)

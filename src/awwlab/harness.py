@@ -8,11 +8,12 @@ All floats are written with a fixed format to keep outputs byte-stable.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -40,11 +41,16 @@ FLOAT_FMT = "%.12e"
 # says without printing which way a floating-point sum rounded
 DEFECT_FMT = "%.12f"
 FRAME_GRID = 801     # eigenframe grid points on [0, t_end]
+CACHE_SIZE = 8       # parsed tables, and eigenframes, kept per process
 
 
 @dataclass
 class Scenario:
-    """One atom-bath-initial-state combination ready to run."""
+    """One atom-bath-initial-state combination ready to run.
+
+    Nothing in the eigenframe depends on eps or lam, so every Scenario of
+    one atom and t_end in a process shares one frame.
+    """
 
     atom: AtomPath
     bath: bath_mod.BathSpec
@@ -52,12 +58,15 @@ class Scenario:
     t_end: float
 
     def frame(self):
-        """The eigenframe on [0, t_end], built on the first call."""
-        return self._frame
+        """The eigenframe on [0, t_end], built on the first call for this atom and t_end."""
+        return _frame(self.atom, self.t_end)
 
-    @cached_property
-    def _frame(self):
-        return eigenframe(self.atom, np.linspace(0.0, self.t_end, FRAME_GRID))
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _frame(atom: AtomPath, t_end: float):
+    """One eigenframe per (atom, t_end); a GapViolation or FrameSmoothnessError
+    is raised again on the next call, never stored."""
+    return eigenframe(atom, np.linspace(0.0, t_end, FRAME_GRID))
 
 
 def builtin_scenario(name: str, t_end: Optional[float] = None) -> Scenario:
@@ -86,9 +95,14 @@ def scenario_from_config(cfg: dict) -> Scenario:
 
 
 def _scenario(rc: RunConfig) -> Scenario:
+    """The configured Scenario. Tables with the same bytes give the same atom
+    (or bath) object, and so the same eigenframe for the same t_end."""
     if rc.atom_name == "tabulated":
         atom = _read_table(tabulated_atom, rc.atom_file, "atom.file")
-        t_table = float(atom.coupling.x[-1])    # past it the splines extrapolate
+        t_first, t_table = (float(t) for t in atom.coupling.x[[0, -1]])
+        if t_first > 0.0:   # the frame starts at 0, and before the table the splines extrapolate
+            raise ConfigError(f"atom.file = {rc.atom_file!r} starts at t = {t_first:g}; "
+                              f"the run starts at t = 0", key="atom.file")
         t_end = t_table if rc.sim_t_end is None else rc.sim_t_end
         if t_end > t_table:
             raise ConfigError(f"sim.t_end = {t_end:g} lies past the atom table's last "
@@ -117,13 +131,23 @@ def _bath(rc: RunConfig) -> bath_mod.BathSpec:
 
 
 def _read_table(reader, path: Optional[str], key: str):
-    """reader(path); a missing key or file, or a malformed table, is a ConfigError."""
+    """reader on the file's bytes, parsed once per content in a process; a missing
+    key or file, or a malformed table, is a ConfigError."""
     if path is None:
         raise ConfigError(f"missing required key {key!r}", key=key)
     try:
-        return reader(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return _parse_table(reader, data)
     except (OSError, ValueError, IndexError) as exc:
         raise ConfigError(f"{key} = {path!r}: {exc}", key=key)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _parse_table(reader, data: bytes):
+    """reader on the text of `data`; keyed on the content, so a file rewritten
+    within the clock's resolution is read again, and a failed parse is never stored."""
+    return reader(io.StringIO(data.decode(), newline=None))
 
 
 def _write_csv(path, header, rows):
@@ -162,7 +186,8 @@ def _oracle(scen: Scenario, eps: float, lam: float, override: bool = False,
 
 
 def _solve_all(scen: Scenario, eps: float, lam: float, override: bool = False, **solver):
-    """The four trajectories of one point; solver holds any of rtol, dt_out, tol_corr."""
+    """The point's asymptotic tables and its four trajectories; solver holds any
+    of rtol, dt_out, tol_corr."""
     frame = scen.frame()
     _, tr_exact = _oracle(scen, eps, lam, override, **solver)
     # the reduced trajectories share the oracle's output grid
@@ -171,11 +196,13 @@ def _solve_all(scen: Scenario, eps: float, lam: float, override: bool = False, *
                                      dt_out=dt_out)
     tr_eff = reduced.effective_solve(scen.atom, frame, scen.bath, eps, lam, scen.z0,
                                      dt_out=dt_out)
+    # built after the solvers, so its splines do not add to their peak memory
+    tables = asymptotics.AsymptoticTables(frame, scen.bath)
     z_lead = asymptotics.leading_order_z(frame, scen.bath, scen.atom, eps, lam,
-                                         scen.z0, tr_exact.times)
+                                         scen.z0, tr_exact.times, tables=tables)
     tr_lead = exact.Trajectory(times=tr_exact.times, z=z_lead,
                                meta={"eps": eps, "lam": lam, "scheme": "leading"})
-    return frame, tr_exact, tr_volt, tr_eff, tr_lead
+    return tables, tr_exact, tr_volt, tr_eff, tr_lead
 
 
 def _errors(tr_exact, tr_volt, tr_eff, tr_lead) -> dict:
@@ -187,12 +214,10 @@ def _errors(tr_exact, tr_volt, tr_eff, tr_lead) -> dict:
 
 def point_metrics(scen: Scenario, eps: float, lam: float, **kw) -> dict:
     """Error metrics of one (eps, lambda) point against the exact oracle."""
-    frame, tr_exact, tr_volt, tr_eff, tr_lead = _solve_all(scen, eps, lam, **kw)
+    tables, tr_exact, tr_volt, tr_eff, tr_lead = _solve_all(scen, eps, lam, **kw)
     errors = {name: float(np.max(e))
               for name, e in _errors(tr_exact, tr_volt, tr_eff, tr_lead).items()}
-    report = asymptotics.regime_classify(
-        eps, lam, tables=asymptotics.AsymptoticTables(frame, scen.bath), z0=scen.z0,
-        t=scen.t_end)
+    report = asymptotics.regime_classify(eps, lam, tables=tables, z0=scen.z0, t=scen.t_end)
     return {"eps": eps, "lam": lam, **errors,
             "p_down": float(exact.de_excitation(tr_exact)[-1]),
             "p_down_pred": report.p_down, "regime": report.regime}
@@ -206,7 +231,7 @@ def _solver_kw(rc: RunConfig) -> dict:
 def run_simulate(cfg: dict, out_dir: str, override: bool = False) -> list:
     """One (eps, lambda) point; writes four trajectory CSVs plus a comparison."""
     rc = RunConfig.from_dict(cfg)
-    frame, tr_exact, tr_volt, tr_eff, tr_lead = _solve_all(
+    tables, tr_exact, tr_volt, tr_eff, tr_lead = _solve_all(
         _scenario(rc), rc.sim_eps, np.sqrt(rc.sim_lambda2), override=override,
         **_solver_kw(rc))
 
@@ -215,7 +240,7 @@ def run_simulate(cfg: dict, out_dir: str, override: bool = False) -> list:
     for tag, traj in (("exact", tr_exact), ("volterra", tr_volt),
                       ("effective", tr_eff), ("leading", tr_lead)):
         path = os.path.join(out_dir, f"trajectory_{tag}.csv")
-        write_trajectory_csv(path, traj, frame)
+        write_trajectory_csv(path, traj, tables.frame)
         written.append(path)
 
     errors = _errors(tr_exact, tr_volt, tr_eff, tr_lead)

@@ -259,3 +259,29 @@ def test_frame_keeps_the_scipy_gauge_at_t0(ref_scenario, ref_frame):
     # the coupling amplitudes are defined against these columns, so the
     # sign scipy.linalg.eigh picks at t = 0 is physical
     assert np.array_equal(ref_frame.vectors[0], sla.eigh(ref_scenario.atom.matrix(0.0))[1])
+
+
+def test_tabulated_atom_refuses_a_non_hermitian_table(tmp_path):
+    # A = [[1, 0.5], [0, 3]], v = (1, 1): ham's symmetrisation would hide the fault
+    path = tmp_path / "atom.csv"
+    rows = [[t, 1, 0, 0.5, 0, 0, 0, 3, 0, 1, 0, 1, 0] for t in np.linspace(0.0, 1.0, 5)]
+    np.savetxt(path, rows, delimiter=",", header="t," + ",".join(["c"] * 12), comments="")
+    with pytest.raises(ValueError, match="not Hermitian"):
+        A.tabulated_atom(path)
+    # interpolation-scale noise on a Hermitian table passes, and is symmetrised
+    for row in rows:
+        row[5] = 0.5 + 1e-13
+    np.savetxt(path, rows, delimiter=",", header="t," + ",".join(["c"] * 12), comments="")
+    a = A.tabulated_atom(path).matrix(0.3)
+    assert np.array_equal(a, a.conj().T)
+
+
+def test_frame_arrays_are_read_only(ref_scenario):
+    times = np.linspace(0.0, 1.0, 11)
+    frame = A.eigenframe(ref_scenario.atom, times)
+    for array in (frame.times, frame.energies, frame.vectors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    # the frame holds its own copy of the grid; the caller's stays writable
+    times[0] = 0.5
+    assert frame.times[0] == 0.0

@@ -8,8 +8,9 @@ import pytest
 
 from awwlab import (atom as A, bath as B, cli, config as C, emission as E, exact as X,
                     harness as H, reduced as R)
-from awwlab.errors import ConfigError, IntegratorError
+from awwlab.errors import ConfigError, GapViolation, IntegratorError
 from test_bath import write_density_table
+from test_magnus import three_level_atom
 
 BASE_CFG = """\
 atom.name = ww-ref-2level
@@ -27,6 +28,24 @@ def write_cfg(tmp_path, text=BASE_CFG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def tabulated_text(path):
+    """BASE_CFG on the atom table at `path`."""
+    return BASE_CFG.replace("atom.name = ww-ref-2level",
+                            f"atom.name = tabulated\natom.file = {path}")
+
+
+def write_diag_table(path, times, level=1.0):
+    """Atom table of A(t) = diag(level, 3), v = (1, 1): columns t, 4 x (re, im), 2 x (re, im)."""
+    rows = [[t, level, 0, 0, 0, 0, 0, 3, 0, 1, 0, 1, 0] for t in times]
+    np.savetxt(path, rows, delimiter=",", header="t," + ",".join(["c"] * 12), comments="")
+    return path
+
+
+def clear_caches():
+    H._parse_table.cache_clear()
+    H._frame.cache_clear()
 
 
 def test_config_parses_and_rejects(tmp_path):
@@ -225,15 +244,89 @@ def test_sweep_rereads_a_rewritten_atom_table(tmp_path, monkeypatch):
 
     monkeypatch.setattr(H, "point_metrics", fake_metrics)
     path = tmp_path / "atom.csv"
-    text = BASE_CFG.replace("atom.name = ww-ref-2level",
-                            f"atom.name = tabulated\natom.file = {path}")
     for level in (1.0, 1.5):
-        # A(t) = diag(level, 3), v = (1, 1): columns t, 4 x (re, im), 2 x (re, im)
-        rows = [[t, level, 0, 0, 0, 0, 0, 3, 0, 1, 0, 1, 0] for t in np.linspace(0, 1, 5)]
-        np.savetxt(path, rows, delimiter=",", header="t," + ",".join(["c"] * 12),
-                   comments="")
-        H.run_sweep(C.parse_config(text), str(tmp_path / "s"), override=True)
+        write_diag_table(path, np.linspace(0, 1, 5), level)
+        H.run_sweep(C.parse_config(tabulated_text(path)), str(tmp_path / "s"), override=True)
     assert seen == [1.0] * 3 + [1.5] * 3
+
+
+@pytest.fixture
+def frame_builds(monkeypatch):
+    """The atoms harness.eigenframe is called on, from empty table and frame caches."""
+    clear_caches()
+    atoms = []
+    real_eigenframe = H.eigenframe
+
+    def counting_eigenframe(atom, *args, **kw):
+        atoms.append(atom)
+        return real_eigenframe(atom, *args, **kw)
+
+    monkeypatch.setattr(H, "eigenframe", counting_eigenframe)
+    yield atoms
+    clear_caches()    # no frame of the spy's making outlives the test
+
+
+def test_one_frame_per_table_content_and_t_end(tmp_path, frame_builds):
+    first = write_diag_table(tmp_path / "a.csv", np.linspace(0, 1, 5))
+    cfg = C.parse_config(tabulated_text(first))
+    for out in ("s1", "s2"):
+        H.run_simulate(cfg, str(tmp_path / out), override=True)
+    scen = H.scenario_from_config(cfg)
+    frame = scen.frame()
+    assert len(frame_builds) == 1 and frame.atom is scen.atom is frame_builds[0]
+    # another file with the same bytes shares the atom and its frame
+    twin = tmp_path / "b.csv"
+    twin.write_bytes(first.read_bytes())
+    assert H.scenario_from_config(C.parse_config(tabulated_text(twin))).frame() is frame
+    assert len(frame_builds) == 1
+    # other bytes, or another span, build a frame of their own
+    write_diag_table(twin, np.linspace(0, 1, 5), level=1.5)
+    other = H.scenario_from_config(C.parse_config(tabulated_text(twin))).frame()
+    shorter = H.scenario_from_config(
+        C.parse_config(tabulated_text(first) + "sim.t_end = 0.5\n")).frame()
+    assert len(frame_builds) == 3 and other is not frame and shorter is not frame
+    assert other.energies[0, 0] == 1.5 and shorter.times[-1] == 0.5
+
+
+def test_a_failed_table_or_frame_is_not_stored(tmp_path, frame_builds):
+    path = tmp_path / "atom.csv"
+    path.write_text("t,a\n0,1\n1,2\n")
+    for _ in range(2):
+        with pytest.raises(ConfigError) as err:
+            H.scenario_from_config(C.parse_config(tabulated_text(path)))
+        assert err.value.key == "atom.file"
+    # A(t) = diag(3, 3) has no gap: the frame fails on every call
+    write_diag_table(path, np.linspace(0, 1, 5), level=3.0)
+    for calls in (1, 2):
+        scen = H.scenario_from_config(C.parse_config(tabulated_text(path)))
+        with pytest.raises(GapViolation):
+            scen.frame()
+        assert len(frame_builds) == calls
+
+
+def test_simulate_files_do_not_depend_on_the_caches(tmp_path):
+    path = tmp_path / "atom.csv"
+    three_level_atom(path)
+    cfg = C.parse_config(tabulated_text(path))
+    clear_caches()
+    files = []
+    for out in ("cold", "warm", "cleared"):
+        if out == "cleared":
+            clear_caches()
+        written = H.run_simulate(cfg, str(tmp_path / out), override=True)
+        files.append({os.path.basename(p): open(p, "rb").read() for p in written})
+    assert len(files[0]) == 5 and files[0] == files[1] == files[2]
+
+
+def test_tabulated_sweep_serial_parallel_identical(tmp_path):
+    path = tmp_path / "atom.csv"
+    three_level_atom(path)
+    cfg = C.parse_config(tabulated_text(path))
+    for threads in (1, 2):
+        res = H.run_sweep(cfg, str(tmp_path / f"s{threads}"), override=True, threads=threads)
+        assert not res["partial"]
+    assert (tmp_path / "s1" / "sweep.csv").read_bytes() == \
+        (tmp_path / "s2" / "sweep.csv").read_bytes()
 
 
 @pytest.mark.parametrize("value", ["0", "-0.05", "1.5", "nan"])
@@ -319,6 +412,8 @@ def test_solver_and_initial_state_outside_range_is_config_error(tmp_path, key, v
 @pytest.mark.parametrize("key, content", [
     ("atom.file", None),                        # no such file
     ("atom.file", "t,a\n0,1\n1,2\n"),          # no square dimension fits
+    ("atom.file", "t,...\n0,1,0,0.5,0,0,0,3,0,1,0,1,0\n"
+                  "1,1,0,0.5,0,0,0,3,0,1,0,1,0\n"),    # A(t) is not Hermitian
     ("bath.file", None),
     ("bath.file", "omega,rho\n0,0\n2,1\n1,1\n"),  # omega not increasing
     ("bath.file", "omega,rho\n1,2\n"),          # one row reads as a 1-d array
@@ -349,18 +444,21 @@ def test_unknown_or_missing_choice_is_config_error(tmp_path, key, line, replacem
 
 
 def test_tabulated_run_spans_its_table(tmp_path):
-    # A(t) = diag(1, 3), v = (1, 1) tabulated over [0, 0.5]
-    path = tmp_path / "atom.csv"
-    rows = [[t, 1, 0, 0, 0, 0, 0, 3, 0, 1, 0, 1, 0] for t in np.linspace(0.0, 0.5, 6)]
-    np.savetxt(path, rows, delimiter=",", header="t," + ",".join(["c"] * 12), comments="")
-    text = BASE_CFG.replace("atom.name = ww-ref-2level",
-                            f"atom.name = tabulated\natom.file = {path}")
+    path = write_diag_table(tmp_path / "atom.csv", np.linspace(0.0, 0.5, 6))
+    text = tabulated_text(path)
     scen = H.scenario_from_config(C.parse_config(text))
     assert scen.t_end == 0.5 and scen.frame().times[-1] == 0.5
     assert H.scenario_from_config(C.parse_config(text + "sim.t_end = 0.25\n")).t_end == 0.25
     # past the table the splines would extrapolate the Hamiltonian
     assert_config_error(tmp_path, text + "sim.t_end = 0.75\n", "sim.t_end",
                         tuple(COMMAND_RUNS))
+
+
+def test_tabulated_run_starts_at_zero(tmp_path):
+    # the frame spans [0, t_end]; before the table's first time the splines
+    # would extrapolate the Hamiltonian
+    path = write_diag_table(tmp_path / "atom.csv", np.linspace(0.5, 1.5, 6))
+    assert_config_error(tmp_path, tabulated_text(path), "atom.file", tuple(COMMAND_RUNS))
 
 
 def test_loglog_slope_recovers_power_law():
