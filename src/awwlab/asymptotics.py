@@ -58,8 +58,7 @@ def leading_order_z(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
     spline, as int_beta is. `atom` must be frame.atom, and
     `tables`, when given, must have been built for this frame and bath.
     """
-    if atom is not frame.atom:
-        raise ValueError("atom is not frame.atom, the path the frame was built from")
+    frame.check_atom(atom)
     if tables is None:
         tables = AsymptoticTables(frame, bath)
     elif tables.frame is not frame or tables.bath is not bath:

@@ -27,9 +27,8 @@ __all__ = [
     "berry_phase",
     "kato_intertwiner",
     "magnus_propagate",
-    "magnus_grid",
     "magnus_step",
-    "refined_grid",
+    "fine_grid",
     "validate_coupling",
     "CouplingReport",
     "diag_rotation_atom",
@@ -140,6 +139,11 @@ class EigenFrame:
         if t_end <= self.times[0]:
             raise ValueError(f"t_end = {t_end:g} leaves an empty span from {self.times[0]:g}")
         return t_end
+
+    def check_atom(self, atom: AtomPath) -> None:
+        """ValueError unless atom is self.atom, the path the frame was built from."""
+        if atom is not self.atom:
+            raise ValueError("atom is not frame.atom, the path the frame was built from")
 
     @cached_property
     def energies_at(self) -> CubicSpline:
@@ -257,8 +261,7 @@ def eigenframe(atom: AtomPath, times: np.ndarray, gap_min: float = 1e-8) -> Eige
 def coupling_in_working_basis(atom: AtomPath, frame: EigenFrame, t) -> np.ndarray:
     """The interaction vector u(t) in the working basis, frame.u_at(t); `atom`
     must be frame.atom. A scalar t gives a (d,) vector, an array the (..., d) stack."""
-    if atom is not frame.atom:
-        raise ValueError("atom is not frame.atom, the path the frame was built from")
+    frame.check_atom(atom)
     return frame.u_at(frame.check_times(t))
 
 
@@ -282,8 +285,7 @@ def kato_intertwiner(frame: EigenFrame, t: float, s: float = 0.0) -> np.ndarray:
     d = frame.dim
     if t == s:
         return np.eye(d, dtype=complex)
-    n_steps = max(1, int(np.ceil((t - s) / frame.step)))
-    w = magnus_propagate(frame._kato, np.linspace(s, t, n_steps + 1))[-1]
+    w = magnus_propagate(frame._kato, fine_grid([s, t], frame.step)[0])[-1]
     defect = np.max(np.abs(w.conj().T @ w - np.eye(d)))
     if defect > KATO_UNITARITY_TOL:
         raise FrameSmoothnessError(
@@ -363,12 +365,6 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def magnus_grid(atom: AtomPath, eps: float, t_end: float, intervals: int = 1):
-    """The refined_grid of `intervals` equal intervals of [0, t_end] for
-    magnus_propagate of A(t)/eps, with steps no longer than magnus_step."""
-    return refined_grid(t_end, intervals, magnus_step(atom, eps, t_end))
-
-
 def magnus_step(atom: AtomPath, eps: float, t_end: float) -> float:
     """The longest step h of magnus_propagate of A(t)/eps on [0, t_end]: the fast
     phase ||A|| h / eps stays at or below PHASE_PER_STEP, with ||A|| the largest
@@ -378,11 +374,20 @@ def magnus_step(atom: AtomPath, eps: float, t_end: float) -> float:
     return PHASE_PER_STEP * eps / max(a_norm, 1e-12)
 
 
-def refined_grid(t_end: float, intervals: int, h_max: float):
-    """(grid, sub): `intervals` equal intervals of [0, t_end], each split into the
-    fewest `sub` equal steps no longer than h_max; grid[::sub] are their ends."""
-    sub = max(int(np.ceil(t_end / intervals / h_max)), 1)
-    return np.linspace(0.0, t_end, intervals * sub + 1), sub
+def fine_grid(stops, h_max: float):
+    """(grid, at): the ascending times `stops`, times less than 1e-13 apart
+    counting as one, with each gap between them split into the fewest equal
+    steps no longer than h_max; grid[at] are the stops, exactly. h_max = inf
+    keeps the stops alone."""
+    stops = np.asarray(stops, dtype=float)
+    stops = stops[np.concatenate([[True], np.diff(stops) >= 1e-13])]
+    gaps = np.diff(stops)
+    sub = np.maximum(np.ceil(gaps / h_max), 1).astype(int)
+    at = np.concatenate([[0], np.cumsum(sub)])
+    gap = np.repeat(np.arange(len(gaps)), sub)
+    grid = np.append(stops[gap] + (np.arange(len(gap)) - at[gap]) * (gaps / sub)[gap],
+                     stops[-1])
+    return grid, at
 
 
 @dataclass(frozen=True)
@@ -401,8 +406,7 @@ def validate_coupling(atom: AtomPath, frame: EigenFrame, bath: "bath_mod.BathSpe
                       lam: float) -> CouplingReport:
     """Coupling smallness and per-level well-coupledness at the frame's nodes;
     `atom` must be frame.atom."""
-    if atom is not frame.atom:
-        raise ValueError("atom is not frame.atom, the path the frame was built from")
+    frame.check_atom(atom)
     v = atom.couplings(frame.times)
     vnorm2 = float(np.max(np.sum(np.abs(v) ** 2, axis=1)))
     g_l1 = bath_mod.correlation_l1_norm(bath)

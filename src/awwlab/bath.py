@@ -454,17 +454,17 @@ def _in_blocks(fn, *args):
 def correlation_l1_norm(bath: BathSpec, tol=1e-8) -> float:
     """||gamma||_{L1(R)} with the certified algebraic tail added analytically.
 
-    Without a closed-form correlation each |gamma(x)| is a quadrature whose
-    cost grows with x, so the body stops at DECAY_T_MAX, where
-    check_decay_bound last certifies the envelope, and the error is that
-    envelope's tail, not tol: 1.7e-4 per half line for bath_from_csv's
-    default envelope on a table of w^2 e^-w.
+    Without a closed-form correlation each |gamma(x)| is a quadrature to
+    tol whose cost grows with x, so the body stops at DECAY_T_MAX, where
+    check_decay_bound last certifies the envelope. The body then errs by at
+    most DECAY_T_MAX tol, and the norm's error is that envelope's tail: 1.7e-4
+    per half line for bath_from_csv's default envelope on a table of w^2 e^-w.
     """
     x_max = _envelope_horizon(bath, tol / 10.0)
     if bath.closed_form_correlation is not None:
         f = lambda x: abs(complex(bath.closed_form_correlation(x)))
     else:
-        f = lambda x: abs(correlation(bath, x))
+        f = lambda x: abs(correlation(bath, x, tol))
     body, _ = quad(f, 0.0, x_max, limit=500)
     return 2.0 * (body + _envelope_tail(bath, x_max))
 

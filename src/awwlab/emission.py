@@ -51,8 +51,7 @@ def regime_B_limit(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
     The grid refines with r so the depleting exponential stays resolved.
     `atom` must be frame.atom, and t must lie in the frame's range.
     """
-    if atom is not frame.atom:
-        raise ValueError("atom is not frame.atom, the path the frame was built from")
+    frame.check_atom(atom)
     if r <= 0.0:
         raise ValueError("r must be positive")
     if frame.check_times(t) == 0.0:

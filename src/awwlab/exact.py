@@ -27,7 +27,7 @@ from scipy.special import roots_legendre
 
 from . import bath as bath_mod
 from .atom import (PHASE_PER_NODE, PHASE_PER_STEP, AtomPath, EigenFrame,
-                   _broadcast_times, refined_grid, validate_coupling)
+                   _broadcast_times, fine_grid, validate_coupling)
 from .errors import (CouplingValidationError, DiscretizationError,
                      IntegratorError, ResolutionError, StiffnessError)
 
@@ -421,7 +421,7 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
                     t_end: Optional[float] = None, dt_out: float = DT_OUT,
                     rtol: float = ODE_RTOL,
                     override_smallness: bool = False, record_source: bool = False,
-                    bath: Optional[bath_mod.BathSpec] = None) -> Trajectory:
+                    *, bath: bath_mod.BathSpec) -> Trajectory:
     """Integrate the coupled atom-mode amplitudes from f_0 = 0.
 
     i eps dz/dt = A(t) z + lam u(t) <g, f>
@@ -429,18 +429,21 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
     with u = frame.u_at, stepped by _Dop853: scipy.integrate.DOP853's tableau,
     error norm and controller on steps rounded down to STEP_BITS significant
     bits; its results lie within about 1e-12 of scipy's, on at most 1 % more steps.
-    The state is sampled on output_grid(t_end, dt_out); with record_source,
-    z is sampled on a refined_grid of it that holds every output time exactly,
-    for the history <u, z>. Both are read from the dense output of
-    _DENSE_BLOCK kept steps at a time, and each output time takes z from the
-    same samples and f from its step's start field and table: no more than
-    that many steps, and nothing of size N per source time, are ever held.
+    z is sampled on the fine_grid of output_grid(t_end, dt_out), which holds
+    every output time exactly: on the output times alone, or with
+    record_source on steps over which the fastest mode turns at most
+    PHASE_PER_STEP, for the history <u, z>. The samples are read from the
+    dense output of _DENSE_BLOCK kept steps at a time, and each output time
+    takes z from its sample and f from its step's start field and table: no
+    more than that many steps, and nothing of size N per source time, are
+    ever held.
     meta records nfev, the accepted and rejected steps and the phase tables built.
     The grid must certify the kernel over the whole run: ResolutionError if
-    t_end/eps exceeds modes.horizon. `atom` must be frame.atom.
+    t_end/eps exceeds modes.horizon. `atom` must be frame.atom. Unless
+    override_smallness, a coupling that fails validate_coupling's smallness
+    bound for `bath` raises CouplingValidationError; lam = 0 is not checked.
     """
-    if atom is not frame.atom:
-        raise ValueError("atom is not frame.atom, the path the frame was built from")
+    frame.check_atom(atom)
     t_end = frame.check_end(t_end)
     if t_end / eps > modes.horizon * (1.0 + 1e-12):
         raise ResolutionError(
@@ -449,7 +452,7 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
     z0 = np.asarray(z0, dtype=complex)
     if abs(np.linalg.norm(z0) - 1.0) > 1e-10:
         raise ValueError("initial atomic amplitudes must have unit norm")
-    if bath is not None and lam != 0.0 and not override_smallness:
+    if lam != 0.0 and not override_smallness:
         report = validate_coupling(atom, frame, bath, lam)
         if not report.smallness_ok:
             raise CouplingValidationError(
@@ -458,13 +461,10 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
 
     d, n_modes = atom.dim, modes.size
     t_eval = output_grid(t_end, dt_out)
-    t_samples, sub = t_eval, 1
-    if record_source:
-        # every output time is a source time, and the phase per source step is
-        # <= PHASE_PER_STEP, well inside the reconstruction's PHASE_PER_NODE
-        t_samples, sub = refined_grid(t_end, len(t_eval) - 1,
-                                      PHASE_PER_STEP * eps / max(float(modes.omegas[-1]), 1.0))
-        t_samples[::sub] = t_eval
+    # the phase per source step is <= PHASE_PER_STEP, well inside the
+    # reconstruction's PHASE_PER_NODE
+    h_src = PHASE_PER_STEP * eps / max(float(modes.omegas[-1]), 1.0)
+    t_samples, at = fine_grid(t_eval, h_src if record_source else np.inf)
     z = np.empty((len(t_samples), d), dtype=complex)
     field = np.empty((len(t_eval), n_modes), dtype=complex)
     solver = _Dop853(atom, frame.u_at, modes, eps, lam, z0,
@@ -476,13 +476,12 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
             stop = int(np.searchsorted(t_samples, solver.t, side="right"))
             if stop > filled:
                 # the output times among samples filled .. stop - 1
-                first = -(-filled // sub)
-                rows = np.arange(first * sub - filled, stop - filled, sub)
-                z[filled:stop], field[first:first + len(rows)] = solver.dense(
-                    kept, t_samples[filled:stop], rows)
+                lo, hi = np.searchsorted(at, [filled, stop])
+                z[filled:stop], field[lo:hi] = solver.dense(
+                    kept, t_samples[filled:stop], at[lo:hi] - filled)
             filled, kept = stop, []
 
-    z_out = z[::sub].copy()
+    z_out = z[at]
     defect = np.abs(np.sum(np.abs(z_out) ** 2, axis=1) + np.sum(np.abs(field) ** 2, axis=1)
                     - 1.0)
     if np.max(defect) > NORM_TOL:

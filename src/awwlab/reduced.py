@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bath as bath_mod
 from .atom import (PHASE_PER_NODE, PHASE_PER_STEP, AtomPath, EigenFrame,
-                   coupling_in_working_basis, magnus_grid, magnus_propagate, magnus_step)
+                   coupling_in_working_basis, fine_grid, magnus_propagate, magnus_step)
 from .errors import DiscretizationError, IntegratorError, ResolutionError
 from .exact import DT_OUT, Trajectory, output_grid
 
@@ -35,27 +35,18 @@ _CIRCLE = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
 
 
 class PropagatorTable:
-    """Free atomic propagator U_eps(t, 0) cached on a grid.
+    """Free atomic propagator U_eps(t, 0) at the ascending times `stops`, from 0.
 
-    The grid holds the ends of `intervals` equal intervals of [0, t_end] and
-    every time of `marks`, times less than 1e-13 apart counting as one; each
-    gap between them is split into the fewest equal steps no longer than
-    magnus_step. Grid values are the magnus_propagate products. at(t) reads
-    the table at one of its times, or at an array of them; U_eps(t, s) is
-    at(t) @ at(s)^H.
+    magnus_propagate steps A(t)/eps over fine_grid(stops, magnus_step), and
+    the table keeps its products at the stops alone, stops less than 1e-13
+    apart counting as one. at(t) reads the table at one of its times, or at
+    an array of them; U_eps(t, s) is at(t) @ at(s)^H.
     """
 
-    def __init__(self, atom: AtomPath, eps: float, t_end: float, intervals: int = 1,
-                 marks=()):
-        stops = np.union1d(np.linspace(0.0, t_end, intervals + 1), marks)
-        stops = stops[np.concatenate([[True], np.diff(stops) >= 1e-13])]
-        gaps = np.diff(stops)
-        sub = np.ceil(gaps / magnus_step(atom, eps, t_end)).astype(int)
-        start = np.repeat(np.cumsum(sub) - sub, sub)
-        gap = np.repeat(np.arange(len(gaps)), sub)
-        self.times = np.append(stops[gap] + (np.arange(len(gap)) - start) * (gaps / sub)[gap],
-                               stops[-1])
-        self.table = magnus_propagate(atom.matrix, self.times, -1j / eps)
+    def __init__(self, atom: AtomPath, eps: float, stops):
+        grid, at = fine_grid(stops, magnus_step(atom, eps, stops[-1]))
+        self.times = grid[at]
+        self.table = magnus_propagate(atom.matrix, grid, -1j / eps)[at]
         u_end = self.table[-1]
         defect = np.abs(u_end @ u_end.conj().T - np.eye(atom.dim)).max()
         if defect > 1e-8:
@@ -139,7 +130,7 @@ def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
     n = int(np.ceil(t_end / (x_step * eps)))
     halves = np.linspace(0.0, t_end, 2 * n + 1)       # step ends and middles
     t_out = output_grid(t_end, dt_out)
-    free = PropagatorTable(atom, eps, t_end, intervals=2 * n, marks=t_out)
+    free = PropagatorTable(atom, eps, np.union1d(halves, t_out))
     beta = (np.swapaxes(free.at(halves).conj(), 1, 2)
             @ coupling_in_working_basis(atom, frame, halves)[:, :, None])[:, :, 0]
     # rows[k]: beta at the start, middle and end of step k
@@ -205,13 +196,14 @@ class EffectiveGenerator:
     half-line transform of the bath correlation. Everything is evaluated at
     call time: `transforms` makes one half_line_transform call for all the
     times and levels asked for, in closed form when the bath has an exp_sum
-    and by one quadrature per distinct time when it has not. `t_end`, when
-    given, is checked as a solver's last time (EigenFrame.check_end); every
-    time of the frame can be asked for.
+    and by one quadrature per distinct time when it has not. `atom` must be
+    frame.atom, and `t_end`, when given, is checked as a solver's last time
+    (EigenFrame.check_end); every time of the frame can be asked for.
     """
 
     def __init__(self, atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
                  eps: float, lam: float, t_end: Optional[float] = None):
+        frame.check_atom(atom)
         frame.check_end(t_end)
         self.atom, self.frame, self.bath = atom, frame, bath
         self.eps, self.lam = eps, lam
@@ -245,14 +237,14 @@ def effective_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
                     dt_out: float = DT_OUT) -> Trajectory:
     """Integrate i eps dz/dt = G_{eps,lam}(t) z by stepped Magnus exponentials.
 
-    magnus_propagate of the non-Hermitian generator on the magnus_grid that
-    refines output_grid(t_end, dt_out).
+    magnus_propagate of the non-Hermitian generator on the fine_grid of
+    output_grid(t_end, dt_out), with steps no longer than magnus_step.
     """
     t_end = frame.check_end(t_end)
     z0 = np.asarray(z0, dtype=complex)
     gen = EffectiveGenerator(atom, frame, bath, eps, lam, t_end)
     t_out = output_grid(t_end, dt_out)
-    fine, sub = magnus_grid(atom, eps, t_end, len(t_out) - 1)
-    z = magnus_propagate(gen, fine, -1j / eps)[::sub] @ z0
+    fine, at = fine_grid(t_out, magnus_step(atom, eps, t_end))
+    z = magnus_propagate(gen, fine, -1j / eps)[at] @ z0
     return Trajectory(times=t_out, z=z,
                       meta={"eps": eps, "lam": lam, "scheme": "effective-magnus"})

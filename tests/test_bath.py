@@ -149,9 +149,25 @@ def test_l1_norm_without_closed_form_stops_at_the_certified_time(
     assert 0.0 <= B.correlation_l1_norm(quad_bath) - 4.0 <= 2.0 * tail
 
 
+def test_l1_norm_asks_each_correlation_for_its_own_tol(quad_bath, monkeypatch):
+    # the body integrates |gamma| to tol, so each |gamma(x)| is asked for that
+    # tol, not for correlation's tighter default; the spy stops the first call
+    class Asked(Exception):
+        pass
+
+    def spy(bath, t, tol=1e-9):
+        raise Asked(tol)
+
+    monkeypatch.setattr(B, "correlation", spy)
+    for tol in (1e-8, 3e-7):
+        with pytest.raises(Asked) as asked:
+            B.correlation_l1_norm.__wrapped__(quad_bath, tol)
+        assert asked.value.args == (tol,)
+
+
 def test_l1_norm_of_a_coarse_table_fails_as_a_quadrature_error(
         tmp_path, correlation_within_decay_t_max):
-    # a 241-node table misses correlation's tol = 1e-9; that must surface as
+    # a 241-node table misses the norm's tol = 1e-8; that must surface as
     # an AwwlabError, not as a MemoryError from quadratures at x ~ 3e6
     tab = B.bath_from_csv(write_density_table(tmp_path / "bath.csv", 241))
     with pytest.raises(QuadratureError):

@@ -74,11 +74,12 @@ def test_oracle_refuses_a_run_past_the_grid_horizon():
     short = X.discretize_bath(scen.bath, eps)
     assert short.horizon == 1.0
     with pytest.raises(ResolutionError, match="horizon"):
-        X.propagate_exact(scen.atom, frame, short, scen.z0, eps, lam)
+        X.propagate_exact(scen.atom, frame, short, scen.z0, eps, lam, bath=scen.bath)
     # a run that ends within the horizon is allowed on the same grid
-    X.propagate_exact(scen.atom, frame, short, scen.z0, eps, lam, t_end=1.0)
+    X.propagate_exact(scen.atom, frame, short, scen.z0, eps, lam, t_end=1.0,
+                      bath=scen.bath)
     full = X.discretize_bath(scen.bath, eps, horizon=20.0)
-    traj = X.propagate_exact(scen.atom, frame, full, scen.z0, eps, lam)
+    traj = X.propagate_exact(scen.atom, frame, full, scen.z0, eps, lam, bath=scen.bath)
     assert traj.times[-1] == 20.0
     assert np.max(traj.norm_defect) < 1e-8
 
@@ -92,7 +93,7 @@ def test_mode_grid_failure_reports_error(ref_bath):
 def test_free_propagation_conserves_atom_norm(ref_scenario, ref_frame):
     modes = X.discretize_bath(ref_scenario.bath, 0.1)
     traj = X.propagate_exact(ref_scenario.atom, ref_frame, modes,
-                             ref_scenario.z0, 0.1, 0.0)
+                             ref_scenario.z0, 0.1, 0.0, bath=ref_scenario.bath)
     assert np.max(np.abs(np.linalg.norm(traj.z, axis=1) - 1.0)) < 1e-8
     assert np.max(np.abs(traj.field)) == 0.0
 
@@ -137,7 +138,7 @@ def test_initial_state_must_be_normalized(ref_scenario, ref_frame):
     modes = X.discretize_bath(ref_scenario.bath, 0.1)
     with pytest.raises(ValueError):
         X.propagate_exact(ref_scenario.atom, ref_frame, modes,
-                          np.array([2.0, 0.0]), 0.1, 0.0)
+                          np.array([2.0, 0.0]), 0.1, 0.0, bath=ref_scenario.bath)
 
 
 def test_davies_population_cross_check(exact_runner, ref_frame, ref_bath):
@@ -231,7 +232,7 @@ def test_stage_maps_are_evaluated_once_per_run_of_equal_steps(ref_scenario, ref_
     eps = 0.0125
     modes = X.discretize_bath(ref_scenario.bath, eps)
     traj = X.propagate_exact(atom, frame, modes, ref_scenario.z0, eps, np.sqrt(eps),
-                             record_source=True)
+                             record_source=True, bath=ref_scenario.bath)
     meta = traj.meta
     assert len(calls) <= (meta["tables"] + meta["rejected"]
                           + math.ceil(meta["steps"] / X.MAP_STEPS) + 2)
@@ -259,7 +260,7 @@ def test_samples_are_read_a_block_of_steps_at_a_time(ref_scenario, ref_frame,
     eps = 0.0125
     modes = X.discretize_bath(ref_scenario.bath, eps)
     traj = X.propagate_exact(ref_scenario.atom, ref_frame, modes, ref_scenario.z0, eps,
-                             np.sqrt(eps))
+                             np.sqrt(eps), bath=ref_scenario.bath)
     assert len(traj.times) < traj.meta["steps"] / 4
     assert len(calls) <= math.ceil(traj.meta["steps"] / X._DENSE_BLOCK)
 
@@ -306,7 +307,7 @@ def scipy_oracle(atom, frame, modes, z0, eps, lam, record_source=False, rtol=X.O
     grids = [X.output_grid(t_end)]
     if record_source:
         h_src = X.PHASE_PER_STEP * eps / max(float(omegas[-1]), 1.0)
-        grids.append(X.refined_grid(t_end, len(grids[0]) - 1, h_src)[0])
+        grids.append(X.fine_grid(grids[0], h_src)[0])
     rows = [[] for _ in grids]
     filled = [0] * len(grids)
     y0 = np.concatenate([z0, np.zeros(n_modes, dtype=complex)])
@@ -405,7 +406,8 @@ def test_oracle_fails_on_a_hamiltonian_that_turns_nan(ref_scenario, ref_frame):
     modes = X.discretize_bath(ref_scenario.bath, eps)
     with np.errstate(invalid="ignore"):
         with pytest.raises(StiffnessError, match="integration failed"):
-            X.propagate_exact(atom, frame, modes, ref_scenario.z0, eps, np.sqrt(eps))
+            X.propagate_exact(atom, frame, modes, ref_scenario.z0, eps, np.sqrt(eps),
+                              bath=ref_scenario.bath, override_smallness=True)
 
 
 def test_oracle_refuses_an_atom_that_is_not_the_frames(ref_scenario, ref_frame):
@@ -413,7 +415,8 @@ def test_oracle_refuses_an_atom_that_is_not_the_frames(ref_scenario, ref_frame):
     other = H.builtin_scenario("ww-ref-2level").atom
     modes = X.discretize_bath(ref_scenario.bath, 0.1)
     with pytest.raises(ValueError, match="frame.atom"):
-        X.propagate_exact(other, ref_frame, modes, ref_scenario.z0, 0.1, 0.3)
+        X.propagate_exact(other, ref_frame, modes, ref_scenario.z0, 0.1, 0.3,
+                          bath=ref_scenario.bath)
 
 
 def test_oracle_floors_rtol_as_scipy_does(ref_scenario, ref_frame):
@@ -423,7 +426,8 @@ def test_oracle_floors_rtol_as_scipy_does(ref_scenario, ref_frame):
 
     def run(rtol):
         return X.propagate_exact(ref_scenario.atom, ref_frame, modes, ref_scenario.z0,
-                                 eps, 0.3, t_end=0.2, rtol=rtol)
+                                 eps, 0.3, t_end=0.2, rtol=rtol, bath=ref_scenario.bath,
+                                 override_smallness=True)
 
     with pytest.warns(UserWarning, match="rtol"):
         tiny = run(1e-17)

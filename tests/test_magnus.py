@@ -82,27 +82,45 @@ def test_batched_exponential_matches_scipy_matrix_by_matrix(hermitian, d):
 
 
 def test_propagator_table_rejects_times_outside_its_range(ref_scenario):
-    tab = R.PropagatorTable(ref_scenario.atom, 0.05, 1.0)
-    between = 0.5 * (tab.times[1] + tab.times[2])
-    for t in (-1e-3, between, 1.0 + 1e-9, 1.5):
+    # the table holds U_eps at its stops alone: at() reads exactly those
+    stops = np.array([0.0, 0.1, 0.35, 0.7, 1.0])
+    tab = R.PropagatorTable(ref_scenario.atom, 0.05, stops)
+    assert np.array_equal(tab.times, stops) and len(tab.table) == len(stops)
+    assert np.array_equal(tab.at(stops), tab.table)
+    assert np.array_equal(tab.at(stops[2]), tab.table[2])
+    between = 0.5 * (stops[:-1] + stops[1:])
+    for t in (-1e-3, *between, 1.0 + 1e-9, 1.5):
         with pytest.raises(ValueError, match="not a node"):
             tab.at(t)
-    assert np.array_equal(tab.at(1.0), tab.table[-1])
-    assert np.array_equal(tab.at(tab.times[2]), tab.table[2])
 
 
-def test_magnus_grid_refines_the_coarse_grid(ref_scenario):
+def test_fine_grid_keeps_the_stops_and_splits_each_gap_evenly(ref_scenario):
     eps = 0.05
-    grid, sub = A.magnus_grid(ref_scenario.atom, eps, 1.0, 40)
-    assert len(grid) == 40 * sub + 1
-    assert np.allclose(grid[::sub], np.linspace(0.0, 1.0, 41), rtol=0.0, atol=1e-15)
-    a_norm = max(np.linalg.norm(ref_scenario.atom.matrix(t), 2) for t in grid)
-    assert a_norm * (grid[1] - grid[0]) / eps <= A.PHASE_PER_STEP * (1.0 + 1e-9)
+    stops = np.concatenate([np.linspace(0.0, 0.5, 21), [0.53, 0.9, 1.0]])
+    h_max = A.magnus_step(ref_scenario.atom, eps, 1.0)
+    grid, at = A.fine_grid(stops, h_max)
+    assert np.array_equal(grid[at], stops)
+    for k, gap in enumerate(np.diff(stops)):
+        steps = np.diff(grid[at[k]:at[k + 1] + 1])
+        n = len(steps)            # the fewest: n - 1 equal steps would be too long
+        assert np.max(steps) <= h_max * (1.0 + 1e-12) and (n == 1 or gap / (n - 1) > h_max)
+        assert np.allclose(steps, gap / n, rtol=1e-12, atol=0.0)
+    a_norm = np.max(np.linalg.norm(ref_scenario.atom.matrix(grid), 2, axis=(-2, -1)))
+    assert a_norm * np.max(np.diff(grid)) / eps <= A.PHASE_PER_STEP * (1.0 + 1e-9)
+
+
+def test_fine_grid_merges_close_stops_and_keeps_stops_alone_at_infinity():
+    grid, at = A.fine_grid([0.0, 0.5, 0.5 + 5e-14, 1.0], 0.3)
+    assert np.array_equal(grid[at], [0.0, 0.5, 1.0])
+    assert np.array_equal(at, [0, 2, 4])
+    stops = np.linspace(0.0, 1.0, 7)
+    grid, at = A.fine_grid(stops, np.inf)
+    assert np.array_equal(grid, stops) and np.array_equal(at, np.arange(7))
 
 
 def test_three_level_propagator_table_stays_unitary(tmp_path):
     atom = three_level_atom(tmp_path / "atom.csv")
-    tab = R.PropagatorTable(atom, 0.05, 1.0)
+    tab = R.PropagatorTable(atom, 0.05, np.linspace(0.0, 1.0, 41))
     defect = np.einsum("kij,klj->kil", tab.table, tab.table.conj()) - np.eye(3)
     assert np.max(np.abs(defect)) < 1e-10
 
