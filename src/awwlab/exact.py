@@ -4,11 +4,12 @@ The field is replaced by weighted quadrature modes; the coupled amplitude
 equations are stepped with the field in the interaction picture of each
 step's start, where the fast mode phases exp(-i omega t / eps) appear in the
 coupling terms instead of as stiff diagonal frequencies. The field enters
-each stage in rank-one form, and the phases come from one table per step
-size. What depends on time alone, A(t) and u(t), is evaluated once for a
-run of up to MAP_STEPS equal steps, and every sample, on the output grid or
-in the source history, is read from the dense output of blocks of kept
-steps, not step by step.
+each stage in rank-one form, so a step's fifteen stages, the dense
+interpolant's with them, are one triangular solve, and the phases come from
+one table per step size. What depends on time alone, A(t) and u(t), is
+evaluated once for a run of up to MAP_STEPS equal steps, and every sample,
+on the output grid or in the source history, is read from the dense output
+of blocks of kept steps, not step by step.
 """
 
 from __future__ import annotations
@@ -169,15 +170,13 @@ def _round_step(h: float) -> float:
 
 class _Step:
     """One accepted step as its dense output reads it: its start t, size h, z
-    and f at t, the stage rows k, the phase table's rows g E, and for the
-    interpolant's three stages the freely carried sigma, the maps and the
-    table's weights. f and the table are references, not copies."""
+    and f at t, its sixteen stage rows k and the phase table's rows g E. f
+    and the table are references, not copies."""
 
-    __slots__ = ("t", "h", "z", "f", "k", "g_phase", "sigma", "maps", "weights")
+    __slots__ = ("t", "h", "z", "f", "k", "g_phase")
 
-    def __init__(self, t, h, z, f, k, g_phase, sigma, maps, weights):
+    def __init__(self, t, h, z, f, k, g_phase):
         self.t, self.h, self.z, self.f, self.k, self.g_phase = t, h, z, f, k, g_phase
-        self.sigma, self.maps, self.weights = sigma, maps, weights
 
 
 def _dense_basis(x: np.ndarray) -> np.ndarray:
@@ -195,20 +194,19 @@ class _Dop853:
     <u, z>. A stage reads the field only through sigma = <g, f> =
     (g E_s) . f + h sum_j A_sj kappa_j G_sj, G_sj = gamma_N((c_s - c_j) h/eps):
     each stage maps (z, sigma) linearly to (dz/dt, kappa), d + 1 numbers, and
-    a step's stages solve one lower triangular system. The N-mode work of a
-    step is a few products with its phase table. Steps are rounded down to
-    STEP_BITS significant bits, so t + h is exact and consecutive steps share
-    one table; the solver holds only the last table built, and each returned
-    step references its own. The stage maps need A(t)
-    and u(t), which depend on time alone: one evaluation covers the stages of
-    the next MAP_STEPS steps of one size (fewer if t_end comes first), and a
-    step reads its row of that batch; a new size, or a step past the batch,
-    evaluates a new one.
+    an attempt's fifteen stages, the dense interpolant's three with them,
+    solve one lower triangular system. The N-mode work of a step is a few
+    products with its phase table. Steps are rounded down to STEP_BITS
+    significant bits, so t + h is exact and consecutive steps share one
+    table; the solver holds only the last table built, and each returned step
+    references its own. The stage maps need A(t) and u(t), which depend on
+    time alone: one evaluation covers the stages of the next MAP_STEPS steps
+    of one size (fewer if t_end comes first), and a step reads its row of
+    that batch; a new size, or a step past the batch, evaluates a new one.
     step() takes one accepted step and returns it as a _Step, or raises
     StiffnessError once the step would fall below 10 ulp of t. dense(steps,
-    ts, rows) reads z at the times ts, and f at ts[rows], from kept steps,
-    with the interpolant's three stages of all the steps that hold a time
-    solved in one batch.
+    ts, rows) reads z at the times ts, and f at ts[rows], from the stage rows
+    of kept steps.
     """
 
     def __init__(self, atom: AtomPath, u_spline: CubicSpline, modes: ModeGrid,
@@ -283,13 +281,10 @@ class _Dop853:
         weights = np.empty(self.k.shape[:1] + self.k.shape, dtype=complex)
         weights[..., :-1] = (h * _A)[..., None]
         weights[..., -1] = h * _A * (self.g_phase @ self.g_phase.conj().T)
-        main = slice(1, _STAGES + 1)
         self.weights = weights
-        # -W_sj of stages 1 .. 12, shaped to multiply their maps into the
+        # -W_sj of stages 1 .. 15, shaped to multiply their maps into the
         # (s, k, j, l) layout of _stages' triangular system
-        self.system_weights = -weights[main, None, main]
-        # a kept step holds the interpolant's rows, not the whole table
-        self.dense_weights = weights[_STAGES + 1:].copy()
+        self.system_weights = -weights[1:, None, 1:]
 
     def _stage_maps(self, t: float, h: float) -> np.ndarray:
         """The (16, d + 1, d + 1) stage maps of the step of size h from t: its
@@ -305,23 +300,22 @@ class _Dop853:
         return self.batch[j]
 
     def _stages(self, z: np.ndarray) -> None:
-        """Stages 1 .. 12 of the step from z, given k_0.
+        """Stages 1 .. 15 of the step from z, given k_0; 13 .. 15 serve dense().
 
         Stage s solves k_s = M_s (x_s + sum_j W_sj k_j), x_s = (z, (g E_s) . f),
         for its map M_s and the table's weights W: with A strictly lower
         triangular, that is one unit lower triangular system in the k_s.
         """
-        rows = slice(1, _STAGES + 1)
-        w, maps = self.weights[rows], self.maps[rows]
-        x = np.empty((_STAGES, len(z) + 1), dtype=complex)
+        w, maps = self.weights[1:], self.maps[1:]
+        x = np.empty((len(_C) - 1, len(z) + 1), dtype=complex)
         x[:, :-1] = z
-        x[:, -1] = self.sigma_free[rows]
+        x[:, -1] = self.sigma_free[1:]
         x += np.einsum("sjl,jl->sl", w[:, :1], self.k[:1])
         coupled = maps[:, :, None, :] * self.system_weights
-        self.k[rows] = ztrtrs(coupled.reshape(_STAGES * x.shape[1], -1),
-                              np.einsum("skl,sl->sk", maps, x).reshape(-1, 1),
-                              lower=True, unitdiag=True)[0].reshape(_STAGES, -1)
-        self.nfev += _STAGES
+        self.k[1:] = ztrtrs(coupled.reshape(x.size, -1),
+                            np.einsum("skl,sl->sk", maps, x).reshape(-1, 1),
+                            lower=True, unitdiag=True)[0].reshape(len(x), -1)
+        self.nfev += len(x)
 
     def step(self) -> _Step:
         t, z, f = self.t, self.z, self.f
@@ -371,27 +365,7 @@ class _Dop853:
         self.steps += 1
         self.t, self.z, self.f, self.abs_f = t_new, z_new, f_new, abs_f_new
         self.h_abs = h_abs * factor
-        dense = slice(_STAGES + 1, None)
-        return _Step(t, h, z, f, k, self.g_phase, self.sigma_free[dense].copy(),
-                     self.maps[dense].copy(), self.dense_weights)
-
-    def _interpolants(self, steps: list) -> np.ndarray:
-        """The (m, 16, d + 1) stage rows of the steps, with the dense
-        interpolant's three stages solved in one batch: as in _stages,
-        k_s = M_s x_s with x_s = (z, sigma_s) + sum_j W_sj k_j, one stage s
-        at a time for all steps."""
-        k = np.array([s.k for s in steps])
-        maps = np.array([s.maps for s in steps])
-        w = np.array([s.weights for s in steps])
-        x = np.empty(maps.shape[:-1], dtype=complex)
-        x[..., :-1] = np.array([s.z for s in steps])[:, None]
-        x[..., -1] = [s.sigma for s in steps]
-        x += np.einsum("msjl,mjl->msl", w[:, :, :_STAGES + 1], k[:, :_STAGES + 1])
-        for i, s in enumerate(range(_STAGES + 1, len(_C))):
-            k[:, s] = (maps[:, i] @ x[:, i, :, None])[..., 0]
-            x[:, i + 1:] += w[:, i + 1:, s] * k[:, None, s]
-        self.nfev += (len(_C) - _STAGES - 1) * len(steps)
-        return k
+        return _Step(t, h, z, f, k, self.g_phase)
 
     def dense(self, steps: list, ts: np.ndarray, rows: np.ndarray):
         """(z, f): z at the ascending times ts, (len(ts), d), and f at ts[rows],
@@ -403,7 +377,7 @@ class _Dop853:
         owner = np.maximum(np.searchsorted(starts, ts, side="left") - 1, 0)
         held, pos = np.unique(owner, return_inverse=True)
         steps = [steps[i] for i in held]
-        k = self._interpolants(steps)
+        k = np.array([s.k for s in steps])
         dt = ts - starts[owner]
         h = np.array([s.h for s in steps])[pos]
         basis = h[:, None] * _dense_basis(dt / h)
@@ -437,11 +411,12 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
     takes z from its sample and f from its step's start field and table: no
     more than that many steps, and nothing of size N per source time, are
     ever held.
-    meta records nfev, the accepted and rejected steps and the phase tables built.
-    The grid must certify the kernel over the whole run: ResolutionError if
-    t_end/eps exceeds modes.horizon. `atom` must be frame.atom. Unless
-    override_smallness, a coupling that fails validate_coupling's smallness
-    bound for `bath` raises CouplingValidationError; lam = 0 is not checked.
+    meta records nfev = 2 + 15 (steps + rejected), the accepted and rejected
+    steps and the phase tables built. The grid must certify the kernel over
+    the whole run: ResolutionError if t_end/eps exceeds modes.horizon. `atom`
+    must be frame.atom. Unless override_smallness, a coupling that fails
+    validate_coupling's smallness bound for `bath` raises
+    CouplingValidationError; lam = 0 is not checked.
     """
     frame.check_atom(atom)
     t_end = frame.check_end(t_end)
@@ -516,16 +491,19 @@ def field_amplitude_closed_form(traj: Trajectory, modes: ModeGrid,
     """f_t from the quadrature of the source history.
 
     f_t(w_i) = -i (lam/eps) g_i int_0^t <u(s), z(s)> e^{-i (t-s) w_i / eps} ds,
-    by the trapezoid rule over the source times s_k <= t. t must lie in
-    [0, source_times[-1]], and the source grid must be uniform, of step h:
-    the sum runs over blocks of b = floor(sqrt(n)) source times, and within
-    the block that starts at s_m, e^{i w s_k/eps} = e^{i w s_m/eps}
+    by the trapezoid rule over the source times s_k <= t. eps and lam must
+    be the run's, as traj.meta records them, and t must lie in
+    [0, source_times[-1]]; ValueError if not. The source grid must be uniform,
+    of step h: the sum runs over blocks of b = floor(sqrt(n)) source times,
+    and within the block that starts at s_m, e^{i w s_k/eps} = e^{i w s_m/eps}
     e^{i w (k-m) h/eps}, so one (N, b) phase matrix serves every block. That
     takes N (b + n/b) exponentials and O(N b) memory, not N n of each.
     """
     if traj.source_times is None:
         raise ResolutionError(
             "trajectory has no recorded source history; rerun with record_source=True")
+    if (traj.meta.get("eps", eps), traj.meta.get("lam", lam)) != (eps, lam):
+        raise ValueError("eps and lam differ from the run's, recorded in traj.meta")
     ts = traj.source_times
     if not 0.0 <= t <= ts[-1]:
         raise ValueError(f"t = {t} lies outside the source history [0, {ts[-1]}]")

@@ -211,10 +211,10 @@ def test_recording_the_source_leaves_the_run_unchanged(exact_runner):
     for name in ("times", "z", "field", "norm_defect"):
         assert np.array_equal(getattr(recorded, name), getattr(plain, name)), name
     assert plain.source_times is None and plain.source_vals is None
-    # same steps: the recorded run only builds the dense interpolant (three
-    # more right-hand sides) on steps that hold a source time but no output time
-    extra = recorded.meta["nfev"] - plain.meta["nfev"]
-    assert extra >= 0 and extra % 3 == 0
+    # same steps and the same stages: every attempt solves the dense
+    # interpolant's stages with its own, whether a sample reads them or not
+    for key in ("nfev", "steps", "rejected", "tables"):
+        assert recorded.meta[key] == plain.meta[key], key
 
 
 def test_stage_maps_are_evaluated_once_per_run_of_equal_steps(ref_scenario, ref_frame):
@@ -278,6 +278,16 @@ def test_field_reconstruction_checks_its_contract(exact_runner):
                                  source_vals=traj.source_vals[::8])
     with pytest.raises(ResolutionError, match="too coarse"):
         X.field_amplitude_closed_form(coarse, modes, eps, lam, 0.5)
+
+
+def test_field_reconstruction_refuses_another_runs_eps_or_lam(exact_runner):
+    # the source history fixes eps and lam: another value would scale and
+    # phase the field wrongly without any other sign
+    eps, lam = 0.05, float(np.sqrt(0.05))
+    traj, modes = exact_runner(eps, lam, record_source=True)
+    for wrong in ((0.5 * eps, lam), (eps, 2.0 * lam)):
+        with pytest.raises(ValueError, match="traj.meta"):
+            X.field_amplitude_closed_form(traj, modes, *wrong, 0.5)
 
 
 def scipy_oracle(atom, frame, modes, z0, eps, lam, record_source=False, rtol=X.ODE_RTOL):
@@ -367,12 +377,32 @@ def test_oracle_agrees_with_scipy_dop853(case, record_source):
         assert np.max(np.abs(traj.source_vals - source)) <= 5e-12
     meta = traj.meta
     assert steps <= meta["steps"] <= 1.01 * steps
-    # two evaluations start the run, twelve go into each attempted step and
-    # three into each dense interpolant
-    interpolant_fev = meta["nfev"] - 2 - 12 * (meta["steps"] + meta["rejected"])
-    assert interpolant_fev >= 0 and interpolant_fev % 3 == 0
+    # two evaluations start the run, and each attempted step solves fifteen
+    # stages, the dense interpolant's three among them
+    assert meta["nfev"] == 2 + 15 * (meta["steps"] + meta["rejected"])
     if case == "d3":
         assert meta["rejected"] >= 1
+
+
+@pytest.mark.parametrize("case", ["ref", "d3"])
+def test_interpolant_stages_match_forward_substitution(case):
+    # the reference for the stepper's one triangular solve: stages 13 .. 15
+    # of an accepted step, one at a time, k_s = M_s ((z, sigma_s) +
+    # sum_{j < s} W_sj k_j), from the solver's maps, weights and free sigma
+    atom, frame, bath, z0, eps, lam = _reference_case(case)
+    modes = X.discretize_bath(bath, eps)
+    solver = X._Dop853(atom, frame.u_at, modes, eps, lam, z0,
+                       np.zeros(modes.size, dtype=complex), frame.check_end(),
+                       X.ODE_RTOL, X.ODE_ATOL)
+    for _ in range(4):          # the field is zero at the first step's start
+        step = solver.step()
+    ref = step.k.copy()
+    for s in range(X._STAGES + 1, len(X._C)):
+        x = np.append(step.z, solver.sigma_free[s])
+        x += np.einsum("jl,jl->l", solver.weights[s, :s], ref[:s])
+        ref[s] = solver.maps[s] @ x
+    tail = slice(X._STAGES + 1, None)
+    assert np.max(np.abs(step.k[tail] - ref[tail])) <= 1e-14 * np.max(np.abs(ref[tail]))
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.0125])
