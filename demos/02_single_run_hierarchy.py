@@ -22,10 +22,10 @@ print(f"field discretized with {modes.size} modes "
 
 traj = exact.propagate_exact(scen.atom, frame, modes, scen.z0, eps, lam,
                              bath=scen.bath, override_smallness=True)
-tr_volt = reduced.volterra_solve(scen.atom, frame, scen.bath, eps, lam, scen.z0)
-tr_eff = reduced.effective_solve(scen.atom, frame, scen.bath, eps, lam, scen.z0)
-z_lead = asymptotics.leading_order_z(frame, scen.bath, scen.atom, eps, lam,
-                                     scen.z0, traj.times)
+tr_volt = reduced.volterra_solve(frame, scen.bath, eps, lam, scen.z0)
+tr_eff = reduced.effective_solve(frame, scen.bath, eps, lam, scen.z0)
+tables = asymptotics.AsymptoticTables(frame, scen.bath)
+z_lead = asymptotics.leading_order_z(tables, eps, lam, scen.z0, traj.times)
 
 print(f"\n{'t':>5} {'p_1 exact':>10} {'p_down':>8} "
       f"{'|volt-ex|':>10} {'|eff-ex|':>9} {'|lead-ex|':>10}")

@@ -9,13 +9,14 @@ semigroup of the autonomous model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import bath as bath_mod
-from .atom import AtomPath, EigenFrame, berry_phase
+from .atom import EigenFrame, berry_phase
 from .errors import WellCouplednessError
 
 __all__ = [
@@ -31,12 +32,12 @@ DAVIES_RATIO = 0.1    # lam^2/eps where the davies regime begins: a convention
 
 
 class AsymptoticTables:
-    """Per-level running integrals int_0^t of frequency and decay rate.
+    """Per-level running integrals int_0^t of frequency, decay rate and Lamb shift.
 
-    int_alpha and int_beta are splines in t, each the antiderivative of a
-    cubic spline: int_alpha of the frame's energies, int_beta of decay_rate
-    at the frame's nodes, with the couplings of frame.atom. No quadrature
-    runs here; the Lamb shift is built by leading_order_z.
+    Each is the antiderivative of a cubic spline through values at the frame's
+    nodes, with the couplings of frame.atom: int_alpha of the energies, int_beta
+    of decay_rate, and _int_shift of one decay_and_shift call, built on its first
+    read, so only leading_order_z runs the shift quadrature.
     """
 
     def __init__(self, frame: EigenFrame, bath: bath_mod.BathSpec):
@@ -45,30 +46,27 @@ class AsymptoticTables:
         self.int_alpha = frame.energies_at.antiderivative()
         self.int_beta = CubicSpline(frame.times, beta, axis=0).antiderivative()
 
+    @cached_property
+    def _int_shift(self):
+        frame = self.frame
+        _, shift = bath_mod.decay_and_shift(self.bath, frame.atom.couplings(frame.times),
+                                            frame.energies)
+        return CubicSpline(frame.times, shift, axis=0).antiderivative()
 
-def leading_order_z(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
-                    eps: float, lam: float, z0: np.ndarray, t,
-                    tables: Optional[AsymptoticTables] = None) -> np.ndarray:
-    """Leading-order atomic amplitudes at a scalar t, or at every time of an array.
+
+def leading_order_z(tables: AsymptoticTables, eps: float, lam: float, z0: np.ndarray,
+                    t) -> np.ndarray:
+    """Leading-order amplitudes on the tables' frame at a scalar t, or at each time of an array.
 
     Per level: dynamical phase with the Lamb-shift correction, exponential
     decay at rate beta_j/eps, and the geometric phase, all riding on the
-    instantaneous eigenvector; the shift comes from one decay_and_shift call
-    at the frame's nodes, integrated as the antiderivative of its cubic
-    spline, as int_beta is. `atom` must be frame.atom, and
-    `tables`, when given, must have been built for this frame and bath.
+    instantaneous eigenvector.
     """
-    frame.check_atom(atom)
-    if tables is None:
-        tables = AsymptoticTables(frame, bath)
-    elif tables.frame is not frame or tables.bath is not bath:
-        raise ValueError("tables were built for another frame or bath")
+    frame = tables.frame
     t = frame.check_times(t)
-    _, shift = bath_mod.decay_and_shift(bath, frame.atom.couplings(frame.times), frame.energies)
-    int_shift = CubicSpline(frame.times, shift, axis=0).antiderivative()
     v0 = frame.vectors[0]
     z0_levels = v0.conj().T @ np.asarray(z0, dtype=complex)
-    phase = tables.int_alpha(t) + lam**2 * int_shift(t)
+    phase = tables.int_alpha(t) + lam**2 * tables._int_shift(t)
     decay = tables.int_beta(t)
     xi = np.stack([berry_phase(frame, j, t) for j in range(frame.dim)], axis=-1)
     amps = (np.exp(-1j * phase / eps)

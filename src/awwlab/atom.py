@@ -105,6 +105,15 @@ def _broadcast_times(value, t: np.ndarray, shape: tuple, name: str) -> np.ndarra
                      f"{t.shape}, expected {t.shape + shape}")
 
 
+def _within(t, times: np.ndarray, owner: str) -> np.ndarray:
+    """t as a float array; ValueError if a time lies outside [times[0], times[-1]]."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= times[0]) & (t <= times[-1])):
+        raise ValueError(f"t in [{np.min(t):g}, {np.max(t):g}] lies outside the "
+                         f"{owner} range [{times[0]:g}, {times[-1]:g}]")
+    return t
+
+
 @dataclass
 class EigenFrame:
     """Smoothly tracked eigendecomposition of A(t) on a time grid."""
@@ -124,13 +133,8 @@ class EigenFrame:
         return float(self.times[1] - self.times[0])
 
     def check_times(self, t) -> np.ndarray:
-        """t as a float array; ValueError if a time lies outside [times[0], times[-1]]."""
-        t = np.asarray(t, dtype=float)
-        lo, hi = self.times[0], self.times[-1]
-        if not np.all((t >= lo) & (t <= hi)):   # the splines would extrapolate
-            raise ValueError(f"t in [{np.min(t):g}, {np.max(t):g}] lies outside the "
-                             f"frame's range [{lo:g}, {hi:g}]")
-        return t
+        """t as a float array (_within): outside the nodes the splines would extrapolate."""
+        return _within(t, self.times, "frame's")
 
     def check_end(self, t_end: Optional[float] = None) -> float:
         """A solver's last time: t_end, or the frame's last; ValueError past the
@@ -141,7 +145,9 @@ class EigenFrame:
         return t_end
 
     def check_atom(self, atom: AtomPath) -> None:
-        """ValueError unless atom is self.atom, the path the frame was built from."""
+        """ValueError unless atom is self.atom, the path the frame was built from. Only
+        exact.propagate_exact, reduced.EffectiveGenerator, emission.regime_B_limit and
+        spectral.adiabatic_evolution_diagnostic still take both, and each calls it."""
         if atom is not self.atom:
             raise ValueError("atom is not frame.atom, the path the frame was built from")
 
@@ -258,10 +264,9 @@ def eigenframe(atom: AtomPath, times: np.ndarray, gap_min: float = 1e-8) -> Eige
     return EigenFrame(atom=atom, times=times, energies=energies, vectors=vectors, gap=gap)
 
 
-def coupling_in_working_basis(atom: AtomPath, frame: EigenFrame, t) -> np.ndarray:
-    """The interaction vector u(t) in the working basis, frame.u_at(t); `atom`
-    must be frame.atom. A scalar t gives a (d,) vector, an array the (..., d) stack."""
-    frame.check_atom(atom)
+def coupling_in_working_basis(frame: EigenFrame, t) -> np.ndarray:
+    """The interaction vector u(t) in the working basis, frame.u_at(t). A scalar t
+    gives a (d,) vector, an array the (..., d) stack."""
     return frame.u_at(frame.check_times(t))
 
 
@@ -402,12 +407,11 @@ class CouplingReport:
         return self.smallness_ok and bool(np.all(self.well_coupled))
 
 
-def validate_coupling(atom: AtomPath, frame: EigenFrame, bath: "bath_mod.BathSpec",
+def validate_coupling(frame: EigenFrame, bath: "bath_mod.BathSpec",
                       lam: float) -> CouplingReport:
-    """Coupling smallness and per-level well-coupledness at the frame's nodes;
-    `atom` must be frame.atom."""
-    frame.check_atom(atom)
-    v = atom.couplings(frame.times)
+    """Coupling smallness and per-level well-coupledness at the frame's nodes,
+    with the couplings of frame.atom."""
+    v = frame.atom.couplings(frame.times)
     vnorm2 = float(np.max(np.sum(np.abs(v) ** 2, axis=1)))
     g_l1 = bath_mod.correlation_l1_norm(bath)
     value = 4.0 * lam**2 * vnorm2 * g_l1 / frame.gap

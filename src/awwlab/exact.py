@@ -28,7 +28,7 @@ from scipy.special import roots_legendre
 
 from . import bath as bath_mod
 from .atom import (PHASE_PER_NODE, PHASE_PER_STEP, AtomPath, EigenFrame,
-                   _broadcast_times, fine_grid, validate_coupling)
+                   _broadcast_times, _within, fine_grid, validate_coupling)
 from .errors import (CouplingValidationError, DiscretizationError,
                      IntegratorError, ResolutionError, StiffnessError)
 
@@ -126,8 +126,9 @@ class Trajectory:
         return self.z.shape[1]
 
     def z_at(self, t):
-        """Cubic interpolation of z between stored samples."""
-        return CubicSpline(self.times, self.z, axis=0)(t)
+        """Cubic interpolation of z between stored samples; ValueError for a time
+        outside [times[0], times[-1]], where the spline would extrapolate."""
+        return CubicSpline(self.times, self.z, axis=0)(_within(t, self.times, "trajectory's"))
 
 
 def output_grid(t_end: float, dt_out: float = DT_OUT) -> np.ndarray:
@@ -428,7 +429,7 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
     if abs(np.linalg.norm(z0) - 1.0) > 1e-10:
         raise ValueError("initial atomic amplitudes must have unit norm")
     if lam != 0.0 and not override_smallness:
-        report = validate_coupling(atom, frame, bath, lam)
+        report = validate_coupling(frame, bath, lam)
         if not report.smallness_ok:
             raise CouplingValidationError(
                 f"coupling-smallness value {report.smallness_value:.3f} >= 1; "

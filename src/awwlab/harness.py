@@ -192,14 +192,11 @@ def _solve_all(scen: Scenario, eps: float, lam: float, override: bool = False, *
     _, tr_exact = _oracle(scen, eps, lam, override, **solver)
     # the reduced trajectories share the oracle's output grid
     dt_out = tr_exact.times[1]
-    tr_volt = reduced.volterra_solve(scen.atom, frame, scen.bath, eps, lam, scen.z0,
-                                     dt_out=dt_out)
-    tr_eff = reduced.effective_solve(scen.atom, frame, scen.bath, eps, lam, scen.z0,
-                                     dt_out=dt_out)
+    tr_volt = reduced.volterra_solve(frame, scen.bath, eps, lam, scen.z0, dt_out=dt_out)
+    tr_eff = reduced.effective_solve(frame, scen.bath, eps, lam, scen.z0, dt_out=dt_out)
     # built after the solvers, so its splines do not add to their peak memory
     tables = asymptotics.AsymptoticTables(frame, scen.bath)
-    z_lead = asymptotics.leading_order_z(frame, scen.bath, scen.atom, eps, lam,
-                                         scen.z0, tr_exact.times, tables=tables)
+    z_lead = asymptotics.leading_order_z(tables, eps, lam, scen.z0, tr_exact.times)
     tr_lead = exact.Trajectory(times=tr_exact.times, z=z_lead,
                                meta={"eps": eps, "lam": lam, "scheme": "leading"})
     return tables, tr_exact, tr_volt, tr_eff, tr_lead
@@ -426,7 +423,7 @@ def run_validate(cfg: dict, out_dir: Optional[str] = None,
     rc = RunConfig.from_dict(cfg)
     scen = _scenario(rc)
     eps, lam = rc.sim_eps, float(np.sqrt(rc.sim_lambda2))
-    report = validate_coupling(scen.atom, scen.frame(), scen.bath, lam)
+    report = validate_coupling(scen.frame(), scen.bath, lam)
     ok = report.ok or override
     if not bath_mod.check_decay_bound(scen.bath):
         ok = False

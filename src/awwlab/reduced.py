@@ -25,7 +25,6 @@ __all__ = [
     "PropagatorTable",
     "volterra_solve",
     "EffectiveGenerator",
-    "effective_generator",
     "effective_solve",
 ]
 
@@ -85,10 +84,10 @@ def _phi(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
-                   eps: float, lam: float, z0: np.ndarray, t_end: Optional[float] = None,
-                   x_step: Optional[float] = None, dt_out: float = DT_OUT) -> Trajectory:
-    """Memory-kernel dynamics of the atomic amplitudes alone.
+def volterra_solve(frame: EigenFrame, bath: bath_mod.BathSpec, eps: float, lam: float,
+                   z0: np.ndarray, x_step: Optional[float] = None,
+                   dt_out: float = DT_OUT) -> Trajectory:
+    """Memory-kernel dynamics of frame.atom's amplitudes on [0, t_end = frame.times[-1]].
 
     In the interaction picture y = U_eps^{-1} z and the fast time x = t/eps
     the equation is
@@ -117,7 +116,7 @@ def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
     if kern is None:
         raise DiscretizationError("volterra_solve needs the bath's exp_sum, which only "
                                   "an analytic bath has")
-    t_end = frame.check_end(t_end)
+    atom, t_end = frame.atom, float(frame.times[-1])
     z0 = np.asarray(z0, dtype=complex)
     x_cap = PHASE_PER_NODE / PHASE_PER_STEP * magnus_step(atom, eps, t_end) / eps
     if x_step is None:
@@ -132,7 +131,7 @@ def volterra_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
     t_out = output_grid(t_end, dt_out)
     free = PropagatorTable(atom, eps, np.union1d(halves, t_out))
     beta = (np.swapaxes(free.at(halves).conj(), 1, 2)
-            @ coupling_in_working_basis(atom, frame, halves)[:, :, None])[:, :, 0]
+            @ coupling_in_working_basis(frame, halves)[:, :, None])[:, :, 0]
     # rows[k]: beta at the start, middle and end of step k
     rows = np.stack([beta[:-1:2], beta[1::2], beta[2::2]], axis=1)
     rows_h = rows.conj()
@@ -219,32 +218,25 @@ class EffectiveGenerator:
         a = self.atom.matrix(t)
         if self.lam == 0.0:
             return a
-        u = coupling_in_working_basis(self.atom, self.frame, t)
+        u = coupling_in_working_basis(self.frame, t)
         vecs = self.frame.vectors_at(t)
         gamma = (vecs * self.transforms(t)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
         row = (u.conj()[..., None, :] @ gamma)[..., 0, :]
         return a - 1j * self.lam**2 * (u[..., :, None] * row[..., None, :])
 
 
-def effective_generator(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
-                        eps: float, lam: float, t: float) -> np.ndarray:
-    """G_{eps,lam}(t) at one time: EffectiveGenerator(atom, frame, bath, eps, lam)(t)."""
-    return EffectiveGenerator(atom, frame, bath, eps, lam)(t)
-
-
-def effective_solve(atom: AtomPath, frame: EigenFrame, bath: bath_mod.BathSpec,
-                    eps: float, lam: float, z0: np.ndarray, t_end: Optional[float] = None,
-                    dt_out: float = DT_OUT) -> Trajectory:
+def effective_solve(frame: EigenFrame, bath: bath_mod.BathSpec, eps: float, lam: float,
+                    z0: np.ndarray, dt_out: float = DT_OUT) -> Trajectory:
     """Integrate i eps dz/dt = G_{eps,lam}(t) z by stepped Magnus exponentials.
 
-    magnus_propagate of the non-Hermitian generator on the fine_grid of
-    output_grid(t_end, dt_out), with steps no longer than magnus_step.
+    magnus_propagate of frame.atom's non-Hermitian generator on the fine_grid of
+    output_grid(frame.times[-1], dt_out), with steps no longer than magnus_step.
     """
-    t_end = frame.check_end(t_end)
+    t_end = float(frame.times[-1])
     z0 = np.asarray(z0, dtype=complex)
-    gen = EffectiveGenerator(atom, frame, bath, eps, lam, t_end)
+    gen = EffectiveGenerator(frame.atom, frame, bath, eps, lam)
     t_out = output_grid(t_end, dt_out)
-    fine, at = fine_grid(t_out, magnus_step(atom, eps, t_end))
+    fine, at = fine_grid(t_out, magnus_step(frame.atom, eps, t_end))
     z = magnus_propagate(gen, fine, -1j / eps)[at] @ z0
     return Trajectory(times=t_out, z=z,
                       meta={"eps": eps, "lam": lam, "scheme": "effective-magnus"})

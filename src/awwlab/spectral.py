@@ -109,11 +109,12 @@ def adiabatic_evolution_diagnostic(atom: AtomPath, frame: EigenFrame,
     W transports the perturbed projections (generator sum_j dP_j P_j, with
     dP_j from centered differences checked under step halving); Psi carries
     the dynamical phases with the second-order level corrections
-    -i|v_j|^2 I_j, read from gen.transforms at the times of [s, t]. `gen`
-    must have been built for this frame, bath, eps and lam, and [s, t] must
-    lie in the frame (EigenFrame.check_times); ValueError if not. Used as a
-    diagnostic against the stepped effective propagator.
+    -i|v_j|^2 I_j, read from gen.transforms at the times of [s, t]. `atom` must
+    be frame.atom, `gen` must have been built for this frame, bath, eps and lam,
+    and [s, t] must lie in the frame (EigenFrame.check_times); ValueError if
+    not. Used as a diagnostic against the stepped effective propagator.
     """
+    frame.check_atom(atom)
     if s > t:
         raise ValueError("require s <= t")
     if gen.frame is not frame or gen.bath is not bath or (gen.eps, gen.lam) != (eps, lam):

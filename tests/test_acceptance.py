@@ -32,9 +32,8 @@ def test_02_leading_order_scaling(davies_sweep, ref_scenario, ref_frame,
     errs = []
     for eps in eps_list:
         traj, _ = davies_sweep[eps]
-        z_lead = Y.leading_order_z(ref_frame, ref_scenario.bath,
-                                   ref_scenario.atom, eps, np.sqrt(eps),
-                                   ref_scenario.z0, traj.times, tables=ref_tables)
+        z_lead = Y.leading_order_z(ref_tables, eps, np.sqrt(eps), ref_scenario.z0,
+                                   traj.times)
         errs.append(float(np.max(np.linalg.norm(traj.z - z_lead, axis=1))))
     slope, _ = H.loglog_slope(eps_list, errs)
     mono = bool(np.all(np.diff(errs) < 0.0))
@@ -131,8 +130,8 @@ def test_07_spectral_machinery(ref_scenario, ref_frame):
         k = int(rng.integers(10, len(ref_frame.times)))
         t = float(ref_frame.times[k])
         lam2 = float(rng.uniform(1e-4, 1.0 / 33))
-        g = R.effective_generator(ref_scenario.atom, ref_frame,
-                                  ref_scenario.bath, 0.05, np.sqrt(lam2), t)
+        g = R.EffectiveGenerator(ref_scenario.atom, ref_frame,
+                                 ref_scenario.bath, 0.05, np.sqrt(lam2))(t)
         pspec = S.perturbed_spectrum(g, ref_frame.energies_at(t),
                                      ref_frame.vectors_at(t))
         bound = 4.0 * lam2 * 2.0 * g_l1 / ref_frame.gap
@@ -167,7 +166,7 @@ def test_09_volterra_oracle_equivalence(exact_runner, ref_scenario, ref_frame):
     errs = []
     for eps in (0.1, 0.05):
         traj, _ = exact_runner(eps, float(np.sqrt(eps)))
-        tv = R.volterra_solve(ref_scenario.atom, ref_frame, ref_scenario.bath,
+        tv = R.volterra_solve(ref_frame, ref_scenario.bath,
                               eps, np.sqrt(eps), ref_scenario.z0)
         errs.append(float(np.max(np.linalg.norm(
             tv.z_at(traj.times) - traj.z, axis=1))))

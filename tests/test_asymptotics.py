@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -7,9 +5,8 @@ from awwlab import asymptotics as Y, atom as A, bath as B, harness as H
 from awwlab.errors import WellCouplednessError
 
 
-def test_leading_order_initial_value(ref_scenario, ref_frame, ref_tables):
-    z = Y.leading_order_z(ref_frame, ref_scenario.bath, ref_scenario.atom,
-                          0.05, 0.1, ref_scenario.z0, 0.0, tables=ref_tables)
+def test_leading_order_initial_value(ref_scenario, ref_tables):
+    z = Y.leading_order_z(ref_tables, 0.05, 0.1, ref_scenario.z0, 0.0)
     assert np.allclose(z, ref_scenario.z0)
 
 
@@ -17,8 +14,7 @@ def test_leading_order_norm_formula(ref_scenario, ref_frame, ref_tables):
     eps, lam = 0.05, np.sqrt(0.05)
     z0 = np.array([0.6, 0.8], dtype=complex)
     for t in (0.3, 1.0):
-        z = Y.leading_order_z(ref_frame, ref_scenario.bath, ref_scenario.atom,
-                              eps, lam, z0, t, tables=ref_tables)
+        z = Y.leading_order_z(ref_tables, eps, lam, z0, t)
         decay = np.exp(-2.0 * (lam**2 / eps) * np.asarray(ref_tables.int_beta(t)))
         v0 = ref_frame.vectors_at(0.0)
         weights = np.abs(v0.conj().T @ z0) ** 2
@@ -26,26 +22,11 @@ def test_leading_order_norm_formula(ref_scenario, ref_frame, ref_tables):
                                                        abs=1e-10)
 
 
-def test_leading_order_norm_nonincreasing(ref_scenario, ref_frame, ref_tables):
+def test_leading_order_norm_nonincreasing(ref_scenario, ref_tables):
     ts = np.linspace(0.0, 1.0, 101)
-    z = Y.leading_order_z(ref_frame, ref_scenario.bath, ref_scenario.atom,
-                          0.05, np.sqrt(0.05), ref_scenario.z0, ts,
-                          tables=ref_tables)
+    z = Y.leading_order_z(ref_tables, 0.05, np.sqrt(0.05), ref_scenario.z0, ts)
     norms = np.linalg.norm(z, axis=1)
     assert np.all(np.diff(norms) <= 1e-12)
-
-
-def test_leading_order_rejects_tables_of_another_frame_or_bath(ref_scenario, ref_frame,
-                                                              ref_tables):
-    eps, lam = 0.05, np.sqrt(0.05)
-    atom, bath = ref_scenario.atom, ref_scenario.bath
-    second = A.eigenframe(atom, np.linspace(0.0, 1.0, 201))
-    with pytest.raises(ValueError, match="another frame or bath"):
-        Y.leading_order_z(ref_frame, bath, atom, eps, lam, ref_scenario.z0, 0.5,
-                          tables=Y.AsymptoticTables(second, bath))
-    with pytest.raises(ValueError, match="another frame or bath"):
-        Y.leading_order_z(ref_frame, dataclasses.replace(bath), atom, eps, lam,
-                          ref_scenario.z0, 0.5, tables=ref_tables)
 
 
 def test_leading_order_gauge_invariant_populations(ref_scenario, ref_bath):
@@ -65,12 +46,12 @@ def test_leading_order_gauge_invariant_populations(ref_scenario, ref_bath):
                           eigvec_provider=provider)
     frame_a = ref_scenario.frame()
     frame_b = A.eigenframe(regauged, np.linspace(0.0, 1.0, 801))
+    tables_a = Y.AsymptoticTables(frame_a, ref_bath)
+    tables_b = Y.AsymptoticTables(frame_b, ref_bath)
     eps, lam = 0.05, np.sqrt(0.05)
     for t in (0.4, 1.0):
-        za = Y.leading_order_z(frame_a, ref_bath, ref_scenario.atom, eps, lam,
-                               ref_scenario.z0, t)
-        zb = Y.leading_order_z(frame_b, ref_bath, regauged, eps, lam,
-                               ref_scenario.z0, t)
+        za = Y.leading_order_z(tables_a, eps, lam, ref_scenario.z0, t)
+        zb = Y.leading_order_z(tables_b, eps, lam, ref_scenario.z0, t)
         pa = np.abs(frame_a.vectors_at(t).conj().T @ za) ** 2
         pb = np.abs(frame_b.vectors_at(t).conj().T @ zb) ** 2
         assert np.allclose(pa, pb, atol=1e-9)
@@ -130,10 +111,9 @@ def test_regime_prediction_is_read_at_the_frames_end(ref_scenario, ref_tables, r
     assert default.p_down == at_end.p_down
 
 
-def test_strong_coupling_survival_bound(ref_scenario, ref_frame, ref_tables):
+def test_strong_coupling_survival_bound(ref_scenario, ref_tables):
     eps, lam = 0.01, np.sqrt(0.1)
-    z = Y.leading_order_z(ref_frame, ref_scenario.bath, ref_scenario.atom,
-                          eps, lam, ref_scenario.z0, 1.0, tables=ref_tables)
+    z = Y.leading_order_z(ref_tables, eps, lam, ref_scenario.z0, 1.0)
     min_decay = float(np.min(ref_tables.int_beta(1.0)))
     assert np.linalg.norm(z) <= np.exp(-(lam**2 / eps) * min_decay) + 1e-12
 

@@ -86,14 +86,11 @@ def test_coupling_in_working_basis(ref_frame):
     t = 0.6
     th = np.pi * t / 4.0
     want = np.array([np.cos(th) - np.sin(th), np.sin(th) + np.cos(th)])
-    got = A.coupling_in_working_basis(ref_frame.atom, ref_frame, t)
+    got = A.coupling_in_working_basis(ref_frame, t)
     # frame columns may carry a sign gauge; compare projections onto them
     vt = ref_frame.vectors_at(t)
     assert np.allclose(np.abs(vt.conj().T @ got), np.abs([1.0, 1.0]), atol=1e-10)
     assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(want), abs=1e-10)
-    # an equal atom is still another path: u(t) belongs to the frame's own
-    with pytest.raises(ValueError, match="frame.atom"):
-        A.coupling_in_working_basis(rotation_atom(), ref_frame, t)
 
 
 def _frame_of_path(name, ref_frame):
@@ -112,10 +109,10 @@ def test_coupling_spline_reproduces_the_frame_product(path, ref_frame):
     atom = frame.atom
     nodes = frame.times
     want = (frame.vectors @ atom.couplings(nodes)[..., None])[..., 0]
-    assert np.max(np.abs(A.coupling_in_working_basis(atom, frame, nodes) - want)) <= 1e-15
+    assert np.max(np.abs(A.coupling_in_working_basis(frame, nodes) - want)) <= 1e-15
     mid = 0.5 * (nodes[1:] + nodes[:-1])
     product = (frame.vectors_at(mid) @ atom.couplings(mid)[..., None])[..., 0]
-    assert np.max(np.abs(A.coupling_in_working_basis(atom, frame, mid) - product)) <= 1e-11
+    assert np.max(np.abs(A.coupling_in_working_basis(frame, mid) - product)) <= 1e-11
 
 
 def test_berry_phase_real_rotation_vanishes(ref_frame):
@@ -156,17 +153,16 @@ def test_kato_transport_carries_a_nonzero_berry_phase():
         assert np.min(np.linalg.norm(moved - frame.vectors_at(t), axis=0)) > 0.1
 
 
-def test_frame_quantities_refuse_times_outside_the_frame(ref_scenario, ref_frame):
+def test_frame_quantities_refuse_times_outside_the_frame(ref_scenario, ref_frame, ref_tables):
     # the frame's splines would extrapolate silently; its range [0, 1] is inclusive
-    atom, bath, z0 = ref_scenario.atom, ref_scenario.bath, ref_scenario.z0
+    z0 = ref_scenario.z0
     outside = [
         lambda: A.kato_intertwiner(ref_frame, 1.5),
         lambda: A.kato_intertwiner(ref_frame, 0.5, -0.1),
         lambda: A.berry_phase(ref_frame, 0, 3.0),
         lambda: A.berry_phase(ref_frame, 1, np.nan),
-        lambda: Y.leading_order_z(ref_frame, bath, atom, 0.05, 0.1, z0, 2.0),
-        lambda: Y.leading_order_z(ref_frame, bath, atom, 0.05, 0.1, z0,
-                                  np.array([0.5, 1.0 + 1e-9])),
+        lambda: Y.leading_order_z(ref_tables, 0.05, 0.1, z0, 2.0),
+        lambda: Y.leading_order_z(ref_tables, 0.05, 0.1, z0, np.array([0.5, 1.0 + 1e-9])),
     ]
     for call in outside:
         with pytest.raises(ValueError, match="outside the frame's range"):
@@ -175,7 +171,7 @@ def test_frame_quantities_refuse_times_outside_the_frame(ref_scenario, ref_frame
     A.kato_intertwiner(ref_frame, 1.0)
     A.kato_intertwiner(ref_frame, 0.0, 1.0)
     assert A.berry_phase(ref_frame, 0, ends).shape == (2,)
-    assert Y.leading_order_z(ref_frame, bath, atom, 0.05, 0.1, z0, ends).shape == (2, 2)
+    assert Y.leading_order_z(ref_tables, 0.05, 0.1, z0, ends).shape == (2, 2)
 
 
 def projection_spline_kato(frame):
@@ -215,21 +211,16 @@ def test_kato_intertwines_projections(ref_frame):
 
 
 def test_validate_coupling_reference_value(ref_frame, ref_bath):
-    report = A.validate_coupling(ref_frame.atom, ref_frame, ref_bath, np.sqrt(1.0 / 64))
+    report = A.validate_coupling(ref_frame, ref_bath, np.sqrt(1.0 / 64))
     # 4 * (1/64) * 2 * 4 / 1 = 1/2
     assert report.smallness_value == pytest.approx(0.5, abs=1e-6)
     assert report.smallness_ok and report.well_coupled.all() and report.ok
-    # an equal path that is not the frame's own is refused
-    with pytest.raises(ValueError, match="frame.atom"):
-        A.validate_coupling(rotation_atom(), ref_frame, ref_bath, np.sqrt(1.0 / 64))
 
 
 def test_validate_coupling_flags_large_lambda(ref_frame, ref_bath):
-    report = A.validate_coupling(ref_frame.atom, ref_frame, ref_bath, 0.5)
+    report = A.validate_coupling(ref_frame, ref_bath, 0.5)
     assert not report.smallness_ok
     assert not report.ok
-    with pytest.raises(ValueError, match="frame.atom"):
-        A.validate_coupling(rotation_atom(), ref_frame, ref_bath, 0.5)
 
 
 def test_tabulated_atom_roundtrip(tmp_path, ref_frame):

@@ -103,6 +103,15 @@ def test_total_norm_conserved_with_coupling(exact_runner):
     assert np.max(traj.norm_defect) < 1e-8
 
 
+def test_z_at_refuses_times_outside_the_run(exact_runner):
+    # past the samples the spline would extrapolate: |z_at(1.5)| was about 20
+    traj, _ = exact_runner(0.1, 0.1)
+    assert np.max(np.abs(traj.z_at(traj.times) - traj.z)) < 1e-12
+    for t in (1.5, 3.0, -0.1, np.array([0.5, 1.0 + 1e-9]), np.nan):
+        with pytest.raises(ValueError, match="outside the trajectory's range"):
+            traj.z_at(t)
+
+
 def test_populations_partition_unity(exact_runner, ref_frame):
     traj, _ = exact_runner(0.05, float(np.sqrt(0.05)))
     p, p_down = X.populations(traj, ref_frame)

@@ -27,17 +27,16 @@ def test_berry_phase_between_grid_nodes_matches_the_analytic_phase():
 
 
 def test_leading_order_rejects_an_atom_that_is_not_the_frames(ref_scenario, ref_frame):
+    # leading_order_z reads the atom from its tables' frame; regime_B_limit,
+    # the leading-order emission law, still takes one and checks it
     other = dataclasses.replace(ref_scenario.atom,
                                 coupling=lambda t: np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        Y.leading_order_z(ref_frame, ref_scenario.bath, other, 0.05, 0.1,
-                          ref_scenario.z0, 1.0)
     one = B.TestObservable(weight=lambda w: np.ones_like(w))
     with pytest.raises(ValueError):
         E.regime_B_limit(ref_frame, ref_scenario.bath, other, one, 0, 1.0, 1.0)
 
 
-def test_leading_order_calls_berry_phase_once_per_level(ref_scenario, ref_frame,
+def test_leading_order_calls_berry_phase_once_per_level(ref_scenario, ref_tables,
                                                         monkeypatch):
     calls = []
 
@@ -46,30 +45,30 @@ def test_leading_order_calls_berry_phase_once_per_level(ref_scenario, ref_frame,
         return A.berry_phase(frame, j, t)
 
     monkeypatch.setattr(Y, "berry_phase", counting)
-    Y.leading_order_z(ref_frame, ref_scenario.bath, ref_scenario.atom, 0.05, 0.1,
-                      ref_scenario.z0, np.linspace(0.0, 1.0, 201))
+    Y.leading_order_z(ref_tables, 0.05, 0.1, ref_scenario.z0, np.linspace(0.0, 1.0, 201))
     assert sorted(calls) == [0, 1]
 
 
 def test_three_level_leading_order_initial_value(d3_frame, ref_bath, d3_z0):
-    z = Y.leading_order_z(d3_frame, ref_bath, d3_frame.atom, 0.05, 0.125, d3_z0, 0.0)
+    z = Y.leading_order_z(Y.AsymptoticTables(d3_frame, ref_bath), 0.05, 0.125, d3_z0, 0.0)
     assert np.max(np.abs(z - d3_z0)) < 1e-12
 
 
 def test_three_level_leading_order_norm_formula(d3_frame, ref_bath, d3_z0):
     eps, lam = 0.05, 0.125
     ts = np.linspace(0.0, 1.0, 11)
-    z = Y.leading_order_z(d3_frame, ref_bath, d3_frame.atom, eps, lam, d3_z0, ts)
+    tables = Y.AsymptoticTables(d3_frame, ref_bath)
+    z = Y.leading_order_z(tables, eps, lam, d3_z0, ts)
     weights = np.abs(d3_frame.vectors_at(0.0).conj().T @ d3_z0) ** 2
-    decay = np.exp(-2.0 * (lam**2 / eps) * Y.AsymptoticTables(d3_frame, ref_bath).int_beta(ts))
+    decay = np.exp(-2.0 * (lam**2 / eps) * tables.int_beta(ts))
     assert np.max(np.abs(np.sum(np.abs(z) ** 2, axis=1) - decay @ weights)) < 1e-10
     assert np.all(decay[-1] < 1.0)    # every level decays on this path
 
 
 def test_three_level_leading_order_batch_equals_per_time_calls(d3_frame, ref_bath, d3_z0):
     ts = np.linspace(0.0, 1.0, 37)
-    batch = Y.leading_order_z(d3_frame, ref_bath, d3_frame.atom, 0.05, 0.125, d3_z0, ts)
-    single = np.array([Y.leading_order_z(d3_frame, ref_bath, d3_frame.atom, 0.05, 0.125,
-                                         d3_z0, t) for t in ts])
+    tables = Y.AsymptoticTables(d3_frame, ref_bath)
+    batch = Y.leading_order_z(tables, 0.05, 0.125, d3_z0, ts)
+    single = np.array([Y.leading_order_z(tables, 0.05, 0.125, d3_z0, t) for t in ts])
     assert batch.shape == single.shape == (len(ts), 3)
     assert np.max(np.abs(batch - single)) < 1e-14

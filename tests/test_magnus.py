@@ -140,7 +140,7 @@ def test_three_level_kato_transport_matches_berry_gauge(tmp_path):
 def test_volterra_rejects_a_history_grid_over_half_a_radian(ref_scenario, ref_frame):
     # x_step = 1 at eps = 0.1: about 2.3 rad of fast phase per history node
     with pytest.raises(ResolutionError):
-        R.volterra_solve(ref_scenario.atom, ref_frame, ref_scenario.bath, 0.1,
+        R.volterra_solve(ref_frame, ref_scenario.bath, 0.1,
                          np.sqrt(0.1), ref_scenario.z0, x_step=1.0)
 
 

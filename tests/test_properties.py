@@ -88,7 +88,7 @@ def test_propagator_table_is_unitary_and_at_composes(d, seed):
 def test_volterra_without_coupling_is_the_free_propagator(d, seed):
     atom = smooth_path(d, seed)
     z0 = unit_z0(d, seed)
-    traj = R.volterra_solve(atom, frame_of(atom), B.reference_bath(), EPS, 0.0, z0)
+    traj = R.volterra_solve(frame_of(atom), B.reference_bath(), EPS, 0.0, z0)
     want = R.PropagatorTable(atom, EPS, [0.0, 1.0]).at(1.0) @ z0
     assert np.linalg.norm(traj.z[-1] - want) < 1e-7
 
@@ -98,7 +98,7 @@ def test_volterra_without_coupling_is_the_free_propagator(d, seed):
 def test_perturbed_projections_resolve_the_generator(d, seed, t):
     atom = smooth_path(d, seed)
     frame = frame_of(atom)
-    g = R.effective_generator(atom, frame, B.reference_bath(), EPS, 0.1, t)
+    g = R.EffectiveGenerator(atom, frame, B.reference_bath(), EPS, 0.1)(t)
     energies = frame.energies_at(t)
     pspec = S.perturbed_spectrum(g, energies, frame.vectors_at(t))
     projections = pspec.projections
@@ -142,7 +142,7 @@ def test_volterra_converges_to_the_oracle_at_fourth_order(d, seed):
     atom, frame, bath, oracle = oracle_run(d, seed)
     dist = []
     for x_step in (0.05, 0.025):
-        traj = R.volterra_solve(atom, frame, bath, EPS, np.sqrt(LAM2), oracle.z[0],
+        traj = R.volterra_solve(frame, bath, EPS, np.sqrt(LAM2), oracle.z[0],
                                 x_step=x_step)
         dist.append(np.max(np.linalg.norm(traj.z_at(oracle.times) - oracle.z, axis=1)))
     assert dist[0] >= 10.0 * dist[1]

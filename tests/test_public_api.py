@@ -19,8 +19,8 @@ CALLERS = ("src", "demos", "bench")    # tests do not count as callers
 # Public functions and methods that only tests call and that stay: the
 # acceptance battery's references, parse_config, the text entry of
 # load_config, and EigenFrame.projections, which tests/test_acceptance.py reads.
-TEST_ONLY = ("effective_generator", "residue_integral", "semigroup_time_independent",
-             "parse_config", "EigenFrame.projections")
+TEST_ONLY = ("residue_integral", "semigroup_time_independent", "parse_config",
+             "EigenFrame.projections")
 
 
 def public_surface(mod):

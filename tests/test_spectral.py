@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,8 +58,8 @@ def test_projection_distance_bound(ref_generator, ref_frame, ref_scenario):
         k = int(rng.integers(10, len(ref_frame.times)))
         t = float(ref_frame.times[k])
         lam2 = float(rng.uniform(1e-4, 1.0 / 33))
-        g = R.effective_generator(ref_scenario.atom, ref_frame,
-                                  ref_scenario.bath, 0.05, np.sqrt(lam2), t)
+        g = R.EffectiveGenerator(ref_scenario.atom, ref_frame,
+                                 ref_scenario.bath, 0.05, np.sqrt(lam2))(t)
         pspec = S.perturbed_spectrum(g, ref_frame.energies_at(t),
                                      ref_frame.vectors_at(t))
         bound = 4.0 * lam2 * 2.0 * g_l1 / ref_frame.gap
@@ -75,8 +77,8 @@ def test_eigenvalue_expansion_is_second_order(ref_scenario, ref_frame):
     a1 = -1j * B.half_line_transform(ref_scenario.bath, alpha0, t / eps)
     ratios = []
     for lam in (0.1, 0.05, 0.025):
-        g = R.effective_generator(ref_scenario.atom, ref_frame,
-                                  ref_scenario.bath, eps, lam, t)
+        g = R.EffectiveGenerator(ref_scenario.atom, ref_frame,
+                                 ref_scenario.bath, eps, lam)(t)
         pspec = S.perturbed_spectrum(g, ref_frame.energies_at(t),
                                      ref_frame.vectors_at(t))
         resid = abs(pspec.eigenvalues[0] - alpha0 - lam**2 * a1)
@@ -138,7 +140,7 @@ def test_adiabatic_diagnostic_identity_and_convergence(ref_scenario, ref_frame):
         v = S.adiabatic_evolution_diagnostic(atom, ref_frame, bath, eps, lam, 1.0, gen=gen)
         cols = []
         for z0 in (np.array([1.0, 0.0], complex), np.array([0.0, 1.0], complex)):
-            traj = R.effective_solve(ref_scenario.atom, ref_frame,
+            traj = R.effective_solve(ref_frame,
                                      ref_scenario.bath, eps, lam, z0)
             cols.append(traj.z[-1])
         gaps.append(np.linalg.norm(v - np.column_stack(cols)))
@@ -160,20 +162,28 @@ def count_calls(monkeypatch, name):
 
 def test_only_the_leading_order_runs_the_shift_quadrature(d3_frame, ref_bath, monkeypatch):
     # the tables and their decay-only readers take the rate from decay_rate;
-    # the Lamb shift is computed by leading_order_z alone, in one
-    # decay_and_shift call on the frame's nodes
+    # the Lamb shift is read by leading_order_z alone, from the tables, which
+    # build it on that first read in one decay_and_shift call on the frame's
+    # nodes and keep it for every later call
     z0 = np.eye(3, dtype=complex)[0]
     shifts = count_calls(monkeypatch, "decay_and_shift")
     transforms = count_calls(monkeypatch, "half_line_transform")
     tables = Y.AsymptoticTables(d3_frame, ref_bath)
-    Y.regime_classify(0.05, 0.125, tables, z0)
-    E.regime_B_limit(d3_frame, ref_bath, d3_frame.atom,
-                     B.TestObservable(weight=np.ones_like), 0, 1.0, 1.0)
+
+    def regime_readers():
+        Y.regime_classify(0.05, 0.125, tables, z0)
+        E.regime_B_limit(d3_frame, ref_bath, d3_frame.atom,
+                         B.TestObservable(weight=np.ones_like), 0, 1.0, 1.0)
+
+    regime_readers()
     assert (shifts, transforms) == ([], [])
-    Y.leading_order_z(d3_frame, ref_bath, d3_frame.atom, 0.05, 0.125, z0,
-                      np.linspace(0.0, 1.0, 11), tables=tables)
+    Y.leading_order_z(tables, 0.05, 0.125, z0, np.linspace(0.0, 1.0, 11))
+    Y.leading_order_z(tables, 0.1, 0.25, z0, 0.5)
     assert len(shifts) == 1
     assert np.array_equal(shifts[0][2], d3_frame.energies)
+    seen = len(transforms)
+    regime_readers()
+    assert (len(shifts), len(transforms)) == (1, seen)
 
 
 def test_diagnostic_reads_the_generators_table(d3_frame, ref_bath, monkeypatch):
@@ -196,6 +206,18 @@ def test_diagnostic_reads_the_generators_table(d3_frame, ref_bath, monkeypatch):
     norms = np.linalg.norm(v @ d3_frame.vectors_at(0.0), axis=0)
     predicted = np.exp(-(lam**2 / eps) * Y.AsymptoticTables(d3_frame, ref_bath).int_beta(0.5))
     assert np.all(np.abs(norms / predicted - 1.0) < 1e-2)
+
+
+def test_diagnostic_refuses_an_atom_that_is_not_the_frames(ref_scenario, ref_frame):
+    # |v_j|^2 of the level corrections would come from the other path: at
+    # couplings (0.2, 0.2) against the frame's (1, 1), V(0.5, 0) moves by 0.2
+    atom, bath = ref_scenario.atom, ref_scenario.bath
+    eps, lam = 0.05, 0.125
+    other = dataclasses.replace(atom, coupling=lambda t: np.array([0.2, 0.2]))
+    gen = R.EffectiveGenerator(atom, ref_frame, bath, eps, lam)
+    S.adiabatic_evolution_diagnostic(atom, ref_frame, bath, eps, lam, 0.5, gen=gen)
+    with pytest.raises(ValueError, match="frame.atom"):
+        S.adiabatic_evolution_diagnostic(other, ref_frame, bath, eps, lam, 0.5, gen=gen)
 
 
 def test_diagnostic_rejects_a_generator_that_does_not_fit(ref_scenario, ref_frame):

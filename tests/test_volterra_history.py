@@ -44,7 +44,7 @@ def direct_etdrk4(atom, frame, bath, eps, lam, z0, x_step, t_out):
     n = int(np.ceil(1.0 / (x_step * eps)))
     halves = np.linspace(0.0, 1.0, 2 * n + 1)
     free = R.PropagatorTable(atom, eps, np.union1d(halves, t_out))
-    u = A.coupling_in_working_basis(atom, frame, halves)
+    u = A.coupling_in_working_basis(frame, halves)
     beta = np.einsum("kji,kj->ki", free.at(halves).conj(), u)
     h = 1.0 / n / eps
     rates = np.concatenate([np.zeros(d), -kern.lam])
@@ -90,7 +90,7 @@ def direct_heun(atom, frame, gamma, eps, lam, z0, x_step):
     ts = np.linspace(0.0, 1.0, n + 1)
     h = ts[1] - ts[0]
     u_all = R.PropagatorTable(atom, eps, ts).at(ts)
-    u = A.coupling_in_working_basis(atom, frame, ts)
+    u = A.coupling_in_working_basis(frame, ts)
     beta = np.einsum("kji,kj->ki", u_all.conj(), u)
     kernel = gamma(ts / eps)
     rate = (lam / eps) ** 2
@@ -116,7 +116,7 @@ def direct_heun(atom, frame, gamma, eps, lam, z0, x_step):
 
 def test_reference_volterra_matches_the_direct_sum(ref_scenario, ref_frame):
     eps = 0.05
-    traj = R.volterra_solve(ref_scenario.atom, ref_frame, ref_scenario.bath, eps,
+    traj = R.volterra_solve(ref_frame, ref_scenario.bath, eps,
                             np.sqrt(eps), ref_scenario.z0)
     want = direct_etdrk4(ref_scenario.atom, ref_frame, ref_scenario.bath, eps,
                          np.sqrt(eps), ref_scenario.z0, traj.meta["x_step"], traj.times)
@@ -130,7 +130,7 @@ def test_seeded_volterra_matches_the_direct_sum(d, seed):
     frame = frame_of(atom)
     z0 = unit_z0(d, seed)
     eps, lam, x_step = 0.1, np.sqrt(0.1), 0.01       # 1000 steps
-    traj = R.volterra_solve(atom, frame, B.reference_bath(), eps, lam, z0, x_step=x_step)
+    traj = R.volterra_solve(frame, B.reference_bath(), eps, lam, z0, x_step=x_step)
     want = direct_etdrk4(atom, frame, B.reference_bath(), eps, lam, z0, x_step, traj.times)
     assert np.max(np.abs(traj.z - want)) <= 1e-12
 
@@ -145,7 +145,7 @@ def test_reference_volterra_is_within_the_sum_certificate_of_the_closed_form(
                           ref_scenario.z0, x_step)
     _, want = direct_heun(ref_scenario.atom, ref_frame, lambda x: B.correlation(bath, x),
                           eps, lam, ref_scenario.z0, x_step)
-    u = A.coupling_in_working_basis(ref_scenario.atom, ref_frame, ts)
+    u = A.coupling_in_working_basis(ref_frame, ts)
     bound = ((lam**2 / eps) * np.max(np.sum(np.abs(u) ** 2, axis=1)) * ts[-1]
              * B.exp_sum(bath).l1_error)
     assert np.max(np.abs(got - want)) <= bound
@@ -155,16 +155,16 @@ def test_volterra_steps_go_as_the_root_of_eps_and_output_on_the_grid(
         ref_scenario, ref_frame):
     atom, bath, z0 = ref_scenario.atom, ref_scenario.bath, ref_scenario.z0
     for eps, most in ((0.0125, 1500), (0.003125, 11500)):
-        traj = R.volterra_solve(atom, ref_frame, bath, eps, np.sqrt(eps), z0)
+        traj = R.volterra_solve(ref_frame, bath, eps, np.sqrt(eps), z0)
         assert traj.meta["x_step"] == R.X_STEP_FACTOR * np.sqrt(eps)
         assert traj.meta["steps"] == np.ceil(1.0 / (traj.meta["x_step"] * eps)) <= most
         assert np.array_equal(traj.times, E.output_grid(1.0))
-    traj = R.volterra_solve(atom, ref_frame, bath, 0.1, np.sqrt(0.1), z0, dt_out=0.03)
+    traj = R.volterra_solve(ref_frame, bath, 0.1, np.sqrt(0.1), z0, dt_out=0.03)
     assert np.array_equal(traj.times, E.output_grid(1.0, 0.03))
 
 
 def test_volterra_refuses_a_bath_without_an_exp_sum(ref_scenario, ref_frame):
     bath = dataclasses.replace(ref_scenario.bath, analytic=False)
     with pytest.raises(AwwlabError, match="exp_sum"):
-        R.volterra_solve(ref_scenario.atom, ref_frame, bath, 0.1, np.sqrt(0.1),
+        R.volterra_solve(ref_frame, bath, 0.1, np.sqrt(0.1),
                          ref_scenario.z0)
