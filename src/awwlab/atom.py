@@ -27,7 +27,6 @@ __all__ = [
     "berry_phase",
     "kato_intertwiner",
     "magnus_propagate",
-    "magnus_step",
     "fine_grid",
     "validate_coupling",
     "CouplingReport",
@@ -131,6 +130,11 @@ class EigenFrame:
     @property
     def step(self) -> float:
         return float(self.times[1] - self.times[0])
+
+    @property
+    def a_norm(self) -> float:
+        """max ||A(t)|| over the nodes: the largest |alpha_j|, A(t) being Hermitian."""
+        return float(np.max(np.abs(self.energies)))
 
     def check_times(self, t) -> np.ndarray:
         """t as a float array (_within): outside the nodes the splines would extrapolate."""
@@ -368,15 +372,6 @@ def _expm(a: np.ndarray) -> np.ndarray:
         sel = s > i
         r[sel] = r[sel] @ r[sel]
     return r
-
-
-def magnus_step(atom: AtomPath, eps: float, t_end: float) -> float:
-    """The longest step h of magnus_propagate of A(t)/eps on [0, t_end]: the fast
-    phase ||A|| h / eps stays at or below PHASE_PER_STEP, with ||A|| the largest
-    2-norm of A(t) at 33 samples."""
-    a_norm = np.max(np.linalg.norm(atom.matrix(np.linspace(0.0, t_end, 33)), 2,
-                                   axis=(-2, -1)))
-    return PHASE_PER_STEP * eps / max(a_norm, 1e-12)
 
 
 def fine_grid(stops, h_max: float):

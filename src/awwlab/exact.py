@@ -187,7 +187,8 @@ def _dense_basis(x: np.ndarray) -> np.ndarray:
 
 
 class _Dop853:
-    """Adaptive DOP853 steps of the amplitude equations from (z0, f0) up to t_end.
+    """Adaptive DOP853 steps of frame.atom's amplitude equations from z0 and the
+    empty field up to t_end, at rtol and ODE_ATOL, with u(t) = frame.u_at(t).
 
     The state is z and the field f at the step's start t. Within a step the
     field is taken in the picture of t, F(s) = exp(i w (s - t)/eps) f(s), so
@@ -210,24 +211,23 @@ class _Dop853:
     of kept steps.
     """
 
-    def __init__(self, atom: AtomPath, u_spline: CubicSpline, modes: ModeGrid,
-                 eps: float, lam: float, z0: np.ndarray, f0: np.ndarray,
-                 t_end: float, rtol: float, atol: float):
+    def __init__(self, frame: EigenFrame, modes: ModeGrid, eps: float, lam: float,
+                 z0: np.ndarray, t_end: float, rtol: float):
         if rtol < _MIN_RTOL:
             warnings.warn(f"rtol = {rtol:g} is below {_MIN_RTOL:g}; using {_MIN_RTOL:g}",
                           stacklevel=3)
             rtol = _MIN_RTOL
-        d = atom.dim
-        self.atom, self.u_spline, self.eps, self.lam = atom, u_spline, eps, lam
+        self.frame, self.eps, self.lam = frame, eps, lam
         self.omegas, self.g = modes.omegas, modes.couplings
-        self.t_end, self.rtol, self.atol = t_end, rtol, atol
-        self.k = np.empty((len(_C), d + 1), dtype=complex)
+        self.t_end, self.rtol = t_end, rtol
+        self.k = np.empty((len(_C), frame.dim + 1), dtype=complex)
         self.nfev = self.steps = self.rejected = self.tables = 0
         self.table_h = self.batch_h = None
         self.batch_starts, self.batch_next = np.empty(0), 0
+        f0 = np.zeros(modes.size, dtype=complex)
         self.t, self.z, self.f, self.abs_f = 0.0, z0, f0, np.abs(f0)
         # between steps, row _STAGES holds (dz/dt, kappa) at t
-        self.k[_STAGES] = self._rhs(self._maps(np.zeros(1))[0], z0, self.g @ f0)
+        self.k[_STAGES] = self._rhs(self._maps(np.zeros(1))[0], z0, 0.0)
         self.h_abs = self._first_step()
 
     def _maps(self, ts: np.ndarray) -> np.ndarray:
@@ -235,9 +235,9 @@ class _Dop853:
         ts.shape + (d + 1, d + 1): dz/dt = -(i/eps) (A z + lam sigma u) and
         kappa = -i (lam/eps) <u, z>."""
         d, to_dz = self.z.shape[0], -1j / self.eps
-        u = self.u_spline(ts)
+        u = self.frame.u_at(ts)
         maps = np.zeros(ts.shape + (d + 1, d + 1), dtype=complex)
-        maps[..., :d, :d] = to_dz * _broadcast_times(self.atom.hamiltonian(ts), ts,
+        maps[..., :d, :d] = to_dz * _broadcast_times(self.frame.atom.hamiltonian(ts), ts,
                                                      (d, d), "A")
         maps[..., :d, d] = (to_dz * self.lam) * u
         maps[..., d, :d] = (to_dz * self.lam) * u.conj()
@@ -253,7 +253,7 @@ class _Dop853:
         k0 = self.k[_STAGES]
         y0 = np.concatenate([z0, f0])
         dy0 = np.concatenate([k0[:d], k0[d] * g])
-        scale = self.atol + np.abs(y0) * self.rtol
+        scale = ODE_ATOL + np.abs(y0) * self.rtol
         d0, d1 = _rms(y0 / scale), _rms(dy0 / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, self.t_end)
@@ -342,8 +342,8 @@ class _Dop853:
             z_new = z + h * z_rows[0]
             f_new = self.step_phase * (f + h * np.conj(f_rows[0]))
             abs_f_new = np.abs(f_new)
-            scale_z = self.atol + np.maximum(np.abs(z), np.abs(z_new)) * self.rtol
-            scale_f = self.atol + np.maximum(self.abs_f, abs_f_new) * self.rtol
+            scale_z = ODE_ATOL + np.maximum(np.abs(z), np.abs(z_new)) * self.rtol
+            scale_f = ODE_ATOL + np.maximum(self.abs_f, abs_f_new) * self.rtol
             err_z, err_f = z_rows[1:] / scale_z, f_rows[1:] * (1.0 / scale_f)
             err5_norm_2 = _norm2(err_z[0]) + _norm2(err_f[0])
             err3_norm_2 = _norm2(err_z[1]) + _norm2(err_f[1])
@@ -443,8 +443,7 @@ def propagate_exact(atom: AtomPath, frame: EigenFrame, modes: ModeGrid,
     t_samples, at = fine_grid(t_eval, h_src if record_source else np.inf)
     z = np.empty((len(t_samples), d), dtype=complex)
     field = np.empty((len(t_eval), n_modes), dtype=complex)
-    solver = _Dop853(atom, frame.u_at, modes, eps, lam, z0,
-                     np.zeros(n_modes, dtype=complex), t_end, rtol, ODE_ATOL)
+    solver = _Dop853(frame, modes, eps, lam, z0, t_end, rtol)
     kept, filled = [], 0
     while solver.t < t_end:
         kept.append(solver.step())

@@ -175,23 +175,22 @@ def write_trajectory_csv(path, traj, frame):
     _write_csv(path, header, rows)
 
 
-def _oracle(scen: Scenario, eps: float, lam: float, override: bool = False,
-            tol_corr: float = exact.TOL_CORR, **kw):
-    """Mode grid and exact trajectory of one point; kw (rtol, dt_out) is propagate_exact's."""
-    modes = exact.discretize_bath(scen.bath, eps, tol_corr=tol_corr,
-                                  horizon=scen.t_end / eps)
+def _oracle(scen: Scenario, eps: float, lam: float, override: bool = False, **kw):
+    """Mode grid and exact trajectory of one point; kw holds any of discretize_bath's
+    tol_corr and propagate_exact's rtol and dt_out."""
+    grid_kw = {"tol_corr": kw.pop("tol_corr")} if "tol_corr" in kw else {}
+    modes = exact.discretize_bath(scen.bath, eps, horizon=scen.t_end / eps, **grid_kw)
     return modes, exact.propagate_exact(scen.atom, scen.frame(), modes, scen.z0, eps,
                                         lam, bath=scen.bath, override_smallness=override,
                                         **kw)
 
 
-def _solve_all(scen: Scenario, eps: float, lam: float, override: bool = False, **solver):
-    """The point's asymptotic tables and its four trajectories; solver holds any
-    of rtol, dt_out, tol_corr."""
+def _solve_all(scen: Scenario, eps: float, lam: float, override: bool = False,
+               dt_out: float = exact.DT_OUT, **solver):
+    """The point's asymptotic tables and its four trajectories, all on
+    output_grid(t_end, dt_out); solver holds any of rtol and tol_corr."""
     frame = scen.frame()
-    _, tr_exact = _oracle(scen, eps, lam, override, **solver)
-    # the reduced trajectories share the oracle's output grid
-    dt_out = tr_exact.times[1]
+    _, tr_exact = _oracle(scen, eps, lam, override, dt_out=dt_out, **solver)
     tr_volt = reduced.volterra_solve(frame, scen.bath, eps, lam, scen.z0, dt_out=dt_out)
     tr_eff = reduced.effective_solve(frame, scen.bath, eps, lam, scen.z0, dt_out=dt_out)
     # built after the solvers, so its splines do not add to their peak memory

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bath as bath_mod
 from .atom import (PHASE_PER_NODE, PHASE_PER_STEP, AtomPath, EigenFrame,
-                   coupling_in_working_basis, fine_grid, magnus_propagate, magnus_step)
+                   coupling_in_working_basis, fine_grid, magnus_propagate)
 from .errors import DiscretizationError, IntegratorError, ResolutionError
 from .exact import DT_OUT, Trajectory, output_grid
 
@@ -34,20 +34,22 @@ _CIRCLE = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
 
 
 class PropagatorTable:
-    """Free atomic propagator U_eps(t, 0) at the ascending times `stops`, from 0.
+    """Free propagator U_eps(t, stops[0]) of frame.atom at the ascending times `stops`.
 
-    magnus_propagate steps A(t)/eps over fine_grid(stops, magnus_step), and
-    the table keeps its products at the stops alone, stops less than 1e-13
-    apart counting as one. at(t) reads the table at one of its times, or at
-    an array of them; U_eps(t, s) is at(t) @ at(s)^H.
+    magnus_propagate steps A(t)/eps over fine_grid(stops, h), the fast phase
+    frame.a_norm h / eps at most PHASE_PER_STEP, and the table keeps its
+    products at the stops alone, stops less than 1e-13 apart counting as one.
+    A stop outside the frame raises ValueError (EigenFrame.check_times). at(t)
+    reads the table at one of its times, or at an array of them; U_eps(t, s)
+    is at(t) @ at(s)^H.
     """
 
-    def __init__(self, atom: AtomPath, eps: float, stops):
-        grid, at = fine_grid(stops, magnus_step(atom, eps, stops[-1]))
+    def __init__(self, frame: EigenFrame, eps: float, stops):
+        grid, at = fine_grid(frame.check_times(stops), PHASE_PER_STEP * eps / frame.a_norm)
         self.times = grid[at]
-        self.table = magnus_propagate(atom.matrix, grid, -1j / eps)[at]
+        self.table = magnus_propagate(frame.atom.matrix, grid, -1j / eps)[at]
         u_end = self.table[-1]
-        defect = np.abs(u_end @ u_end.conj().T - np.eye(atom.dim)).max()
+        defect = np.abs(u_end @ u_end.conj().T - np.eye(frame.dim)).max()
         if defect > 1e-8:
             raise IntegratorError(f"propagator unitarity drift {defect:.2e}")
 
@@ -100,8 +102,8 @@ def volterra_solve(frame: EigenFrame, bath: bath_mod.BathSpec, eps: float, lam: 
     (J. Comput. Phys. 176, 2002) steps it on n = ceil(t_end / (x_step eps))
     equal steps and takes the decays exp(-lam_k x) exactly, so the fast
     lam_k do not limit the step. x_step defaults to
-    min(X_STEP_FACTOR sqrt(eps), PHASE_PER_NODE / ||A||), so the error falls
-    as eps^2 on n ~ eps^-1.5 steps; a larger x_step raises ResolutionError.
+    min(X_STEP_FACTOR sqrt(eps), PHASE_PER_NODE / frame.a_norm), so the error
+    falls as eps^2 on n ~ eps^-1.5 steps; a larger x_step raises ResolutionError.
     The coupling has rank one, so a stage reads m only through the sums
     c . m, (c e^{-lam h/2}) . m and (c e^{-lam h}) . m, and y only through
     its inner products with beta at the step's start, middle and end.
@@ -116,9 +118,9 @@ def volterra_solve(frame: EigenFrame, bath: bath_mod.BathSpec, eps: float, lam: 
     if kern is None:
         raise DiscretizationError("volterra_solve needs the bath's exp_sum, which only "
                                   "an analytic bath has")
-    atom, t_end = frame.atom, float(frame.times[-1])
+    t_end = float(frame.times[-1])
     z0 = np.asarray(z0, dtype=complex)
-    x_cap = PHASE_PER_NODE / PHASE_PER_STEP * magnus_step(atom, eps, t_end) / eps
+    x_cap = PHASE_PER_NODE / frame.a_norm
     if x_step is None:
         # fourth order: the error goes as x_step^4 = eps^2 / 16
         x_step = min(X_STEP_FACTOR * np.sqrt(eps), x_cap)
@@ -129,7 +131,7 @@ def volterra_solve(frame: EigenFrame, bath: bath_mod.BathSpec, eps: float, lam: 
     n = int(np.ceil(t_end / (x_step * eps)))
     halves = np.linspace(0.0, t_end, 2 * n + 1)       # step ends and middles
     t_out = output_grid(t_end, dt_out)
-    free = PropagatorTable(atom, eps, np.union1d(halves, t_out))
+    free = PropagatorTable(frame, eps, np.union1d(halves, t_out))
     beta = (np.swapaxes(free.at(halves).conj(), 1, 2)
             @ coupling_in_working_basis(frame, halves)[:, :, None])[:, :, 0]
     # rows[k]: beta at the start, middle and end of step k
@@ -153,7 +155,7 @@ def volterra_solve(frame: EigenFrame, bath: bath_mod.BathSpec, eps: float, lam: 
     r = lam**2
     ra, rc, rs = 0.5 * r * h, r * h, -r * h / 6
 
-    y = np.empty((n + 1, atom.dim), dtype=complex)
+    y = np.empty((n + 1, frame.dim), dtype=complex)
     y[0] = z0
     m = np.zeros(len(kern.c), dtype=complex)
     s_ends = [0j] * (n + 1)                           # c . m at every step end
@@ -230,13 +232,13 @@ def effective_solve(frame: EigenFrame, bath: bath_mod.BathSpec, eps: float, lam:
     """Integrate i eps dz/dt = G_{eps,lam}(t) z by stepped Magnus exponentials.
 
     magnus_propagate of frame.atom's non-Hermitian generator on the fine_grid of
-    output_grid(frame.times[-1], dt_out), with steps no longer than magnus_step.
+    output_grid(frame.times[-1], dt_out), with PropagatorTable's longest step.
     """
     t_end = float(frame.times[-1])
     z0 = np.asarray(z0, dtype=complex)
     gen = EffectiveGenerator(frame.atom, frame, bath, eps, lam)
     t_out = output_grid(t_end, dt_out)
-    fine, at = fine_grid(t_out, magnus_step(frame.atom, eps, t_end))
+    fine, at = fine_grid(t_out, PHASE_PER_STEP * eps / frame.a_norm)
     z = magnus_propagate(gen, fine, -1j / eps)[at] @ z0
     return Trajectory(times=t_out, z=z,
                       meta={"eps": eps, "lam": lam, "scheme": "effective-magnus"})

@@ -398,11 +398,9 @@ def test_interpolant_stages_match_forward_substitution(case):
     # the reference for the stepper's one triangular solve: stages 13 .. 15
     # of an accepted step, one at a time, k_s = M_s ((z, sigma_s) +
     # sum_{j < s} W_sj k_j), from the solver's maps, weights and free sigma
-    atom, frame, bath, z0, eps, lam = _reference_case(case)
+    _, frame, bath, z0, eps, lam = _reference_case(case)
     modes = X.discretize_bath(bath, eps)
-    solver = X._Dop853(atom, frame.u_at, modes, eps, lam, z0,
-                       np.zeros(modes.size, dtype=complex), frame.check_end(),
-                       X.ODE_RTOL, X.ODE_ATOL)
+    solver = X._Dop853(frame, modes, eps, lam, z0, frame.check_end(), X.ODE_RTOL)
     for _ in range(4):          # the field is zero at the first step's start
         step = solver.step()
     ref = step.k.copy()

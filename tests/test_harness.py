@@ -206,6 +206,25 @@ def test_emission_limit_follows_the_populated_level(tmp_path, ref_scenario, ref_
     assert res["limit"] == pytest.approx(level1, rel=1e-12)
 
 
+def test_emission_limit_weights_every_level_of_a_d3_path(tmp_path):
+    # z0 = (1, 1, 1) gives every level of the seeded three-level path a
+    # positive initial weight |<phi_j(0), z0>|^2
+    path = tmp_path / "atom.csv"
+    three_level_atom(path)
+    cfg = C.parse_config(tabulated_text(path) + "sim.z0 = 1, 1, 1\n")
+    res = H.run_emission(cfg, str(tmp_path / "e"), override=True)
+    scen = H.scenario_from_config(cfg)
+    frame, one = scen.frame(), B.TestObservable(weight=np.ones_like)
+    weights = [abs(np.vdot(frame.vectors[0][:, j], scen.z0)) ** 2 for j in range(3)]
+    assert min(weights) > 0.0
+    want = sum(w * E.regime_B_limit(frame, scen.bath, scen.atom, one, j, res["r"],
+                                    scen.t_end) for j, w in enumerate(weights))
+    summary = (tmp_path / "e" / "spectrum.csv").read_text().splitlines()[-1].split(",")
+    assert summary[0] == "summary"
+    assert float(summary[2]) == pytest.approx(want, rel=1e-12)
+    assert res["limit"] == pytest.approx(want, rel=1e-12)
+
+
 def test_serial_sweep_builds_frame_once(tmp_path, monkeypatch):
     frames = []
     real_eigenframe = H.eigenframe

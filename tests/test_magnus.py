@@ -81,10 +81,10 @@ def test_batched_exponential_matches_scipy_matrix_by_matrix(hermitian, d):
         assert np.max(np.abs(A._expm(small) - sla.expm(small))) <= 1e-13
 
 
-def test_propagator_table_rejects_times_outside_its_range(ref_scenario):
+def test_propagator_table_rejects_times_outside_its_range(ref_frame):
     # the table holds U_eps at its stops alone: at() reads exactly those
     stops = np.array([0.0, 0.1, 0.35, 0.7, 1.0])
-    tab = R.PropagatorTable(ref_scenario.atom, 0.05, stops)
+    tab = R.PropagatorTable(ref_frame, 0.05, stops)
     assert np.array_equal(tab.times, stops) and len(tab.table) == len(stops)
     assert np.array_equal(tab.at(stops), tab.table)
     assert np.array_equal(tab.at(stops[2]), tab.table[2])
@@ -94,10 +94,47 @@ def test_propagator_table_rejects_times_outside_its_range(ref_scenario):
             tab.at(t)
 
 
-def test_fine_grid_keeps_the_stops_and_splits_each_gap_evenly(ref_scenario):
+def test_propagator_table_refuses_a_stop_past_its_frame(ref_frame):
+    with pytest.raises(ValueError, match="outside the frame's range"):
+        R.PropagatorTable(ref_frame, 0.05, [0.0, 0.5, 1.5])
+
+
+def bump_atom():
+    """ww-ref-2level with 0.5 exp(-((t - 33/64)/0.01)^2) added to the upper level:
+    ||A(t)|| peaks at t = 33/64, off every time k/32 and every frame node k/800."""
+    def upper(t):
+        return 2.0 + 0.3 * t + 0.5 * np.exp(-((t - 33.0 / 64.0) / 0.01) ** 2)
+
+    return A.diag_rotation_atom(level_funcs=(lambda t: 1.0, upper),
+                                theta_func=lambda t: np.pi * t / 4.0,
+                                coupling_func=lambda t: np.array([1.0, 1.0]))
+
+
+def test_magnus_steps_resolve_a_peak_of_the_path(monkeypatch, ref_bath):
+    # every step of the free and the effective propagation turns at most
+    # PHASE_PER_STEP, with ||A|| the largest at the step's ends and middle
+    atom, eps = bump_atom(), 0.05
+    frame = A.eigenframe(atom, np.linspace(0.0, 1.0, 801))
+    grids, real = [], A.magnus_propagate
+
+    def spy(matfun, grid, scale=1.0):
+        grids.append(np.asarray(grid))
+        return real(matfun, grid, scale)
+
+    monkeypatch.setattr(R, "magnus_propagate", spy)
+    R.PropagatorTable(frame, eps, [0.0, 1.0])
+    R.effective_solve(frame, ref_bath, eps, 0.1, np.array([1.0, 0.0]))
+    assert len(grids) == 2
+    for grid in grids:
+        ends_and_middles = np.stack([grid[:-1], 0.5 * (grid[:-1] + grid[1:]), grid[1:]])
+        a_norm = np.max(np.linalg.norm(atom.matrix(ends_and_middles), 2, axis=(-2, -1)), axis=0)
+        assert np.max(a_norm * np.diff(grid) / eps) <= 1.01 * A.PHASE_PER_STEP
+
+
+def test_fine_grid_keeps_the_stops_and_splits_each_gap_evenly(ref_scenario, ref_frame):
     eps = 0.05
     stops = np.concatenate([np.linspace(0.0, 0.5, 21), [0.53, 0.9, 1.0]])
-    h_max = A.magnus_step(ref_scenario.atom, eps, 1.0)
+    h_max = A.PHASE_PER_STEP * eps / ref_frame.a_norm
     grid, at = A.fine_grid(stops, h_max)
     assert np.array_equal(grid[at], stops)
     for k, gap in enumerate(np.diff(stops)):
@@ -118,9 +155,8 @@ def test_fine_grid_merges_close_stops_and_keeps_stops_alone_at_infinity():
     assert np.array_equal(grid, stops) and np.array_equal(at, np.arange(7))
 
 
-def test_three_level_propagator_table_stays_unitary(tmp_path):
-    atom = three_level_atom(tmp_path / "atom.csv")
-    tab = R.PropagatorTable(atom, 0.05, np.linspace(0.0, 1.0, 41))
+def test_three_level_propagator_table_stays_unitary(d3_frame):
+    tab = R.PropagatorTable(d3_frame, 0.05, np.linspace(0.0, 1.0, 41))
     defect = np.einsum("kij,klj->kil", tab.table, tab.table.conj()) - np.eye(3)
     assert np.max(np.abs(defect)) < 1e-10
 

@@ -74,12 +74,13 @@ def oracle_run(d, seed, modes=None):
 @given(d=DIMS, seed=SEEDS)
 def test_propagator_table_is_unitary_and_at_composes(d, seed):
     atom = smooth_path(d, seed)
-    tab = R.PropagatorTable(atom, EPS, np.linspace(0.0, 1.0, 5))
+    frame = frame_of(atom)
+    tab = R.PropagatorTable(frame, EPS, np.linspace(0.0, 1.0, 5))
     defect = np.einsum("kij,klj->kil", tab.table, tab.table.conj()) - np.eye(d)
     assert np.max(np.abs(defect)) < 1e-10
     # the table at an interval end agrees with a table whose last node is that time
     for t in np.linspace(0.0, 1.0, 5)[1:-1]:
-        alone = R.PropagatorTable(atom, EPS, [0.0, t]).at(t)
+        alone = R.PropagatorTable(frame, EPS, [0.0, t]).at(t)
         assert np.linalg.norm(tab.at(t) - alone) < 1e-7
 
 
@@ -88,8 +89,9 @@ def test_propagator_table_is_unitary_and_at_composes(d, seed):
 def test_volterra_without_coupling_is_the_free_propagator(d, seed):
     atom = smooth_path(d, seed)
     z0 = unit_z0(d, seed)
-    traj = R.volterra_solve(frame_of(atom), B.reference_bath(), EPS, 0.0, z0)
-    want = R.PropagatorTable(atom, EPS, [0.0, 1.0]).at(1.0) @ z0
+    frame = frame_of(atom)
+    traj = R.volterra_solve(frame, B.reference_bath(), EPS, 0.0, z0)
+    want = R.PropagatorTable(frame, EPS, [0.0, 1.0]).at(1.0) @ z0
     assert np.linalg.norm(traj.z[-1] - want) < 1e-7
 
 

@@ -1,6 +1,7 @@
 """Every public function of awwlab, and every public method or property of
-its exported classes, is used somewhere outside its own module, and the
-package imports nothing beyond the stdlib, numpy and scipy."""
+its exported classes, is used somewhere outside its own module, the
+package imports nothing beyond the stdlib, numpy and scipy, and README's
+key table lists the config keys."""
 
 import ast
 import functools
@@ -12,6 +13,7 @@ import re
 import sys
 
 import awwlab
+from awwlab.config import KNOWN_KEYS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CALLERS = ("src", "demos", "bench")    # tests do not count as callers
@@ -77,3 +79,10 @@ def test_runtime_dependencies_are_numpy_and_scipy_at_their_floors():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_readme_key_table_lists_the_known_keys_in_order():
+    text = (ROOT / "README.md").read_text()
+    table = text[text.index("| key | default | allowed |"):].split("\n\n", 1)[0]
+    keys = re.findall(r"^\| `([^`]+)` \|", table, re.M)
+    assert keys == list(KNOWN_KEYS)

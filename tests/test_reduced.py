@@ -8,10 +8,9 @@ import scipy.linalg as sla
 from awwlab import atom as A, bath as B, exact as E, reduced as R
 
 
-def test_propagator_unitary_and_flow(ref_scenario):
-    atom = ref_scenario.atom
+def test_propagator_unitary_and_flow(ref_frame):
     eps = 0.05
-    tab = R.PropagatorTable(atom, eps, [0.0, 0.5, 1.0])
+    tab = R.PropagatorTable(ref_frame, eps, [0.0, 0.5, 1.0])
     u1 = tab.at(1.0)
     assert np.allclose(u1 @ u1.conj().T, np.eye(2), atol=1e-10)
     # U(1, 0.5) U(0.5, 0) with U(t, s) = at(t) at(s)^H
@@ -28,7 +27,8 @@ def test_propagator_constant_hamiltonian_closed_form():
     )
     eps, t = 0.1, 0.7
     want = sla.expm(-1j * t / eps * atom.matrix(0.0))
-    got = R.PropagatorTable(atom, eps, [0.0, t]).at(t)
+    frame = A.eigenframe(atom, np.linspace(0.0, 1.0, 11))
+    got = R.PropagatorTable(frame, eps, [0.0, t]).at(t)
     assert np.linalg.norm(got - want) < 1e-8
 
 
@@ -45,7 +45,7 @@ def test_effective_generator_refuses_an_atom_that_is_not_the_frames(ref_scenario
 def test_volterra_lambda_zero_is_free_motion(ref_scenario, ref_frame):
     traj = R.volterra_solve(ref_frame, ref_scenario.bath,
                             0.1, 0.0, ref_scenario.z0)
-    u = R.PropagatorTable(ref_scenario.atom, 0.1, [0.0, 1.0]).at(1.0)
+    u = R.PropagatorTable(ref_frame, 0.1, [0.0, 1.0]).at(1.0)
     assert np.linalg.norm(traj.z[-1] - u @ ref_scenario.z0) < 1e-8
     assert np.max(np.abs(np.linalg.norm(traj.z, axis=1) - 1.0)) < 1e-10
 
@@ -140,7 +140,7 @@ def test_transforms_run_in_blocks(d3_frame, ref_bath):
 def test_effective_solve_lambda_zero(ref_scenario, ref_frame):
     traj = R.effective_solve(ref_frame, ref_scenario.bath,
                              0.1, 0.0, ref_scenario.z0)
-    u = R.PropagatorTable(ref_scenario.atom, 0.1, [0.0, 1.0]).at(1.0)
+    u = R.PropagatorTable(ref_frame, 0.1, [0.0, 1.0]).at(1.0)
     assert np.linalg.norm(traj.z[-1] - u @ ref_scenario.z0) < 1e-7
 
 

@@ -43,7 +43,7 @@ def direct_etdrk4(atom, frame, bath, eps, lam, z0, x_step, t_out):
     d, n_exp = atom.dim, len(kern.c)
     n = int(np.ceil(1.0 / (x_step * eps)))
     halves = np.linspace(0.0, 1.0, 2 * n + 1)
-    free = R.PropagatorTable(atom, eps, np.union1d(halves, t_out))
+    free = R.PropagatorTable(frame, eps, np.union1d(halves, t_out))
     u = A.coupling_in_working_basis(frame, halves)
     beta = np.einsum("kji,kj->ki", free.at(halves).conj(), u)
     h = 1.0 / n / eps
@@ -89,7 +89,7 @@ def direct_heun(atom, frame, gamma, eps, lam, z0, x_step):
     n = int(np.ceil(1.0 / h))
     ts = np.linspace(0.0, 1.0, n + 1)
     h = ts[1] - ts[0]
-    u_all = R.PropagatorTable(atom, eps, ts).at(ts)
+    u_all = R.PropagatorTable(frame, eps, ts).at(ts)
     u = A.coupling_in_working_basis(frame, ts)
     beta = np.einsum("kji,kj->ki", u_all.conj(), u)
     kernel = gamma(ts / eps)
