@@ -37,7 +37,8 @@ class AsymptoticTables:
     Each is the antiderivative of a cubic spline through values at the frame's
     nodes, with the couplings of frame.atom: int_alpha of the energies, int_beta
     of decay_rate, and _int_shift of one decay_and_shift call, built on its first
-    read, so only leading_order_z runs the shift quadrature.
+    read, so only leading_order_z reads the Lamb shift, and with it the bath's
+    exp_sum: the tables of a bath without one serve regime_classify alone.
     """
 
     def __init__(self, frame: EigenFrame, bath: bath_mod.BathSpec):
@@ -114,7 +115,8 @@ def semigroup_time_independent(a: np.ndarray, v: np.ndarray,
                                z0: np.ndarray, t) -> np.ndarray:
     """Autonomous long-time law z(t) = sum_j e^{-i t (alpha_j + lam^2 a'_j)} P_j z0.
 
-    a'_j = shift_j - i beta_j with the coupling component <phi_j, v>.
+    a'_j = shift_j - i beta_j with the coupling component <phi_j, v>, from
+    decay_and_shift, so a bath without an exp_sum raises DiscretizationError.
     Physical time t; no slow rescaling enters.
     """
     a = np.asarray(a, dtype=complex)

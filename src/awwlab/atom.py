@@ -397,10 +397,6 @@ class CouplingReport:
     beta_min: np.ndarray            # per level inf_t beta_j(t)
     well_coupled: np.ndarray        # per level bool
 
-    @property
-    def ok(self) -> bool:
-        return self.smallness_ok and bool(np.all(self.well_coupled))
-
 
 def validate_coupling(frame: EigenFrame, bath: "bath_mod.BathSpec",
                       lam: float) -> CouplingReport:

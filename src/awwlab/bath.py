@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from .errors import QuadratureError
+from .errors import DiscretizationError, QuadratureError
 
 __all__ = [
     "BathSpec",
@@ -160,7 +160,6 @@ def bath_from_name(name: str) -> BathSpec:
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
-_LEVELS = (..., None, None)   # indexes level axes against _panel_quad's (panel, node) axes
 
 
 def _gl_panels(a, b, width, min_panels=1):
@@ -176,19 +175,19 @@ def _gl_panels(a, b, width, min_panels=1):
 def _panel_quad(f, a, b, rate):
     """Composite 16-point Gauss-Legendre with panel width <= pi/(4*rate).
 
-    ``f`` takes the nodes shaped ``(n_panels, 16)`` and returns values of
-    shape ``(..., n_panels, 16)``; the sums run over the last two axes.
-    Returns ``(value, resabs)`` where ``resabs = sum |half * w * f|`` is the
-    quadrature of ``|f|`` on the same nodes, the scale of the roundoff in
-    ``value``.
+    ``f`` takes the nodes shaped ``(n_panels, 16)`` and returns its values
+    there. Returns ``(value, resabs)`` where ``resabs = sum |half * w * f|``
+    is the quadrature of ``|f|`` on the same nodes, the scale of the roundoff
+    in ``value``.
     """
     x, w = _gl_panels(a, b, np.pi / (4.0 * max(abs(rate), 0.25)), min_panels=4)
     terms = w * f(x)
-    return np.sum(terms, axis=(-2, -1)), np.sum(np.abs(terms), axis=(-2, -1))
+    return np.sum(terms), np.sum(np.abs(terms))
 
 
 def _osc_quad(f, a, b, rate, tol=1e-9):
-    """Panel quadrature with a doubled-resolution error estimate.
+    """Panel quadrature of a scalar integral with a doubled-resolution error
+    estimate; correlation's quadrature for a bath without a closed form.
 
     ``rate`` is the angular frequency of the integrand's oscillation. The
     coarse pass puts at most one wavelength (2 pi rad of phase) on each
@@ -207,19 +206,15 @@ def _osc_quad(f, a, b, rate, tol=1e-9):
     ``tol`` and ``QuadratureError.achieved`` cover the discretisation and
     roundoff error on ``[a, b]`` only; the truncation of an integral at
     ``b`` is not part of the estimate. A value or estimate that is not
-    finite (an integrand that yields NaN or inf) raises as well. Every
-    element of an array-valued integral is checked; the error reports the
-    worst failing one.
+    finite (an integrand that yields NaN or inf) raises as well.
     """
     coarse, _ = _panel_quad(f, a, b, abs(rate) / 8.0)
     fine, resabs = _panel_quad(f, a, b, max(abs(rate), 2.0) / 4.0)
-    err = np.maximum(np.abs(fine - coarse), 50.0 * np.finfo(float).eps * resabs)
-    failed = ~(np.isfinite(fine) & (err <= tol))
-    if np.any(failed):
-        worst = float(np.max(err[failed]))
+    err = float(max(abs(fine - coarse), 50.0 * np.finfo(float).eps * resabs))
+    if not (np.isfinite(fine) and err <= tol):
         raise QuadratureError(
-            f"oscillatory quadrature did not converge (error {worst:.2e} > {tol:.0e})",
-            achieved=worst,
+            f"oscillatory quadrature did not converge (error {err:.2e} > {tol:.0e})",
+            achieved=err,
         )
     return fine
 
@@ -254,67 +249,25 @@ def fourier_hat(bath: BathSpec, alpha):
     return out[()] if out.ndim == 0 else out
 
 
-def _principal_value_hilbert(bath: BathSpec, alpha, tol):
-    """PV int_0^cutoff rho(omega)/(alpha - omega) domega, elementwise in alpha.
-
-    Inside the support rho(alpha) is subtracted from the integrand and its
-    integral added back as a logarithm; outside, the subtracted value is 0
-    and the integrand, which does not oscillate, is _osc_quad's at rate 0.
-    """
-    hi = bath.quad_cutoff
-    rho = bath.rho
-    alpha = np.asarray(alpha, dtype=float)
-    inside = (alpha > 0.0) & (alpha < hi)
-    a_in = np.where(inside, alpha, 0.5 * hi)    # a stand-in that keeps the log finite
-    rho_a = np.where(inside, rho(alpha), 0.0)
-    h = 1e-6
-    drho_a = (rho(alpha + h) - rho(alpha - h)) / (2.0 * h)
-
-    def regular(w):
-        diff = alpha[_LEVELS] - w
-        near = np.abs(diff) < 1e-9
-        return np.where(near, -drho_a[_LEVELS],
-                        (rho(w) - rho_a[_LEVELS]) / np.where(near, 1.0, diff))
-
-    smooth = _osc_quad(regular, 0.0, hi, rate=0.0, tol=tol)
-    return smooth + rho_a * np.log(a_in / (hi - a_in))
-
-
-def half_line_transform(bath: BathSpec, alpha, T, tol=1e-8):
+def half_line_transform(bath: BathSpec, alpha, T):
     """int_0^T exp(i x alpha) gamma(x) dx, elementwise over alpha and T.
 
     ``alpha`` (level frequencies) and ``T`` (horizons, each >= 0 or inf)
-    broadcast against each other; scalars give a scalar. At T = inf the real
-    part is decay_rate(bath, 1, alpha) on either path below, and the
-    imaginary part PV int rho(omega)/(alpha - omega) domega.
-
-    When the bath has an exp_sum whose l1_error is at most ``tol``, the
-    transform is its closed form
+    broadcast against each other; scalars give a scalar. The transform is the
+    closed form of the bath's exp_sum,
     sum_k c_k (1 - exp(-(lam_k - i alpha) T)) / (lam_k - i alpha),
-    formed in blocks of EXPSUM_CHUNK values; its error is at most l1_error
-    at every T, T = inf included.
-
-    Otherwise it is computed by quadrature, one per distinct T for all the
-    levels at that T: finite T in the frequency domain against the kernel
-    (exp(iT(alpha-omega)) - 1)/(i(alpha-omega)), T = inf by the principal
-    value. The tolerance is ``tol * max(T, 1)``, and ``tol`` at T = inf; it
-    and ``QuadratureError.achieved`` bound the discretisation and roundoff
-    error on ``[0, quad_cutoff]``. The truncation beyond ``quad_cutoff`` is
-    not included; it is governed by the ``BathSpec.quad_cutoff`` contract
-    (tail mass < 1e-8).
+    formed in blocks of EXPSUM_CHUNK values; its error is at most the sum's
+    l1_error at every T, T = inf included. At T = inf the real part is
+    replaced by decay_rate(bath, 1, alpha), and the imaginary part is
+    PV int rho(omega)/(alpha - omega) domega. A bath without an exp_sum
+    raises DiscretizationError (exp_sum's).
     """
     alpha, T = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(T, dtype=float))
     if not np.all(T >= 0.0):
         raise ValueError("T must be >= 0 or inf")
     kern = exp_sum(bath)
-    if kern is not None and tol >= kern.l1_error:
-        out = _in_blocks(functools.partial(_sum_transform, kern), alpha.ravel(), T.ravel())
-        out = out.reshape(alpha.shape)
-    else:
-        out = np.zeros(alpha.shape, dtype=complex)
-        for t in np.unique(T[T > 0.0]):
-            at = T == t
-            out[at] = _quad_transform(bath, alpha[at], t, tol)
+    out = _in_blocks(functools.partial(_sum_transform, kern), alpha.ravel(), T.ravel())
+    out = out.reshape(alpha.shape)
     inf = np.isinf(T)
     out.real[inf] = decay_rate(bath, 1.0, alpha[inf])
     return out[()]
@@ -340,22 +293,6 @@ def _sum_transform(kern: "ExpSum", alpha, T):
     return ((1.0 - phase[:, None] * decay) / (kern.lam - 1j * alpha[:, None])) @ kern.c
 
 
-def _quad_transform(bath: BathSpec, alpha, T: float, tol):
-    """The quadrature transform at 1-D alpha and one T > 0; at T = inf the
-    imaginary part alone."""
-    if np.isinf(T):
-        return 1j * _principal_value_hilbert(bath, alpha, tol)
-
-    def integrand(w):
-        delta = alpha[_LEVELS] - w
-        small = np.abs(delta) < 1e-12
-        d = np.where(small, 1.0, delta)
-        kern = np.where(small, T, (np.exp(1j * T * d) - 1.0) / (1j * d))
-        return bath.rho(w) * kern
-
-    return _osc_quad(integrand, 0.0, bath.quad_cutoff, rate=T, tol=tol * max(T, 1.0))
-
-
 def decay_rate(bath: BathSpec, v, alpha):
     """Golden-rule decay rate beta = pi |v|^2 rho(alpha), elementwise over levels."""
     return np.abs(v) ** 2 * (np.pi * bath.rho(alpha))
@@ -365,8 +302,10 @@ def decay_and_shift(bath: BathSpec, v, alpha):
     """Golden-rule decay rate and level shift for coupling v at frequency alpha.
 
     |v|^2 half_line_transform(bath, alpha, inf) = beta + i shift, so beta is
-    decay_rate's and shift = |v|^2 PV int rho(omega)/(alpha-omega).
-    Elementwise over arrays of levels; returns the pair (beta, shift).
+    decay_rate's and shift = |v|^2 PV int rho(omega)/(alpha-omega), within
+    |v|^2 l1_error of the bath's exp_sum. Elementwise over arrays of levels;
+    returns the pair (beta, shift). A bath without an exp_sum raises
+    DiscretizationError.
     """
     val = np.abs(v) ** 2 * half_line_transform(bath, alpha, np.inf)
     return val.real, val.imag
@@ -393,8 +332,11 @@ class ExpSum:
 
 
 @functools.lru_cache(maxsize=None)
-def exp_sum(bath: BathSpec) -> Optional[ExpSum]:
-    """The bath's certified ExpSum, built on first use; None unless bath.analytic.
+def exp_sum(bath: BathSpec) -> ExpSum:
+    """The bath's certified ExpSum, built on first use; the one kernel from
+    which every half-line transform, and so every reduced description, reads
+    the bath. A bath not marked analytic has none and raises
+    DiscretizationError, from here alone.
 
     On the ray omega = e^{-i pi/4} s the kernel exp(-i omega x) is
     exp(-e^{i pi/4} s x), which decays for x > 0, so rotating the contour
@@ -416,7 +358,8 @@ def exp_sum(bath: BathSpec) -> Optional[ExpSum]:
     as every caller shares them.
     """
     if not bath.analytic:
-        return None
+        raise DiscretizationError("the bath has no exp_sum: only a bath marked analytic "
+                                  "has one, and every half-line transform needs it")
     x_max = _envelope_horizon(bath, EXPSUM_TAIL)
     u, w = _gl_panels(-np.log(x_max), np.log(2.0 * bath.quad_cutoff), EXPSUM_PANEL)
     s = np.exp(u.ravel())

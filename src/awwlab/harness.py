@@ -418,14 +418,17 @@ def run_regimes(cfg: dict, out_dir: str, override: bool = False) -> list:
 
 def run_validate(cfg: dict, out_dir: Optional[str] = None,
                  override: bool = False) -> dict:
-    """Coupling-smallness and well-coupledness report for the configured point."""
+    """Coupling-smallness and well-coupledness report for the configured point.
+
+    ``override`` lifts the smallness bound alone: a level outside the bath's
+    support, or a bath that fails its decay certificate, is still not ok.
+    """
     rc = RunConfig.from_dict(cfg)
     scen = _scenario(rc)
     eps, lam = rc.sim_eps, float(np.sqrt(rc.sim_lambda2))
     report = validate_coupling(scen.frame(), scen.bath, lam)
-    ok = report.ok or override
-    if not bath_mod.check_decay_bound(scen.bath):
-        ok = False
+    ok = ((report.smallness_ok or override) and all(report.well_coupled)
+          and bath_mod.check_decay_bound(scen.bath))
     return {"ok": ok, "smallness": report.smallness_value,
             "smallness_ok": report.smallness_ok,
             "well_coupled": report.well_coupled,

@@ -18,7 +18,7 @@ import numpy as np
 from . import bath as bath_mod
 from .atom import (PHASE_PER_NODE, PHASE_PER_STEP, AtomPath, EigenFrame,
                    coupling_in_working_basis, fine_grid, magnus_propagate)
-from .errors import DiscretizationError, IntegratorError, ResolutionError
+from .errors import IntegratorError, ResolutionError
 from .exact import DT_OUT, Trajectory, output_grid
 
 __all__ = [
@@ -112,12 +112,9 @@ def volterra_solve(frame: EigenFrame, bath: bath_mod.BathSpec, eps: float, lam: 
     Hermite interpolant of the slowly varying y through its values and slopes
     at the step ends, fourth order as the step is. U_eps at the steps' ends
     and middles and at the output times comes from one PropagatorTable. A bath
-    without an exp_sum raises DiscretizationError.
+    without an exp_sum raises DiscretizationError (exp_sum's).
     """
     kern = bath_mod.exp_sum(bath)
-    if kern is None:
-        raise DiscretizationError("volterra_solve needs the bath's exp_sum, which only "
-                                  "an analytic bath has")
     t_end = float(frame.times[-1])
     z0 = np.asarray(z0, dtype=complex)
     x_cap = PHASE_PER_NODE / frame.a_norm
@@ -196,8 +193,8 @@ class EffectiveGenerator:
     Gamma_eps(t) = sum_j I(t/eps, alpha_j(t)) P_j(t) where I is the finite
     half-line transform of the bath correlation. Everything is evaluated at
     call time: `transforms` makes one half_line_transform call for all the
-    times and levels asked for, in closed form when the bath has an exp_sum
-    and by one quadrature per distinct time when it has not. `atom` must be
+    times and levels asked for, in closed form from the bath's exp_sum, so at
+    lam > 0 a bath without one raises DiscretizationError. `atom` must be
     frame.atom, and `t_end`, when given, is checked as a solver's last time
     (EigenFrame.check_end); every time of the frame can be asked for.
     """

@@ -12,6 +12,19 @@ def ref_bath():
 
 
 @pytest.fixture(scope="session")
+def quad_bath(ref_bath):
+    """Reference density with the closed form stripped: its correlation is a
+    quadrature, and, not marked analytic, it has no exp_sum."""
+    return bath_mod.BathSpec(
+        density=ref_bath.density,
+        support_max=ref_bath.support_max,
+        quad_cutoff=ref_bath.quad_cutoff,
+        decay_amplitude=ref_bath.decay_amplitude,
+        decay_power=ref_bath.decay_power,
+    )
+
+
+@pytest.fixture(scope="session")
 def ref_scenario():
     return builtin_scenario("ww-ref-2level")
 

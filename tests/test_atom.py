@@ -214,13 +214,12 @@ def test_validate_coupling_reference_value(ref_frame, ref_bath):
     report = A.validate_coupling(ref_frame, ref_bath, np.sqrt(1.0 / 64))
     # 4 * (1/64) * 2 * 4 / 1 = 1/2
     assert report.smallness_value == pytest.approx(0.5, abs=1e-6)
-    assert report.smallness_ok and report.well_coupled.all() and report.ok
+    assert report.smallness_ok and report.well_coupled.all()
 
 
 def test_validate_coupling_flags_large_lambda(ref_frame, ref_bath):
     report = A.validate_coupling(ref_frame, ref_bath, 0.5)
     assert not report.smallness_ok
-    assert not report.ok
 
 
 def test_tabulated_atom_roundtrip(tmp_path, ref_frame):

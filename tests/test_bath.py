@@ -7,22 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from awwlab import bath as B
-from awwlab.errors import QuadratureError
+from awwlab.errors import DiscretizationError, QuadratureError
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
-
-
-@pytest.fixture(scope="module")
-def quad_bath(ref_bath):
-    """Reference density with the closed form stripped, forcing quadrature."""
-    return B.BathSpec(
-        density=ref_bath.density,
-        support_max=ref_bath.support_max,
-        quad_cutoff=ref_bath.quad_cutoff,
-        decay_amplitude=ref_bath.decay_amplitude,
-        decay_power=ref_bath.decay_power,
-        closed_form_correlation=None,
-    )
 
 
 def test_correlation_closed_form_values(ref_bath):
@@ -198,10 +185,6 @@ def test_quadrature_error_carries_estimate(quad_bath):
 @pytest.mark.parametrize("call", [
     *[pytest.param(lambda b, t=t: B.correlation(b, t, tol=1e-16), id=f"correlation-t{t}")
       for t in (0.0, 0.3, 1.0, 4.0, 11.0)],
-    pytest.param(lambda b: B.half_line_transform(b, 1.0, 20.0, tol=1e-18),
-                 id="half_line_transform"),
-    pytest.param(lambda b: B.half_line_transform(b, 1.0, np.inf, tol=1e-30),
-                 id="half_line_transform-inf"),
 ])
 def test_quadrature_error_estimate_never_zero(quad_bath, call):
     # the two panel resolutions can agree to the last bit; the roundoff
@@ -251,33 +234,20 @@ def test_batched_decay_and_shift_equals_stacked_scalar_calls(ref_bath):
 
 
 @pytest.mark.parametrize("alpha", [-0.7, 0.0, 31.0])
-def test_principal_value_outside_the_support_matches_quad(quad_bath, alpha):
-    # no singularity on [0, quad_cutoff]: plain adaptive quadrature is a reference
-    want = quad(lambda w: w**2 * np.exp(-w) / (alpha - w), 0.0, quad_bath.quad_cutoff,
-                epsabs=1e-13, limit=200)[0]
-    assert B.half_line_transform(quad_bath, alpha, np.inf).imag == pytest.approx(
-        want, abs=1e-12)
-    assert B.decay_and_shift(quad_bath, 1.0, alpha)[1] == pytest.approx(want, abs=1e-12)
-
-
-def test_one_failing_level_reports_its_own_estimate(ref_bath):
-    # the error estimates of these levels differ by about x2.7; a tolerance
-    # between the two largest fails only the worst level
-    alphas, T = np.array([0.4, 2.3, 31.0]), 20.0
-    estimates = []
-    for a in alphas:
-        with pytest.raises(QuadratureError) as err:
-            B.half_line_transform(ref_bath, a, T, tol=1e-30)
-        estimates.append(err.value.achieved)
-    worst, second = sorted(estimates)[::-1][:2]
-    assert worst > 1.5 * second
-    tol = np.sqrt(worst * second) / T
-    for a, est in zip(alphas, estimates):
-        if est < worst:
-            B.half_line_transform(ref_bath, a, T, tol=tol)
-    with pytest.raises(QuadratureError) as err:
-        B.half_line_transform(ref_bath, alphas, T, tol=tol)
-    assert err.value.achieved == worst
+def test_principal_value_outside_the_support_matches_quad(ref_bath, alpha):
+    # the shift is PV int_0^inf rho(w)/(alpha - w) dw. Off [0, quad_cutoff]:
+    # at or below the support's edge the integrand is regular; beyond the
+    # cutoff QUADPACK's Cauchy weight takes the principal value on [0, 2 alpha]
+    rho = lambda w: w**2 * np.exp(-w)
+    regular = lambda a, b: quad(lambda w: rho(w) / (alpha - w), a, b, epsabs=1e-13)[0]
+    if alpha <= 0.0:
+        want = regular(0.0, np.inf)
+    else:
+        want = (regular(2.0 * alpha, np.inf)
+                - quad(rho, 0.0, 2.0 * alpha, weight="cauchy", wvar=alpha, epsabs=1e-13)[0])
+    bound = B.exp_sum(ref_bath).l1_error
+    assert abs(B.half_line_transform(ref_bath, alpha, np.inf).imag - want) <= bound
+    assert abs(B.decay_and_shift(ref_bath, 1.0, alpha)[1] - want) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +257,8 @@ def test_one_failing_level_reports_its_own_estimate(ref_bath):
 def test_reference_sum_is_certified(ref_bath, quad_bath):
     kern = B.exp_sum(ref_bath)
     assert B.exp_sum(ref_bath) is kern                 # built once per bath
-    assert B.exp_sum(quad_bath) is None                # not marked analytic
+    with pytest.raises(DiscretizationError, match="exp_sum"):
+        B.exp_sum(quad_bath)                           # not marked analytic
     assert kern.l1_error < 1e-8
     assert np.all(kern.lam.real > 0.0)
     # a grid ten times denser than the certificate's, out to the longest
@@ -308,63 +279,51 @@ def test_the_sum_is_built_on_first_use_not_at_import():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def cutoff_tail_bound(alpha, T, cutoff=25.0):
-    """Bound on the part of the transform of w^2 e^-w past ``cutoff``, which
-    quad_bath's quadrature leaves out.
+def quadpack_transform(alpha, T):
+    """int_0^T e^{i alpha x} gamma(x) dx of the closed form gamma = 2/(1+ix)^3 by
+    QUADPACK's Fourier weights: QAWO on [0, T], QAWF on [0, inf)."""
+    limit = {"limit": 200} if np.isfinite(T) else {}
 
-    The kernel K_T(d) = (e^{iTd} - 1)/(id), d = alpha - w, has |K_T| <= T and
-    <= 2/|d|; at T = inf it is 1/d, and a level beyond the cutoff takes the
-    principal value, bounded by subtracting rho(alpha) on [cutoff, 2 alpha -
-    cutoff], where |rho'| <= (cutoff^2 - 2 cutoff) e^-cutoff.
-    """
-    mass = (cutoff**2 + 2.0 * cutoff + 2.0) * np.exp(-cutoff)   # int_cutoff^inf rho
-    dist = abs(cutoff - alpha)
-    if alpha < cutoff:
-        return mass * (1.0 / dist if np.isinf(T) else min(T, 2.0 / dist))
-    if np.isfinite(T):
-        return mass * T
-    slope = (cutoff**2 - 2.0 * cutoff) * np.exp(-cutoff)
-    return 2.0 * dist * slope + mass / dist
+    def part(f, weight):
+        return quad(f, 0.0, T, weight=weight, wvar=alpha, epsabs=1e-12, **limit)[0]
+
+    re = lambda x: (2.0 / (1.0 + 1j * x) ** 3).real
+    im = lambda x: (2.0 / (1.0 + 1j * x) ** 3).imag
+    return part(re, "cos") - part(im, "sin") + 1j * (part(im, "cos") + part(re, "sin"))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("T", [0.0, 0.5, 20.0, 80.0, 320.0, np.inf])
-def test_sum_agrees_with_the_quadrature(ref_bath, quad_bath, T):
-    # |sum - quadrature| <= the sum's certificate + the quadrature's own
-    # estimate + what the quadrature leaves out past quad_cutoff
-    kern = B.exp_sum(ref_bath)
-    got = B.half_line_transform(ref_bath, LEVELS, T)
-    want = B.half_line_transform(quad_bath, LEVELS, T)
+def test_sum_agrees_with_the_quadrature(ref_bath, T):
+    # an independent reference: QUADPACK's integral of the closed-form gamma,
+    # tail past quad_cutoff included, is within the sum's certificate at
+    # every level, inside the support and beyond quad_cutoff = 25
+    levels = np.array([0.4, 1.0, 2.3, 24.0, 31.0])
+    bound = B.exp_sum(ref_bath).l1_error
+    got = B.half_line_transform(ref_bath, levels, T)
     if T == 0.0:
-        assert np.all(got == 0.0) and np.all(want == 0.0)
+        assert np.all(got == 0.0)
         return
-    for a, g, w in zip(LEVELS, got, want):
-        with pytest.raises(QuadratureError) as err:     # tol = 0 reports the estimate
-            B.half_line_transform(quad_bath, a, T, tol=0.0)
-        bound = kern.l1_error + err.value.achieved + cutoff_tail_bound(a, T)
-        assert abs(g - w) <= bound, (a, abs(g - w), bound)
+    want = np.array([quadpack_transform(a, T) for a in levels])
+    assert np.max(np.abs(got - want)) <= bound
+    if np.isinf(T):
+        _, shift = B.decay_and_shift(ref_bath, 1.0, levels)
+        assert np.max(np.abs(shift - want.imag)) <= bound
 
 
-@pytest.mark.parametrize("bath_name", ["ref_bath", "quad_bath"], ids=["sum", "quadrature"])
-def test_array_T_equals_stacked_scalar_calls(request, bath_name):
-    bath = request.getfixturevalue(bath_name)
+def test_array_T_equals_stacked_scalar_calls(ref_bath):
     horizons = np.array([0.0, 0.5, 20.0, 80.0, np.inf])
-    grid = B.half_line_transform(bath, LEVELS[None, :], horizons[:, None])
-    stacked = np.array([[B.half_line_transform(bath, a, T) for a in LEVELS] for T in horizons])
+    grid = B.half_line_transform(ref_bath, LEVELS[None, :], horizons[:, None])
+    stacked = np.array([[B.half_line_transform(ref_bath, a, T) for a in LEVELS]
+                        for T in horizons])
     assert grid.shape == (len(horizons), len(LEVELS))
     np.testing.assert_allclose(grid, stacked, rtol=1e-14, atol=1e-14)
     # one horizon per level, repeated horizons included
-    pairs = B.half_line_transform(bath, LEVELS[:6], horizons[[0, 1, 2, 2, 3, 4]])
+    pairs = B.half_line_transform(ref_bath, LEVELS[:6], horizons[[0, 1, 2, 2, 3, 4]])
     np.testing.assert_allclose(pairs, stacked[[0, 1, 2, 2, 3, 4], np.arange(6)],
                                rtol=1e-14, atol=1e-14)
     with pytest.raises(ValueError):
-        B.half_line_transform(bath, LEVELS, np.array([1.0, -1.0, 2.0, 0.0, 1.0, 1.0, 1.0]))
-
-
-def test_a_tolerance_below_the_certificate_takes_the_quadrature(ref_bath, quad_bath):
-    tol = B.exp_sum(ref_bath).l1_error / 10.0
-    for T in (20.0, np.inf):
-        assert np.array_equal(B.half_line_transform(ref_bath, LEVELS, T, tol=tol),
-                              B.half_line_transform(quad_bath, LEVELS, T, tol=tol))
+        B.half_line_transform(ref_bath, LEVELS, np.array([1.0, -1.0, 2.0, 0.0, 1.0, 1.0, 1.0]))
 
 
 def test_infinite_horizon_real_part_is_the_decay_rate(ref_bath):

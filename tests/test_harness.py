@@ -648,3 +648,25 @@ def test_cli_validate_reports(tmp_path, capsys):
                                "sim.lambda2 = 0.015625\n", "v.cfg")
     assert cli.main(["validate", "--config", path]) == 0
     assert "smallness" in capsys.readouterr().out
+
+
+def test_override_lifts_the_smallness_bound_alone(tmp_path):
+    # A(t) = diag(1, 2 + 0.3 t), the ww-ref-2level levels, with v = (1, 0):
+    # the upper level is uncoupled, which no override makes well coupled
+    table = tmp_path / "atom.csv"
+    rows = [[t, 1, 0, 0, 0, 0, 0, 2 + 0.3 * t, 0, 1, 0, 0, 0] for t in np.linspace(0, 1, 11)]
+    np.savetxt(table, rows, delimiter=",", header="t," + ",".join(["c"] * 12), comments="")
+    text = f"atom.name = tabulated\natom.file = {table}\nbath.name = reference\n"
+    path = write_cfg(tmp_path, text + "sim.lambda2 = 0.01\n", "uncoupled.cfg")
+    res = H.run_validate(C.load_config(path))
+    assert res["smallness"] == pytest.approx(0.16, abs=0.01) and res["smallness_ok"]
+    assert list(res["well_coupled"]) == [True, False]
+    assert res["beta_min"] == [pytest.approx(np.pi * np.exp(-1.0)), 0.0]
+    for flags in ([], ["--override-smallness"]):
+        assert cli.main(["validate", "--config", path, *flags]) == 1
+    # a coupling that fails the smallness bound alone (value 32) passes with the flag
+    strong = write_cfg(tmp_path, "atom.name = ww-ref-2level\nbath.name = reference\n"
+                                 "sim.lambda2 = 1\n", "strong.cfg")
+    assert H.run_validate(C.load_config(strong))["smallness"] == pytest.approx(32.0, rel=1e-6)
+    assert cli.main(["validate", "--config", strong]) == 1
+    assert cli.main(["validate", "--config", strong, "--override-smallness"]) == 0

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from awwlab import atom as A, bath as B, exact as E, reduced as R
+from awwlab import asymptotics as Y, atom as A, bath as B, exact as E, reduced as R
+from awwlab.errors import DiscretizationError
 
 
 def test_propagator_unitary_and_flow(ref_frame):
@@ -229,3 +230,25 @@ def test_output_step_past_the_run_gives_one_step(ref_scenario, ref_frame):
     one_step = R.effective_solve(ref_frame, bath, eps, lam, z0, dt_out=1.0)
     assert np.array_equal(long_step.times, [0.0, 1.0])
     assert np.array_equal(long_step.z, one_step.z)
+
+
+def test_a_bath_without_an_exp_sum_is_refused_by_name(quad_bath, ref_frame, d3_frame):
+    # every reduced description reads the bath through its exp_sum: a bath
+    # without one is refused alike, naming it, by each of them
+    eps, lam = 0.1, np.sqrt(0.1)
+    calls = [lambda: B.half_line_transform(quad_bath, 1.0, 20.0),
+             lambda: B.decay_and_shift(quad_bath, 1.0, 1.0),
+             lambda: Y.semigroup_time_independent(np.diag([1.0, 2.0]), np.ones(2),
+                                                  quad_bath, lam, np.eye(2)[0], 1.0)]
+    for frame in (ref_frame, d3_frame):
+        z0 = np.eye(frame.dim, dtype=complex)[0]
+        calls += [
+            lambda f=frame: R.EffectiveGenerator(f.atom, f, quad_bath, eps, lam)(0.5),
+            lambda f=frame, z0=z0: R.effective_solve(f, quad_bath, eps, lam, z0),
+            lambda f=frame, z0=z0: Y.leading_order_z(Y.AsymptoticTables(f, quad_bath),
+                                                     eps, lam, z0, 0.5),
+            lambda f=frame, z0=z0: R.volterra_solve(f, quad_bath, eps, lam, z0),
+        ]
+    for call in calls:
+        with pytest.raises(DiscretizationError, match="exp_sum"):
+            call()
