@@ -172,19 +172,6 @@ def _gl_panels(a, b, width, min_panels=1):
     return mid[:, None] + half[:, None] * _GL_NODES[None, :], half[:, None] * _GL_WEIGHTS[None, :]
 
 
-def _panel_quad(f, a, b, rate):
-    """Composite 16-point Gauss-Legendre with panel width <= pi/(4*rate).
-
-    ``f`` takes the nodes shaped ``(n_panels, 16)`` and returns its values
-    there. Returns ``(value, resabs)`` where ``resabs = sum |half * w * f|``
-    is the quadrature of ``|f|`` on the same nodes, the scale of the roundoff
-    in ``value``.
-    """
-    x, w = _gl_panels(a, b, np.pi / (4.0 * max(abs(rate), 0.25)), min_panels=4)
-    terms = w * f(x)
-    return np.sum(terms), np.sum(np.abs(terms))
-
-
 def _osc_quad(f, a, b, rate, tol=1e-9):
     """Panel quadrature of a scalar integral with a doubled-resolution error
     estimate; correlation's quadrature for a bath without a closed form.
@@ -197,20 +184,25 @@ def _osc_quad(f, a, b, rate, tol=1e-9):
     needing only about pi nodes per wavelength (Trefethen, SIAM Rev. 50,
     2008); on one wavelength the 16-point rule's error for exp(i rate x) is
     about pi^32/32! ~ 3e-20, so for the reference bath the two passes agree
-    to roundoff. ``_panel_quad`` sizes panels as pi/(4 r), hence r = rate/8
-    and max(rate, 2)/4 below.
+    to roundoff. Both passes take at least four panels.
 
-    The estimate is ``max(|fine - coarse|, 50 * eps * resabs)``: the two
-    resolutions can agree to the last bit, so the difference alone may read
-    zero, and the roundoff floor (as in QUADPACK) keeps it positive.
+    ``f`` takes the nodes shaped ``(n_panels, 16)`` and returns its values
+    there. The estimate is ``max(|fine - coarse|, 50 * eps * resabs)``, with
+    ``resabs`` the fine pass's quadrature of ``|f|``, the scale of the
+    roundoff in its value: the two resolutions can agree to the last bit, so
+    the difference alone may read zero, and the roundoff floor (as in
+    QUADPACK) keeps it positive.
     ``tol`` and ``QuadratureError.achieved`` cover the discretisation and
     roundoff error on ``[a, b]`` only; the truncation of an integral at
     ``b`` is not part of the estimate. A value or estimate that is not
     finite (an integrand that yields NaN or inf) raises as well.
     """
-    coarse, _ = _panel_quad(f, a, b, abs(rate) / 8.0)
-    fine, resabs = _panel_quad(f, a, b, max(abs(rate), 2.0) / 4.0)
-    err = float(max(abs(fine - coarse), 50.0 * np.finfo(float).eps * resabs))
+    x, w = _gl_panels(a, b, np.pi / max(abs(rate) / 2.0, 1.0), min_panels=4)
+    coarse = np.sum(w * f(x))
+    x, w = _gl_panels(a, b, np.pi / max(abs(rate), 2.0), min_panels=4)
+    terms = w * f(x)
+    fine = np.sum(terms)
+    err = float(max(abs(fine - coarse), 50.0 * np.finfo(float).eps * np.sum(np.abs(terms))))
     if not (np.isfinite(fine) and err <= tol):
         raise QuadratureError(
             f"oscillatory quadrature did not converge (error {err:.2e} > {tol:.0e})",

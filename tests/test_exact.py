@@ -90,6 +90,42 @@ def test_mode_grid_failure_reports_error(ref_bath):
     assert err.value.achieved > 1e-14
 
 
+def direct_grid(bath, eps):
+    """discretize_bath's grid at its defaults, each candidate certified by the
+    direct evaluation of e^{-i w x} on the CERT_POINTS points: (omegas,
+    weights, couplings, achieved error)."""
+    cutoff, horizon = bath.quad_cutoff, 1.0 / eps
+    k = 0.5 * cutoff * horizon
+    n = max(32, math.ceil(0.5 * k + 6.0 * k ** (1.0 / 3.0)))
+    xs = np.linspace(0.0, horizon, B.CERT_POINTS)
+    while True:
+        nodes, wts = roots_legendre(n)
+        omegas, weights = 0.5 * cutoff * (nodes + 1.0), 0.5 * cutoff * wts
+        g2 = weights * bath.rho(omegas)
+        err = _kernel_error(bath, omegas, g2, xs)
+        if err <= X.TOL_CORR:
+            return omegas, weights, np.sqrt(g2), err
+        n *= 2
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.0125])
+def test_phase_recurrence_certifies_the_grid_of_the_direct_evaluation(ref_bath, eps):
+    modes = X.discretize_bath(ref_bath, eps)
+    omegas, weights, couplings, err = direct_grid(ref_bath, eps)
+    assert np.array_equal(modes.omegas, omegas)
+    assert np.array_equal(modes.weights, weights)
+    assert np.array_equal(modes.couplings, couplings)
+    assert abs(modes.achieved_error - err) <= 1e-13
+
+
+def test_mode_grid_certification_holds_one_vector_of_phases():
+    # N = 2096 modes: a CERT_POINTS x N table of phases and its temporaries
+    # traced 25.7 MiB here
+    modes, peak = _traced_peak(X.discretize_bath, B.reference_bath(), 0.003125)
+    assert modes.size == 2096
+    assert peak < 2**20
+
+
 def test_free_propagation_conserves_atom_norm(ref_scenario, ref_frame):
     modes = X.discretize_bath(ref_scenario.bath, 0.1)
     traj = X.propagate_exact(ref_scenario.atom, ref_frame, modes,
@@ -182,6 +218,28 @@ def test_photon_buildup_memory_is_bounded(ref_scenario, ref_frame):
     quarter = modes.size * len(traj.source_times) * 16 / 4
     assert peak_run < quarter
     assert peak_field < quarter
+
+
+def test_field_reconstruction_takes_the_modes_in_chunks(monkeypatch):
+    # a synthetic uniform history of n = 16 384 source times (b = 128) on 8 000
+    # modes: one (N, b) phase base would hold 1 024 000 entries, and built in
+    # one piece the call traced 31.8 MiB; in chunks it traces about 4.9 MiB
+    rng = np.random.default_rng(5)
+    eps, lam, n, size = 0.01, 0.1, 16384, 8000
+    ts = np.linspace(0.0, 1.0, n)
+    cutoff = 0.9 * X.PHASE_PER_NODE * eps / ts[1]
+    traj = X.Trajectory(times=ts[[0, -1]], z=np.ones((2, 1), dtype=complex),
+                        source_times=ts, meta={"eps": eps, "lam": lam},
+                        source_vals=rng.normal(size=n) + 1j * rng.normal(size=n))
+    modes = X.ModeGrid(omegas=np.linspace(0.0, cutoff, size),
+                       weights=np.full(size, cutoff / size),
+                       couplings=rng.uniform(0.5, 1.0, size),
+                       horizon=1.0 / eps, achieved_error=0.0)
+    chunked, peak = _traced_peak(X.field_amplitude_closed_form, traj, modes, eps, lam, 1.0)
+    assert peak < 2 * 16 * X._BASE_ENTRIES
+    monkeypatch.setattr(X, "_BASE_ENTRIES", size * math.isqrt(n))
+    whole = X.field_amplitude_closed_form(traj, modes, eps, lam, 1.0)
+    assert np.max(np.abs(chunked - whole)) <= 1e-13 * np.max(np.abs(whole))
 
 
 def test_blocked_reconstruction_matches_dense_trapezoid(exact_runner):
