@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from .errors import DiscretizationError, QuadratureError
+from .errors import DiscretizationError
 
 __all__ = [
     "BathSpec",
@@ -45,7 +45,7 @@ DECAY_T_MAX = 1e3     # check_decay_bound's last time
 DECAY_POINTS = 60     # check_decay_bound's log-spaced times after t = 0
 CERT_POINTS = 400     # equally spaced points per interval on which a fit of gamma is checked
 EXPSUM_PANEL = 1.5    # width in log s of exp_sum's 16-node Gauss-Legendre panels
-EXPSUM_TAIL = 1e-9    # envelope mass past exp_sum's x_max
+EXPSUM_TAIL = 1e-9    # envelope mass past the x_max of exp_sum and correlation_l1_norm
 EXPSUM_CHUNK = 128    # level values per block of half_line_transform's (n, K) sum
 
 
@@ -55,10 +55,12 @@ class BathSpec:
 
     density:      vectorized rho(omega) >= 0
     support_max:  upper edge of the spectral support (may be inf)
-    quad_cutoff:  finite frequency used for numerical transforms; the
-                  density tail beyond it must be negligible (< 1e-8 mass)
+    quad_cutoff:  finite frequency on which the mode grid and exp_sum are
+                  built; both certificates compare against the exact gamma,
+                  so the density's tail beyond it lies inside them
     decay_amplitude, decay_power:  certify |gamma(t)| <= C/(1+t)^m, m > 2
-    closed_form_correlation:  optional analytic gamma(t), vectorized
+    closed_form_correlation:  analytic gamma(t), vectorized; the bath's only
+                  correlation, without which every reader of gamma refuses it
     analytic:     the density continues analytically to complex omega with
                   -pi/4 <= arg omega <= 0, decays there, and ``density``
                   accepts complex arguments; exp_sum then rotates the
@@ -117,8 +119,13 @@ def reference_bath() -> BathSpec:
     return _REFERENCE_BATH
 
 
-def bath_from_csv(path, decay_amplitude=None, decay_power=2.5) -> BathSpec:
-    """Tabulated bath from CSV columns (omega, rho), strictly increasing omega."""
+def bath_from_csv(path) -> BathSpec:
+    """Tabulated bath from CSV columns (omega, rho), strictly increasing omega.
+
+    A table has no closed-form correlation, so it serves the readers of rho
+    alone (`awwlab regimes`); every reader of gamma refuses it by name. Its
+    envelope is a generic algebraic one that nothing reads for that reason.
+    """
     from scipy.interpolate import PchipInterpolator
 
     data = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -134,18 +141,12 @@ def bath_from_csv(path, decay_amplitude=None, decay_power=2.5) -> BathSpec:
         out = interp(w)
         return np.nan_to_num(out, nan=0.0)
 
-    if decay_amplitude is None:
-        # conservative default: |gamma| <= gamma(0) and the tabulated support
-        # is compact, so a generic algebraic envelope is assumed. Nothing
-        # checks it on load: only run_validate (`awwlab validate`) calls
-        # check_decay_bound, after correlation_l1_norm has used its tail.
-        decay_amplitude = 4.0 * float(np.trapezoid(rho, omega))
     return BathSpec(
         density=density,
         support_max=hi,
         quad_cutoff=hi,
-        decay_amplitude=float(decay_amplitude),
-        decay_power=float(decay_power),
+        decay_amplitude=4.0 * float(np.trapezoid(rho, omega)),
+        decay_power=2.5,
     )
 
 
@@ -155,83 +156,23 @@ def bath_from_name(name: str) -> BathSpec:
     raise KeyError(f"unknown builtin bath {name!r}")
 
 
-# ---------------------------------------------------------------------------
-# oscillatory quadrature over the spectral support
-# ---------------------------------------------------------------------------
+def correlation(bath: BathSpec, t):
+    """Field correlation function gamma(t), the bath's closed form; hermitian in t.
 
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
-
-
-def _gl_panels(a, b, width, min_panels=1):
-    """Nodes and weights, each shaped (n_panels, 16), of composite 16-point
-    Gauss-Legendre on [a, b] with panels no wider than ``width``."""
-    n_panels = max(min_panels, int(np.ceil((b - a) / width)))
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    return mid[:, None] + half[:, None] * _GL_NODES[None, :], half[:, None] * _GL_WEIGHTS[None, :]
-
-
-def _osc_quad(f, a, b, rate, tol=1e-9):
-    """Panel quadrature of a scalar integral with a doubled-resolution error
-    estimate; correlation's quadrature for a bath without a closed form.
-
-    ``rate`` is the angular frequency of the integrand's oscillation. The
-    coarse pass puts at most one wavelength (2 pi rad of phase) on each
-    16-node panel, never a panel wider than pi; the fine pass panels half as
-    wide. That is enough: n-point Gauss-Legendre is exact for polynomials of
-    degree 2n - 1 and converges geometrically for analytic integrands,
-    needing only about pi nodes per wavelength (Trefethen, SIAM Rev. 50,
-    2008); on one wavelength the 16-point rule's error for exp(i rate x) is
-    about pi^32/32! ~ 3e-20, so for the reference bath the two passes agree
-    to roundoff. Both passes take at least four panels.
-
-    ``f`` takes the nodes shaped ``(n_panels, 16)`` and returns its values
-    there. The estimate is ``max(|fine - coarse|, 50 * eps * resabs)``, with
-    ``resabs`` the fine pass's quadrature of ``|f|``, the scale of the
-    roundoff in its value: the two resolutions can agree to the last bit, so
-    the difference alone may read zero, and the roundoff floor (as in
-    QUADPACK) keeps it positive.
-    ``tol`` and ``QuadratureError.achieved`` cover the discretisation and
-    roundoff error on ``[a, b]`` only; the truncation of an integral at
-    ``b`` is not part of the estimate. A value or estimate that is not
-    finite (an integrand that yields NaN or inf) raises as well.
-    """
-    x, w = _gl_panels(a, b, np.pi / max(abs(rate) / 2.0, 1.0), min_panels=4)
-    coarse = np.sum(w * f(x))
-    x, w = _gl_panels(a, b, np.pi / max(abs(rate), 2.0), min_panels=4)
-    terms = w * f(x)
-    fine = np.sum(terms)
-    err = float(max(abs(fine - coarse), 50.0 * np.finfo(float).eps * np.sum(np.abs(terms))))
-    if not (np.isfinite(fine) and err <= tol):
-        raise QuadratureError(
-            f"oscillatory quadrature did not converge (error {err:.2e} > {tol:.0e})",
-            achieved=err,
-        )
-    return fine
-
-
-def correlation(bath: BathSpec, t, tol=1e-9):
-    """Field correlation function gamma(t); hermitian in t by construction.
-
-    Without a closed form, gamma(t) is computed by quadrature.
-    ``tol`` and ``QuadratureError.achieved`` bound the discretisation and
-    roundoff error on ``[0, quad_cutoff]``. The truncation beyond
-    ``quad_cutoff`` is not included; it is governed by the
-    ``BathSpec.quad_cutoff`` contract (tail mass < 1e-8).
+    A bath without a closed form (every bath_from_csv table) raises
+    DiscretizationError, from _closed_form.
     """
     t_arr = np.asarray(t, dtype=float)
-    if bath.closed_form_correlation is not None:
-        return bath.closed_form_correlation(t_arr)[()] if t_arr.ndim == 0 \
-            else bath.closed_form_correlation(t_arr)
-    if t_arr.ndim > 0:
-        return np.array([correlation(bath, ti, tol) for ti in t_arr.ravel()]).reshape(t_arr.shape)
-    ta = abs(float(t_arr))
-    val = _osc_quad(
-        lambda w: bath.rho(w) * np.exp(-1j * w * ta),
-        0.0, bath.quad_cutoff, rate=ta, tol=tol,
-    )
-    return np.conj(val) if t_arr < 0 else val
+    return _closed_form(bath)(t_arr)[()]
+
+
+def _closed_form(bath: BathSpec):
+    """The bath's closed-form gamma, the one site that refuses a bath without it."""
+    if bath.closed_form_correlation is None:
+        raise DiscretizationError(
+            "the bath has no closed-form correlation: a tabulated bath runs "
+            "`awwlab regimes` alone, which reads only its density")
+    return bath.closed_form_correlation
 
 
 def fourier_hat(bath: BathSpec, alpha):
@@ -339,11 +280,9 @@ def exp_sum(bath: BathSpec) -> ExpSum:
     out to x_max, and the ray, on which a density like exp(-omega) decays
     only as exp(-s cos(pi/4)), is followed past quad_cutoff/cos(pi/4).
 
-    x_max is where the envelope C/(1+x)^m leaves EXPSUM_TAIL of mass (at most
-    DECAY_T_MAX without a closed-form correlation, as in correlation_l1_norm).
-    The sum is compared with ``correlation`` on CERT_POINTS equally spaced
-    points of [0, x_max/10^k], the first such interval shorter than 1, and
-    of each decade [h/10, h] from there up to h = x_max: the points thin out
+    x_max is where the envelope C/(1+x)^m leaves EXPSUM_TAIL of mass. The
+    sum is compared with ``correlation`` on CERT_POINTS equally spaced points
+    of each piece of [0, x_max] that _decade_edges gives: the points thin out
     as x grows, as the scale of the fit's error does. l1_error is the
     trapezoid of |sum - gamma| on them plus the tails past x_max of the
     envelope and of sum_k |c_k| exp(-Re lam_k x). The arrays are read-only,
@@ -352,7 +291,7 @@ def exp_sum(bath: BathSpec) -> ExpSum:
     if not bath.analytic:
         raise DiscretizationError("the bath has no exp_sum: only a bath marked analytic "
                                   "has one, and every half-line transform needs it")
-    x_max = _envelope_horizon(bath, EXPSUM_TAIL)
+    x_max = _envelope_horizon(bath)
     u, w = _gl_panels(-np.log(x_max), np.log(2.0 * bath.quad_cutoff), EXPSUM_PANEL)
     s = np.exp(u.ravel())
     ray = np.exp(-0.25j * np.pi)
@@ -361,8 +300,8 @@ def exp_sum(bath: BathSpec) -> ExpSum:
     c.setflags(write=False)
     lam.setflags(write=False)
 
-    edges = x_max / 10.0 ** np.arange(int(np.log10(x_max)) + 1, -1, -1)
-    xs = np.concatenate([np.linspace(0.0, edges[0], CERT_POINTS)] + [
+    edges = _decade_edges(x_max)
+    xs = np.concatenate([edges[:1]] + [
         np.linspace(a, b, CERT_POINTS)[1:] for a, b in zip(edges[:-1], edges[1:])])
     fit = _in_blocks(lambda x: np.exp(-np.outer(x, lam)) @ c, xs)
     err = np.abs(fit - correlation(bath, xs))
@@ -370,6 +309,19 @@ def exp_sum(bath: BathSpec) -> ExpSum:
             + np.sum(np.abs(c) * np.exp(-lam.real * x_max) / lam.real))
     return ExpSum(c=c, lam=lam, l1_error=float(np.trapezoid(err, xs) + tail),
                   x_max=float(x_max), sup_error=float(np.max(err)))
+
+
+_GL_NODES, _GL_WEIGHTS = leggauss(16)
+
+
+def _gl_panels(a, b, width):
+    """Nodes and weights, each shaped (n_panels, 16), of composite 16-point
+    Gauss-Legendre on [a, b] with panels no wider than ``width``."""
+    n_panels = int(np.ceil((b - a) / width))
+    edges = np.linspace(a, b, n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    return mid[:, None] + half[:, None] * _GL_NODES[None, :], half[:, None] * _GL_WEIGHTS[None, :]
 
 
 def _in_blocks(fn, *args):
@@ -386,31 +338,35 @@ def _in_blocks(fn, *args):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def correlation_l1_norm(bath: BathSpec, tol=1e-8) -> float:
+def correlation_l1_norm(bath: BathSpec) -> float:
     """||gamma||_{L1(R)} with the certified algebraic tail added analytically.
 
-    Without a closed-form correlation each |gamma(x)| is a quadrature to
-    tol whose cost grows with x, so the body stops at DECAY_T_MAX, where
-    check_decay_bound last certifies the envelope. The body then errs by at
-    most DECAY_T_MAX tol, and the norm's error is that envelope's tail: 1.7e-4
-    per half line for bath_from_csv's default envelope on a table of w^2 e^-w.
+    The body integrates |gamma| over the pieces of [0, x_max] that
+    _decade_edges gives, as exp_sum certifies its fit: one quad over the
+    whole of [0, x_max], millions wide for a slowly decaying gamma, samples
+    too coarsely to see the peak at x ~ 1. A bath without a closed form
+    raises DiscretizationError, from _closed_form.
     """
-    x_max = _envelope_horizon(bath, tol / 10.0)
-    if bath.closed_form_correlation is not None:
-        f = lambda x: abs(complex(bath.closed_form_correlation(x)))
-    else:
-        f = lambda x: abs(correlation(bath, x, tol))
-    body, _ = quad(f, 0.0, x_max, limit=500)
+    gamma = _closed_form(bath)
+    f = lambda x: abs(complex(gamma(x)))
+    x_max = _envelope_horizon(bath)
+    edges = _decade_edges(x_max)
+    body = sum(quad(f, a, b, limit=500)[0] for a, b in zip(edges[:-1], edges[1:]))
     return 2.0 * (body + _envelope_tail(bath, x_max))
 
 
-def _envelope_horizon(bath: BathSpec, tail: float) -> float:
-    """The x (at least 10) past which the envelope C/(1+x)^m holds ``tail`` of
-    mass; at most DECAY_T_MAX, the last time check_decay_bound certifies, for
-    a bath whose correlation is a quadrature with a cost that grows with x."""
+def _envelope_horizon(bath: BathSpec) -> float:
+    """The x (at least 10) past which the envelope C/(1+x)^m holds EXPSUM_TAIL
+    of mass."""
     m, c = bath.decay_power, bath.decay_amplitude
-    x_max = max((c / ((m - 1.0) * tail)) ** (1.0 / (m - 1.0)) - 1.0, 10.0)
-    return x_max if bath.closed_form_correlation is not None else min(x_max, DECAY_T_MAX)
+    return max((c / ((m - 1.0) * EXPSUM_TAIL)) ** (1.0 / (m - 1.0)) - 1.0, 10.0)
+
+
+def _decade_edges(x_max: float) -> np.ndarray:
+    """0, x_max/10^k (the first such point below 1), x_max/10^(k-1), ..., x_max:
+    the edges of the pieces of [0, x_max] on which exp_sum checks its fit and
+    correlation_l1_norm integrates, each piece a decade wide past the first."""
+    return np.concatenate([[0.0], x_max / 10.0 ** np.arange(int(np.log10(x_max)) + 1, -1, -1)])
 
 
 def _envelope_tail(bath: BathSpec, x: float) -> float:

@@ -63,7 +63,8 @@ def main(argv=None) -> int:
         for metric, (slope, stderr) in result["slopes"].items():
             print(f"{metric}: slope {slope:.3f} +/- {stderr:.3f}")
         if result["partial"]:
-            print("warning: some sweep points failed; see sweep.csv",
+            first = next(res["error"] for res in result["results"] if "error" in res)
+            print(f"warning: some sweep points failed ({first}); see sweep.csv",
                   file=sys.stderr)
             return 1
         return 0

@@ -5,17 +5,6 @@ class AwwlabError(Exception):
     """Base class for all numerical-laboratory errors."""
 
 
-class QuadratureError(AwwlabError):
-    """An oscillatory or improper integral did not converge to tolerance.
-
-    Carries the achieved error estimate in ``achieved``.
-    """
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
 class GapViolation(AwwlabError):
     """Eigenvalue gap of the atomic Hamiltonian fell below the configured minimum."""
 
@@ -29,8 +18,12 @@ class FrameSmoothnessError(AwwlabError):
 
 
 class DiscretizationError(AwwlabError):
-    """The field mode grid could not reproduce the correlation function to
-    tolerance, or a solver needs the bath's exponential sum and it has none."""
+    """The bath cannot be described to tolerance: the field mode grid missed
+    the correlation function (``achieved`` holds its error), or a consumer
+    needs what the bath lacks. A bath without a closed-form correlation (any
+    bath_from_csv table) is refused by every reader of gamma, and one without
+    an exponential sum by every half-line transform; each refusal names what
+    is missing."""
 
     def __init__(self, message, achieved=None):
         super().__init__(message)

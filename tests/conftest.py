@@ -13,8 +13,8 @@ def ref_bath():
 
 @pytest.fixture(scope="session")
 def quad_bath(ref_bath):
-    """Reference density with the closed form stripped: its correlation is a
-    quadrature, and, not marked analytic, it has no exp_sum."""
+    """Reference density with the closed form stripped: it has no correlation
+    and, not marked analytic, no exp_sum."""
     return bath_mod.BathSpec(
         density=ref_bath.density,
         support_max=ref_bath.support_max,
@@ -44,22 +44,6 @@ def d3_frame(tmp_path_factory):
     """Eigenframe of the seeded three-level path on 801 nodes of [0, 1]."""
     d3_atom = three_level_atom(tmp_path_factory.mktemp("d3") / "atom.csv")
     return atom.eigenframe(d3_atom, np.linspace(0.0, 1.0, 801))
-
-
-@pytest.fixture
-def correlation_within_decay_t_max(monkeypatch):
-    """bath.correlation that fails beyond DECAY_T_MAX.
-
-    For a bath without a closed form each correlation is a quadrature whose
-    memory grows with t; the spy makes a request for t ~ 3e6 fail at once.
-    """
-    real = bath_mod.correlation
-
-    def spy(bath, t, tol=1e-9):
-        assert np.all(np.abs(t) <= bath_mod.DECAY_T_MAX), f"correlation at t = {t}"
-        return real(bath, t, tol)
-
-    monkeypatch.setattr(bath_mod, "correlation", spy)
 
 
 @pytest.fixture(scope="session")

@@ -5,9 +5,12 @@ import sys
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma as gamma_fn
 
 from awwlab import bath as B
-from awwlab.errors import DiscretizationError, QuadratureError
+from awwlab import exact as X
+from awwlab.atom import validate_coupling
+from awwlab.errors import DiscretizationError
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -18,17 +21,22 @@ def test_correlation_closed_form_values(ref_bath):
     assert val == pytest.approx(-0.5 - 0.5j, abs=1e-12)
 
 
-def test_correlation_quadrature_matches_closed_form(ref_bath, quad_bath):
+@pytest.mark.filterwarnings("error")
+def test_correlation_quadrature_matches_closed_form(ref_bath):
+    # an independent reference: gamma(t) = int_0^inf w^2 e^-w e^{-i w t} dw by
+    # QUADPACK's Fourier weights (QAWF) on [0, inf)
+    rho = lambda w: w**2 * np.exp(-w)
     ts = np.array([0.0, 0.3, 1.0, 4.0, 11.0, -2.5])
-    got = B.correlation(quad_bath, ts)
-    want = B.correlation(ref_bath, ts)
-    assert np.max(np.abs(got - want)) < 1e-8
+    want = np.array([quad(rho, 0.0, np.inf, weight="cos", wvar=t, epsabs=1e-12)[0]
+                     - 1j * quad(rho, 0.0, np.inf, weight="sin", wvar=t, epsabs=1e-12)[0]
+                     for t in ts])
+    assert np.max(np.abs(B.correlation(ref_bath, ts) - want)) < 1e-10
 
 
-def test_correlation_hermitian_symmetry(quad_bath):
+def test_correlation_hermitian_symmetry(ref_bath):
     ts = np.array([0.4, 1.7, 6.0])
-    assert np.allclose(B.correlation(quad_bath, -ts),
-                       np.conj(B.correlation(quad_bath, ts)), atol=1e-10)
+    assert np.allclose(B.correlation(ref_bath, -ts),
+                       np.conj(B.correlation(ref_bath, ts)), atol=1e-10)
 
 
 def test_fourier_hat_closed_form(ref_bath):
@@ -44,6 +52,24 @@ def test_fourier_hat_nonnegative(ref_bath):
 
 def test_l1_norm(ref_bath):
     assert B.correlation_l1_norm(ref_bath) == pytest.approx(4.0, abs=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1.25, 1.5])
+def test_l1_norm_of_a_slowly_decaying_closed_form(s):
+    # the Ohmic rho = w^s e^-w has gamma = Gamma(s+1)/(1+it)^(s+1), so
+    # |gamma| <= Gamma(s+1) 2^((s+1)/2)/(1+t)^(s+1) and the envelope reaches
+    # x_max ~ 1e6-1e7, where one quad over [0, x_max] misses the peak at x ~ 1
+    ohmic = B.BathSpec(
+        density=lambda w: w**s * np.exp(-w),
+        support_max=np.inf,
+        quad_cutoff=25.0,
+        decay_amplitude=gamma_fn(s + 1.0) * 2.0 ** ((s + 1.0) / 2.0),
+        decay_power=s + 1.0,
+        closed_form_correlation=lambda t: gamma_fn(s + 1.0) / (1.0 + 1j * np.asarray(t)) ** (s + 1.0),
+    )
+    want = gamma_fn(s + 1.0) * np.sqrt(np.pi) * gamma_fn(s / 2.0) / gamma_fn((s + 1.0) / 2.0)
+    assert B.correlation_l1_norm(ohmic) == pytest.approx(want, abs=1e-8)
 
 
 def test_half_line_transform_finite_T_oracle(ref_bath):
@@ -107,16 +133,11 @@ def write_density_table(path, nodes):
 
 def test_bath_from_csv_roundtrip(tmp_path, ref_bath):
     tab = B.bath_from_csv(write_density_table(tmp_path / "bath.csv", 4001))
-    ts = np.array([0.0, 0.5, 2.0])
-    got = B.correlation(tab, ts, tol=1e-6)   # pchip density is only C1
-    assert np.max(np.abs(got - B.correlation(ref_bath, ts))) < 1e-5
-
-
-def test_tabulated_correlation_at_longer_times(tmp_path, ref_bath):
-    tab = B.bath_from_csv(write_density_table(tmp_path / "bath.csv", 4001))
-    ts = np.array([0.5, 2.0, 10.0])
-    got = B.correlation(tab, ts, tol=1e-6)
-    assert np.max(np.abs(got - B.correlation(ref_bath, ts))) < 1e-5
+    omega = np.linspace(-1.0, 30.0, 3001)     # off the nodes and past both ends
+    inside = (omega >= 0.0) & (omega <= 25.0)
+    assert np.max(np.abs(tab.rho(omega) - ref_bath.rho(omega))[inside]) < 1e-5   # pchip
+    assert np.all(tab.rho(omega[~inside]) == 0.0)
+    assert tab.closed_form_correlation is None and not tab.analytic
 
 
 def test_bath_from_csv_rejects_bad_tables(tmp_path):
@@ -127,38 +148,30 @@ def test_bath_from_csv_rejects_bad_tables(tmp_path):
         B.bath_from_csv(path)
 
 
-def test_l1_norm_without_closed_form_stops_at_the_certified_time(
-        quad_bath, correlation_within_decay_t_max):
-    # the body ends at DECAY_T_MAX and the envelope tail C/((m-1)(1+x)^(m-1)),
-    # C = 6 and m = 3, is added per half line: ||gamma|| = 4 is exceeded by at
-    # most twice that tail
-    tail = 6.0 / (2.0 * (1.0 + B.DECAY_T_MAX) ** 2)
-    assert 0.0 <= B.correlation_l1_norm(quad_bath) - 4.0 <= 2.0 * tail
+@pytest.fixture(scope="module")
+def table_bath(tmp_path_factory):
+    return B.bath_from_csv(write_density_table(tmp_path_factory.mktemp("tab") / "bath.csv", 241))
 
 
-def test_l1_norm_asks_each_correlation_for_its_own_tol(quad_bath, monkeypatch):
-    # the body integrates |gamma| to tol, so each |gamma(x)| is asked for that
-    # tol, not for correlation's tighter default; the spy stops the first call
-    class Asked(Exception):
-        pass
-
-    def spy(bath, t, tol=1e-9):
-        raise Asked(tol)
-
-    monkeypatch.setattr(B, "correlation", spy)
-    for tol in (1e-8, 3e-7):
-        with pytest.raises(Asked) as asked:
-            B.correlation_l1_norm.__wrapped__(quad_bath, tol)
-        assert asked.value.args == (tol,)
-
-
-def test_l1_norm_of_a_coarse_table_fails_as_a_quadrature_error(
-        tmp_path, correlation_within_decay_t_max):
-    # a 241-node table misses the norm's tol = 1e-8; that must surface as
-    # an AwwlabError, not as a MemoryError from quadratures at x ~ 3e6
-    tab = B.bath_from_csv(write_density_table(tmp_path / "bath.csv", 241))
-    with pytest.raises(QuadratureError):
-        B.correlation_l1_norm(tab)
+@pytest.mark.parametrize("consumer", [
+    pytest.param(lambda b, *_: B.correlation(b, np.array([0.0, 1.0])), id="correlation"),
+    pytest.param(lambda b, *_: B.correlation_l1_norm(b), id="correlation_l1_norm"),
+    pytest.param(lambda b, *_: B.check_decay_bound(b), id="check_decay_bound"),
+    pytest.param(lambda b, *_: X.discretize_bath(b, 0.5), id="discretize_bath"),
+    pytest.param(lambda b, frame, _: validate_coupling(frame, b, 0.1), id="validate_coupling"),
+    pytest.param(lambda b, frame, scen: X.propagate_exact(
+        frame.atom, frame, X.discretize_bath(scen.bath, 0.5), scen.z0, 0.5, 0.1, bath=b),
+        id="propagate_exact"),
+])
+@pytest.mark.parametrize("bath_fixture", ["table_bath", "quad_bath"])
+def test_a_bath_without_a_closed_form_is_refused_by_name(
+        request, bath_fixture, consumer, ref_frame, ref_scenario):
+    # every reader of gamma reads the closed form, and a bath without one (a
+    # 241-node table of w^2 e^-w, or the reference density stripped of it) is
+    # refused alike, naming it, before any work on it starts
+    bath = request.getfixturevalue(bath_fixture)
+    with pytest.raises(DiscretizationError, match="no closed-form correlation"):
+        consumer(bath, ref_frame, ref_scenario)
 
 
 def test_reference_bath_hits_the_l1_norm_cache():
@@ -174,37 +187,6 @@ def test_bath_from_name(ref_bath):
     assert B.bath_from_name("reference") is ref_bath
     with pytest.raises(KeyError):
         B.bath_from_name("nope")
-
-
-def test_quadrature_error_carries_estimate(quad_bath):
-    with pytest.raises(QuadratureError) as err:
-        B.correlation(quad_bath, 1.0, tol=1e-16)
-    assert err.value.achieved is not None
-
-
-@pytest.mark.parametrize("call", [
-    *[pytest.param(lambda b, t=t: B.correlation(b, t, tol=1e-16), id=f"correlation-t{t}")
-      for t in (0.0, 0.3, 1.0, 4.0, 11.0)],
-])
-def test_quadrature_error_estimate_never_zero(quad_bath, call):
-    # the two panel resolutions can agree to the last bit; the roundoff
-    # floor must still keep an unreachable tol from being reported as met
-    with pytest.raises(QuadratureError) as err:
-        call(quad_bath)
-    assert 0.0 < err.value.achieved < np.inf
-
-
-def test_quadrature_rejects_nan_density(ref_bath):
-    # a user density that is NaN above omega = 3 must not yield a silent NaN
-    nan_bath = B.BathSpec(
-        density=lambda w: np.where(w > 3.0, np.nan, w**2 * np.exp(-w)),
-        support_max=np.inf,
-        quad_cutoff=ref_bath.quad_cutoff,
-        decay_amplitude=ref_bath.decay_amplitude,
-        decay_power=ref_bath.decay_power,
-    )
-    with pytest.raises(QuadratureError):
-        B.correlation(nan_bath, 1.0)
 
 
 # levels below, at and inside the support, and beyond quad_cutoff = 25

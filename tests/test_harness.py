@@ -563,7 +563,7 @@ def test_sweep_flags_failed_points(tmp_path, capsys):
     body = open(tmp_path / "f" / "sweep.csv").read()
     assert "CouplingValidationError" in body
     assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "cli")]) == 1
-    assert "some sweep points failed" in capsys.readouterr().err
+    assert "some sweep points failed (CouplingValidationError: " in capsys.readouterr().err
 
 
 def test_run_validate(tmp_path):
@@ -614,18 +614,21 @@ def test_output_step_past_the_run(tmp_path, capsys):
                          "--override-smallness"]) == 0
 
 
-def test_cli_validate_on_a_coarse_bath_table_exits_1(tmp_path, correlation_within_decay_t_max):
+def test_cli_validate_on_a_coarse_bath_table_exits_1(tmp_path, capsys):
+    # a table has no closed-form correlation, so validate's L1 norm refuses
+    # it by name before any quadrature runs
     table = write_density_table(tmp_path / "bath.csv", 241)
     path = write_cfg(tmp_path, "atom.name = ww-ref-2level\n"
                                "bath.name = reference\n"
                                f"bath.file = {table}\n"
                                "sim.lambda2 = 0.015625\n", "v.cfg")
     assert cli.main(["validate", "--config", path]) == 1
+    assert "DiscretizationError: the bath has no closed-form correlation" in capsys.readouterr().err
 
 
 def test_cli_regimes_on_a_coarse_bath_table_needs_no_shift(tmp_path):
-    # the regime table reads only int beta, so the Lamb-shift quadrature,
-    # which misses its tolerance on this table, never runs
+    # the regime table reads only int beta, the density's, so the table's
+    # missing correlation and exp_sum are never asked for
     table = write_density_table(tmp_path / "bath.csv", 241)
     path = write_cfg(tmp_path, BASE_CFG + f"bath.file = {table}\n", "tab.cfg")
     out = str(tmp_path / "re_out")
