@@ -13,10 +13,9 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import bath as bath_mod
-from .atom import EigenFrame, berry_phase
+from .atom import EigenFrame, _cubic_spline, berry_phase
 from .errors import WellCouplednessError
 
 __all__ = [
@@ -45,14 +44,14 @@ class AsymptoticTables:
         beta = bath_mod.decay_rate(bath, frame.atom.couplings(frame.times), frame.energies)
         self.frame, self.bath = frame, bath
         self.int_alpha = frame.energies_at.antiderivative()
-        self.int_beta = CubicSpline(frame.times, beta, axis=0).antiderivative()
+        self.int_beta = _cubic_spline(frame.times, beta).antiderivative()
 
     @cached_property
     def _int_shift(self):
         frame = self.frame
         _, shift = bath_mod.decay_and_shift(self.bath, frame.atom.couplings(frame.times),
                                             frame.energies)
-        return CubicSpline(frame.times, shift, axis=0).antiderivative()
+        return _cubic_spline(frame.times, shift).antiderivative()
 
 
 def leading_order_z(tables: AsymptoticTables, eps: float, lam: float, z0: np.ndarray,

@@ -7,14 +7,14 @@ same interaction re-expressed over the frozen t=0 eigenvectors.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, isqrt
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
-from scipy.linalg import eigh
+from scipy.linalg import eigh, solve, solve_banded
 
 from . import bath as bath_mod
 from .errors import FrameSmoothnessError, GapViolation
@@ -113,6 +113,132 @@ def _within(t, times: np.ndarray, owner: str) -> np.ndarray:
     return t
 
 
+class _Spline:
+    """Piecewise polynomial on the knots x, along axis 0 of its values: c holds
+    the coefficients, shaped (k, len(x) - 1, ...), of the powers k - 1, ..., 0
+    of t - x[i] on interval i, and the edge intervals extend past the knots.
+
+    Values, derivative and antiderivative take scipy.interpolate.PPoly's
+    arithmetic in its order (sum the constant, then c s, c s^2, ... with the
+    power raised by one product a term; a complex product taken part by part),
+    so a spline and its derivatives agree with scipy's to the bit.
+    """
+
+    def __init__(self, x: np.ndarray, c: np.ndarray):
+        self.x, self.c = x, c
+        self._inner, self._knots = x[1:-1], x.tolist()
+        self._complex = np.iscomplexobj(c)
+        # (k, m, n - 1): the m real values of each interval's coefficient, a
+        # complex value as its (re, im) pair, last so that a sum runs over times
+        self._coef = np.ascontiguousarray(np.swapaxes(_real_columns(c), 1, 2))
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        if t.ndim:
+            i = self._inner.searchsorted(t, side="right")
+            s = t - self.x[i]
+            c = self._coef.take(i, axis=2)              # (k, m, *t.shape)
+        else:                                           # one time: Python floats
+            s = float(t)
+            i = bisect_right(self._knots, s, 1, len(self._knots) - 1) - 1
+            s -= self._knots[i]
+            c = self._coef[:, :, i]
+        out, z = c[-1] + 0.0, s
+        for p in range(len(c) - 2, -1, -1):
+            out += c[p] * z
+            if p:
+                z = z * s
+        out = out.transpose(tuple(range(1, out.ndim)) + (0,))
+        if self._complex:
+            out = np.ascontiguousarray(out).view(complex)
+        return out.reshape(t.shape + self.c.shape[2:])
+
+    def derivative(self) -> _Spline:
+        k = len(self.c)
+        factor = np.arange(k - 1, 0, -1, dtype=float)
+        return _Spline(self.x, self.c[:-1] * factor.reshape((-1,) + (1,) * (self.c.ndim - 1)))
+
+    def antiderivative(self) -> _Spline:
+        """The antiderivative zero at x[0]: each interval's constant is the value of
+        the one before at its right end, summed left to right."""
+        k, n = len(self.c), len(self.x)
+        c = np.zeros((k + 1,) + self.c.shape[1:], dtype=self.c.dtype)
+        c[:-1] = self.c
+        c[:-1] /= np.arange(k, 0, -1, dtype=float).reshape((-1,) + (1,) * (c.ndim - 1))
+        real = _real_columns(c)                         # a view: its constants fill c
+        m, h = real.shape[2], np.diff(self.x)
+        terms, z = np.zeros((m, n - 1, k)), h           # (column, interval, power)
+        for p in range(1, k + 1):
+            terms[:, :, p - 1] = real[k - p].T * z
+            z = z * h
+        running = np.add.accumulate(np.concatenate([np.zeros((m, 1)), terms.reshape(m, -1)],
+                                                   axis=1), axis=1)
+        real[k] = running[:, :-1:k].T
+        return _Spline(self.x, c)
+
+
+def _real_columns(c: np.ndarray) -> np.ndarray:
+    """The (k, n - 1, m) real view of contiguous coefficients c: trailing axes
+    flattened, a complex value as its (re, im) pair."""
+    flat = c.reshape(c.shape[:2] + (-1,))
+    return flat.view(float) if np.iscomplexobj(c) else flat
+
+
+def _cubic_spline(x, y) -> _Spline:
+    """The not-a-knot cubic spline through the values y (axis 0) at the knots x,
+    as scipy.interpolate.CubicSpline builds it: the knot slopes from its banded
+    system (from a parabola at three knots, a line at two), then the Hermite
+    coefficients of each interval. ValueError unless x holds at least two
+    finite, strictly increasing knots, one per finite value."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y)
+    y = y.astype(complex if np.iscomplexobj(y) else float, copy=False)
+    n, dx = len(x), np.diff(x)
+    if (x.ndim != 1 or n < 2 or len(y) != n or np.any(dx <= 0)
+            or not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)))):
+        raise ValueError("a spline needs at least 2 finite, strictly increasing "
+                         "knots, each with a finite value")
+    dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    if n == 2:
+        s = np.concatenate([slope, slope])
+    elif n == 3:
+        a = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
+        b = np.stack([2 * slope[0], 3 * (dxr[0] * slope[1] + dxr[1] * slope[0]), 2 * slope[1]])
+        s = solve(a, b.reshape(3, -1), overwrite_a=True, overwrite_b=True,
+                  check_finite=False).reshape(b.shape)
+    else:
+        a = np.zeros((3, n))      # the tridiagonal system in banded storage
+        b = np.empty_like(y)
+        a[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        a[0, 2:] = dx[:-1]
+        a[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        d = x[2] - x[0]                                 # not-a-knot at both ends
+        a[1, 0], a[0, 1] = dx[1], d
+        b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        a[1, -1], a[-1, -2] = dx[-2], d
+        b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+        s = solve_banded((1, 1), a, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True,
+                         check_finite=False).reshape(b.shape)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return _Spline(x, np.stack([t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]]))
+
+
+def _simpson(y: np.ndarray, x: np.ndarray):
+    """Composite Simpson rule of y along axis 0 on the points x, an odd number of
+    them: scipy.integrate.simpson's formula for uneven spacing, in its order."""
+    if len(x) % 2 == 0:
+        raise ValueError(f"Simpson's rule takes an odd number of points, not {len(x)}")
+    h = np.diff(x).reshape((-1,) + (1,) * (np.ndim(y) - 1))
+    h0, h1 = h[0::2], h[1::2]
+    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
+    return np.sum(hsum / 6.0 * (y[0:-2:2] * (2.0 - 1.0 / h0divh1)
+                                + y[1:-1:2] * (hsum * (hsum / hprod))
+                                + y[2::2] * (2.0 - h0divh1)), axis=0)
+
+
 @dataclass
 class EigenFrame:
     """Smoothly tracked eigendecomposition of A(t) on a time grid."""
@@ -156,11 +282,11 @@ class EigenFrame:
             raise ValueError("atom is not frame.atom, the path the frame was built from")
 
     @cached_property
-    def energies_at(self) -> CubicSpline:
-        return CubicSpline(self.times, self.energies, axis=0)
+    def energies_at(self) -> _Spline:
+        return _cubic_spline(self.times, self.energies)
 
     @cached_property
-    def vectors_at(self) -> CubicSpline:
+    def vectors_at(self) -> _Spline:
         """Eigenvector columns at arbitrary t in the tracked gauge.
 
         Cubic-spline interpolation of the grid columns, with no
@@ -168,10 +294,10 @@ class EigenFrame:
         to interpolation accuracy (a defect of about 5e-14 on the reference
         frame of 801 points).
         """
-        return CubicSpline(self.times, self.vectors, axis=0)
+        return _cubic_spline(self.times, self.vectors)
 
     @cached_property
-    def _berry(self) -> PPoly:
+    def _berry(self) -> _Spline:
         """xi_j(t) = i int <phi_j, dphi_j> as a (d,)-valued spline in t, zero at times[0].
 
         The antiderivative of the cubic spline through the connection at the
@@ -185,7 +311,7 @@ class EigenFrame:
         if residue > 1e-4:
             raise FrameSmoothnessError(
                 f"Berry connection has real residue {residue:.1e}; refine the grid")
-        xi = CubicSpline(self.times, 1j * conn, axis=0).antiderivative()
+        xi = _cubic_spline(self.times, 1j * conn).antiderivative()
         imag_residue = np.max(np.abs(xi(self.times).imag))
         if imag_residue > 1e-8:
             raise FrameSmoothnessError(
@@ -193,10 +319,10 @@ class EigenFrame:
         return xi
 
     @cached_property
-    def u_at(self) -> CubicSpline:
+    def u_at(self) -> _Spline:
         """u(t) = sum_l v_l(t) phi_l(t), the cubic spline through its node values."""
         u = self.vectors @ self.atom.couplings(self.times)[..., None]
-        return CubicSpline(self.times, u[..., 0], axis=0)
+        return _cubic_spline(self.times, u[..., 0])
 
     @cached_property
     def _kato(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -473,7 +599,7 @@ def complex_phase_atom(theta0: float, omega: float, levels=(1.0, 2.0)) -> AtomPa
 def tabulated_atom(path) -> AtomPath:
     """Atom path from CSV: column t, then d^2 (re, im) matrix entries row-major,
     then d (re, im) coupling entries; cubic-spline interpolated. The coupling
-    is the CubicSpline itself, so coupling.x holds the table's times. `path`
+    is the spline itself, so coupling.x holds the table's times. `path`
     is anything numpy.loadtxt reads. Every tabulated matrix must be Hermitian
     to HERMITICITY_TOL against its own scale, as AtomPath.matrix requires;
     ValueError otherwise."""
@@ -489,8 +615,8 @@ def tabulated_atom(path) -> AtomPath:
     if np.any(bad):
         raise ValueError(f"the matrix at t = {ts[bad][0]:g} is not Hermitian to tolerance")
     coups = data[:, 1 + 2 * d * d::2] + 1j * data[:, 2 + 2 * d * d::2]
-    m_spline = CubicSpline(ts, mats, axis=0)
-    c_spline = CubicSpline(ts, coups, axis=0)
+    m_spline = _cubic_spline(ts, mats)
+    c_spline = _cubic_spline(ts, coups)
 
     def ham(t):
         a = m_spline(t)

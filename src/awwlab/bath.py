@@ -19,7 +19,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .errors import DiscretizationError
 
@@ -41,12 +40,12 @@ __all__ = [
 ]
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
-DECAY_T_MAX = 1e3     # check_decay_bound's last time
-DECAY_POINTS = 60     # check_decay_bound's log-spaced times after t = 0
-CERT_POINTS = 400     # equally spaced points per interval on which a fit of gamma is checked
+CERT_POINTS = 400     # equally spaced points per interval on which gamma or a fit of it is checked
 EXPSUM_PANEL = 1.5    # width in log s of exp_sum's 16-node Gauss-Legendre panels
 EXPSUM_TAIL = 1e-9    # envelope mass past the x_max of exp_sum and correlation_l1_norm
 EXPSUM_CHUNK = 128    # level values per block of half_line_transform's (n, K) sum
+_L1_RTOL = 1e-13      # agreement of two Gauss-Legendre estimates of correlation_l1_norm's body
+_L1_HALVINGS = 12     # most halvings of correlation_l1_norm's panels
 
 
 @dataclass(frozen=True)
@@ -292,7 +291,8 @@ def exp_sum(bath: BathSpec) -> ExpSum:
         raise DiscretizationError("the bath has no exp_sum: only a bath marked analytic "
                                   "has one, and every half-line transform needs it")
     x_max = _envelope_horizon(bath)
-    u, w = _gl_panels(-np.log(x_max), np.log(2.0 * bath.quad_cutoff), EXPSUM_PANEL)
+    a, b = -np.log(x_max), np.log(2.0 * bath.quad_cutoff)
+    u, w = _gl_panels(np.linspace(a, b, int(np.ceil((b - a) / EXPSUM_PANEL)) + 1))
     s = np.exp(u.ravel())
     ray = np.exp(-0.25j * np.pi)
     c = ray * bath.density(ray * s) * s * w.ravel()
@@ -300,9 +300,7 @@ def exp_sum(bath: BathSpec) -> ExpSum:
     c.setflags(write=False)
     lam.setflags(write=False)
 
-    edges = _decade_edges(x_max)
-    xs = np.concatenate([edges[:1]] + [
-        np.linspace(a, b, CERT_POINTS)[1:] for a, b in zip(edges[:-1], edges[1:])])
+    xs = _cert_points(x_max)
     fit = _in_blocks(lambda x: np.exp(-np.outer(x, lam)) @ c, xs)
     err = np.abs(fit - correlation(bath, xs))
     tail = (_envelope_tail(bath, x_max)
@@ -314,11 +312,9 @@ def exp_sum(bath: BathSpec) -> ExpSum:
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
 
 
-def _gl_panels(a, b, width):
-    """Nodes and weights, each shaped (n_panels, 16), of composite 16-point
-    Gauss-Legendre on [a, b] with panels no wider than ``width``."""
-    n_panels = int(np.ceil((b - a) / width))
-    edges = np.linspace(a, b, n_panels + 1)
+def _gl_panels(edges):
+    """Nodes and weights, each shaped (n_panels, 16), of 16-point Gauss-Legendre
+    on each panel between consecutive edges."""
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     return mid[:, None] + half[:, None] * _GL_NODES[None, :], half[:, None] * _GL_WEIGHTS[None, :]
@@ -341,18 +337,26 @@ def _in_blocks(fn, *args):
 def correlation_l1_norm(bath: BathSpec) -> float:
     """||gamma||_{L1(R)} with the certified algebraic tail added analytically.
 
-    The body integrates |gamma| over the pieces of [0, x_max] that
-    _decade_edges gives, as exp_sum certifies its fit: one quad over the
-    whole of [0, x_max], millions wide for a slowly decaying gamma, samples
-    too coarsely to see the peak at x ~ 1. A bath without a closed form
-    raises DiscretizationError, from _closed_form.
+    The body integrates |gamma| by 16-point Gauss-Legendre on the pieces of
+    [0, x_max] that _decade_edges gives, as exp_sum certifies its fit, so the
+    peak at x ~ 1 is resolved however far x_max lies. Every panel is halved
+    until two estimates agree to _L1_RTOL; DiscretizationError if they still
+    differ after _L1_HALVINGS halvings. A bath without a closed form raises
+    DiscretizationError, from _closed_form.
     """
     gamma = _closed_form(bath)
-    f = lambda x: abs(complex(gamma(x)))
     x_max = _envelope_horizon(bath)
-    edges = _decade_edges(x_max)
-    body = sum(quad(f, a, b, limit=500)[0] for a, b in zip(edges[:-1], edges[1:]))
-    return 2.0 * (body + _envelope_tail(bath, x_max))
+    edges, body = _decade_edges(x_max), None
+    for _ in range(_L1_HALVINGS + 1):
+        x, w = _gl_panels(edges)
+        previous, body = body, float(np.sum(w * np.abs(gamma(x))))
+        if previous is not None and abs(body - previous) <= _L1_RTOL * body:
+            return 2.0 * (body + _envelope_tail(bath, x_max))
+        edges = np.insert(edges, np.arange(1, len(edges)), 0.5 * (edges[:-1] + edges[1:]))
+    raise DiscretizationError(
+        f"correlation_l1_norm: the Gauss-Legendre estimates of int |gamma| still differ "
+        f"by {abs(body - previous) / body:.1e} (relative) after {_L1_HALVINGS} halvings "
+        f"of every panel")
 
 
 def _envelope_horizon(bath: BathSpec) -> float:
@@ -364,9 +368,18 @@ def _envelope_horizon(bath: BathSpec) -> float:
 
 def _decade_edges(x_max: float) -> np.ndarray:
     """0, x_max/10^k (the first such point below 1), x_max/10^(k-1), ..., x_max:
-    the edges of the pieces of [0, x_max] on which exp_sum checks its fit and
-    correlation_l1_norm integrates, each piece a decade wide past the first."""
+    the edges of the pieces of [0, x_max] on which exp_sum checks its fit,
+    check_decay_bound the envelope and correlation_l1_norm integrates, each
+    piece a decade wide past the first."""
     return np.concatenate([[0.0], x_max / 10.0 ** np.arange(int(np.log10(x_max)) + 1, -1, -1)])
+
+
+def _cert_points(x_max: float) -> np.ndarray:
+    """0 and CERT_POINTS equally spaced points of each of _decade_edges' pieces
+    (their shared edges once): they thin out as x grows, as gamma does."""
+    edges = _decade_edges(x_max)
+    return np.concatenate([edges[:1]] + [
+        np.linspace(a, b, CERT_POINTS)[1:] for a, b in zip(edges[:-1], edges[1:])])
 
 
 def _envelope_tail(bath: BathSpec, x: float) -> float:
@@ -376,8 +389,10 @@ def _envelope_tail(bath: BathSpec, x: float) -> float:
 
 
 def check_decay_bound(bath: BathSpec) -> bool:
-    """Verify |gamma(t)| <= C/(1+t)^m on a log-spaced grid up to DECAY_T_MAX."""
-    ts = np.concatenate([[0.0], np.logspace(-2, np.log10(DECAY_T_MAX), DECAY_POINTS)])
+    """Verify |gamma(t)| <= C/(1+t)^m at t = 0 and CERT_POINTS equally spaced
+    points of each piece of [0, x_max] that _decade_edges gives: out to where
+    exp_sum and correlation_l1_norm take the envelope's tail in its place."""
+    ts = _cert_points(_envelope_horizon(bath))
     vals = np.abs(correlation(bath, ts))
     bound = bath.decay_amplitude / (1.0 + ts) ** bath.decay_power
     return bool(np.all(vals <= bound * (1.0 + 1e-12) + 1e-15))

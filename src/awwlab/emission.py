@@ -9,11 +9,10 @@ order-one decay (the line sweeps while depleting).
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import bath as bath_mod
 from .asymptotics import AsymptoticTables
-from .atom import AtomPath, EigenFrame
+from .atom import AtomPath, EigenFrame, _simpson
 from .errors import WellCouplednessError
 from .exact import ModeGrid, Trajectory
 
@@ -63,4 +62,4 @@ def regime_B_limit(frame: EigenFrame, bath: bath_mod.BathSpec, atom: AtomPath,
     decay = np.exp(-2.0 * r * AsymptoticTables(frame, bath).int_beta(ss)[:, j])
     ghat_b = obs(alphas) * bath_mod.fourier_hat(bath, alphas)
     integrand = np.abs(v_j) ** 2 * decay * ghat_b
-    return float(np.sqrt(2.0 * np.pi) * r * simpson(integrand, x=ss))
+    return float(np.sqrt(2.0 * np.pi) * r * _simpson(integrand, ss))

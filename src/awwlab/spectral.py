@@ -10,11 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from . import bath as bath_mod
-from .atom import AtomPath, EigenFrame, magnus_propagate
+from .atom import AtomPath, EigenFrame, _cubic_spline, _simpson, magnus_propagate
 from .errors import ContourError, FrameSmoothnessError, MatchingError
 from .reduced import EffectiveGenerator
 
@@ -137,11 +135,11 @@ def adiabatic_evolution_diagnostic(atom: AtomPath, frame: EigenFrame,
             f"projection derivative unstable under step halving ({mism:.2e})")
 
     k_tab = np.einsum("kjab,kjbc->kac", dp, p_tab)
-    k_spline = CubicSpline(ts, k_tab, axis=0)
+    k_spline = _cubic_spline(ts, k_tab)
 
     w = magnus_propagate(k_spline, ts)[-1]
 
     # dynamical phases: Simpson of alpha_j + lam^2 alpha'_j over [s, t]
     corr = -1j * np.abs(atom.couplings(ts)) ** 2 * gen.transforms(ts)
-    phases = simpson(frame.energies_at(ts) + lam**2 * corr, x=ts, axis=0)
+    phases = _simpson(frame.energies_at(ts) + lam**2 * corr, ts)
     return w @ np.einsum("j,jab->ab", np.exp(-1j * phases / eps), p_tab[0])

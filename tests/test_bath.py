@@ -123,6 +123,33 @@ def test_decay_certificate(ref_bath):
     assert B.check_decay_bound(ref_bath)
 
 
+def with_closed_form(bath, gamma):
+    return B.BathSpec(density=bath.density, support_max=bath.support_max,
+                      quad_cutoff=bath.quad_cutoff, decay_amplitude=bath.decay_amplitude,
+                      decay_power=bath.decay_power, closed_form_correlation=gamma,
+                      analytic=bath.analytic)
+
+
+def test_decay_certificate_reaches_the_envelope_horizon(ref_bath):
+    # exp_sum and correlation_l1_norm take the envelope's tail past x_max =
+    # 5.5e4 in place of gamma, so the bound is checked out to there: a bump of
+    # 1e-6 at t = 2e4, where the envelope 6/(1+t)^3 is 7.5e-13, breaks it
+    x_max = B._envelope_horizon(ref_bath)
+    assert 1e4 < x_max < 1e5
+    bumped = with_closed_form(ref_bath, lambda t: ref_bath.closed_form_correlation(t)
+                              + 1e-6 * np.exp(-((np.asarray(t) - 2e4) / 2e3) ** 2))
+    assert not B.check_decay_bound(bumped)
+
+
+def test_l1_norm_refuses_estimates_that_do_not_settle(ref_bath):
+    # |gamma| with a kink at every multiple of pi: the panel halvings converge
+    # only algebraically and never reach two estimates within 1e-13
+    kinked = with_closed_form(ref_bath, lambda t: ref_bath.closed_form_correlation(t)
+                              * (1.0 + 0.5 * np.abs(np.sin(np.asarray(t)))))
+    with pytest.raises(DiscretizationError, match="correlation_l1_norm"):
+        B.correlation_l1_norm(kinked)
+
+
 def write_density_table(path, nodes):
     """CSV table of the reference density w^2 e^-w at `nodes` points of [0, 25]."""
     omega = np.linspace(0.0, 25.0, nodes)

@@ -7,9 +7,11 @@ import ast
 import functools
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
 import sys
 
 import awwlab
@@ -93,6 +95,27 @@ def test_runtime_dependencies_are_numpy_and_scipy_at_their_floors():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_a_run_loads_neither_scipy_interpolate_nor_scipy_integrate(tmp_path):
+    # the package reads only scipy.linalg and scipy.special: its spline,
+    # Simpson rule and DOP853 coefficients are its own, and the heavy
+    # subpackages (and what they pull in) would add about 22 MiB to every
+    # process; a bath table alone imports scipy.interpolate, lazily
+    code = (
+        "import sys, awwlab\n"
+        "from awwlab import config, harness\n"
+        "cfg = config.parse_config('atom.name = ww-ref-2level\\nbath.name = reference\\n'\n"
+        "                          'sim.eps = 0.1\\nsim.lambda2 = 0.01\\n')\n"
+        "harness.run_simulate(cfg, sys.argv[1])\n"
+        "heavy = ('interpolate', 'integrate', 'optimize', 'sparse', 'spatial')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "             and m.split('.')[1:2] and m.split('.')[1] in heavy))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
+    assert (tmp_path / "comparison.csv").exists()
 
 
 def test_readme_key_table_lists_the_known_keys_in_order():
