@@ -7,7 +7,6 @@ same interaction re-expressed over the frozen t=0 eigenvectors.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, isqrt
@@ -126,7 +125,7 @@ class _Spline:
 
     def __init__(self, x: np.ndarray, c: np.ndarray):
         self.x, self.c = x, c
-        self._inner, self._knots = x[1:-1], x.tolist()
+        self._inner = x[1:-1]
         self._complex = np.iscomplexobj(c)
         # (k, m, n - 1): the m real values of each interval's coefficient, a
         # complex value as its (re, im) pair, last so that a sum runs over times
@@ -134,15 +133,9 @@ class _Spline:
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if t.ndim:
-            i = self._inner.searchsorted(t, side="right")
-            s = t - self.x[i]
-            c = self._coef.take(i, axis=2)              # (k, m, *t.shape)
-        else:                                           # one time: Python floats
-            s = float(t)
-            i = bisect_right(self._knots, s, 1, len(self._knots) - 1) - 1
-            s -= self._knots[i]
-            c = self._coef[:, :, i]
+        i = self._inner.searchsorted(t, side="right")
+        s = t - self.x[i]
+        c = self._coef.take(i, axis=2)                  # (k, m, *t.shape)
         out, z = c[-1] + 0.0, s
         for p in range(len(c) - 2, -1, -1):
             out += c[p] * z

@@ -101,15 +101,20 @@ def test_a_run_loads_neither_scipy_interpolate_nor_scipy_integrate(tmp_path):
     # the package reads only scipy.linalg and scipy.special: its spline,
     # Simpson rule and DOP853 coefficients are its own, and the heavy
     # subpackages (and what they pull in) would add about 22 MiB to every
-    # process; a bath table alone imports scipy.interpolate, lazily
+    # process; a bath table alone imports scipy.interpolate, lazily. What
+    # scipy.linalg and scipy.special load themselves varies with the scipy
+    # version (older releases, 1.13 among them, import scipy.sparse from
+    # scipy.linalg), so the run is held only to the modules those two leave out.
     code = (
-        "import sys, awwlab\n"
+        "import sys, scipy.linalg, scipy.special\n"
+        "before = set(sys.modules)\n"
+        "import awwlab\n"
         "from awwlab import config, harness\n"
         "cfg = config.parse_config('atom.name = ww-ref-2level\\nbath.name = reference\\n'\n"
         "                          'sim.eps = 0.1\\nsim.lambda2 = 0.01\\n')\n"
         "harness.run_simulate(cfg, sys.argv[1])\n"
         "heavy = ('interpolate', 'integrate', 'optimize', 'sparse', 'spatial')\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'scipy'\n"
         "             and m.split('.')[1:2] and m.split('.')[1] in heavy))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,

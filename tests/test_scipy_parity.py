@@ -2,14 +2,11 @@
 the scipy routines they stand in for, so that every CSV stays byte-identical.
 
 The runtime package loads neither scipy.interpolate nor scipy.integrate; the
-tests may. On scipy >= 1.14 every value must be equal bit for bit. scipy
-1.13.0, the floor that CI also runs, is allowed 4 units in the last place, as
-its arithmetic there has not been compared bit for bit.
+tests may. Every value must be equal bit for bit.
 """
 
 import numpy as np
 import pytest
-import scipy
 from scipy.integrate import simpson
 from scipy.integrate._ivp import dop853_coefficients as dop853
 from scipy.interpolate import CubicSpline
@@ -18,17 +15,11 @@ from awwlab import exact as X
 from awwlab.atom import _cubic_spline, _simpson
 from test_magnus import three_level_atom
 
-BIT_FOR_BIT = tuple(int(p) for p in scipy.__version__.split(".")[:2]) >= (1, 14)
-
 
 def assert_same(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape and got.dtype == want.dtype
-    if BIT_FOR_BIT:
-        assert np.array_equal(got, want)
-    else:
-        for part in (np.real, np.imag):
-            np.testing.assert_array_max_ulp(part(got), part(want), maxulp=4)
+    assert np.array_equal(got, want)
 
 
 def times_to_read(x, rng):
